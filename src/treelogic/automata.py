@@ -17,6 +17,11 @@ Conventions:
   fresh automaton, so values can be shared freely across threads.
 * State identity is meaningless across automata: compare languages with
   ``equivalent``, never state sets.
+* Constructed automata (products, subset constructions) name their states
+  by discovery index, never from the names of component states, so no two
+  states can share a name whatever names the inputs use.  Only names
+  supplied by the caller or read by ``from_text`` survive an operation;
+  ``renumbered`` and ``minimize`` give their own canonical names.
 
 Text format (one construct per line, ``#`` starts a comment)::
 
@@ -103,11 +108,10 @@ class TreeAutomaton:
                 if self.deterministic and len(targets) != 1:
                     raise AutomatonError("deterministic automaton with multi-target entry")
             if self.deterministic:
-                for i, (g1, _) in enumerate(entries):
-                    for g2, _ in entries[i + 1:]:
-                        if not gp.disjoint(g1, g2):
-                            raise AutomatonError(
-                                f"overlapping guards {g1!r}/{g2!r} on pair ({left}, {right})")
+                clash = _overlap(g for g, _ in entries)
+                if clash is not None:
+                    raise AutomatonError(
+                        f"overlapping guards {clash[0]!r}/{clash[1]!r} on pair ({left}, {right})")
             if self.sink is not None:
                 for guard, targets in entries:
                     if (left == self.sink or right == self.sink) and targets != {self.sink}:
@@ -253,13 +257,7 @@ class TreeAutomaton:
         whole symbol space.  Deterministic automata only."""
         if not self.deterministic:
             raise AutomatonError("cannot materialize the sink of a nondeterministic automaton")
-        sink = self.sink
-        if sink is None:
-            sink = "dead"
-            n = 0
-            while sink in self.states:
-                n += 1
-                sink = f"dead{n}"
+        sink = self.sink if self.sink is not None else fresh_name("dead", self.states)
         states = self.states | {sink}
         transitions: dict[PairKey, list[tuple[str, str]]] = {}
         for left in sorted(states):
@@ -293,51 +291,19 @@ class TreeAutomaton:
             a = a.with_materialized_sink()
             b = b.with_materialized_sink()
 
-        def name(p: str, q: str) -> str:
-            return f"({p},{q})"
-
-        root = (a.initial, b.initial)
-        order: list[PairKey] = [root]
-        index = {root: 0}
-        queue: deque[tuple[PairKey, PairKey]] = deque([(root, root)])
-        transitions: dict[PairKey, list[tuple[str, str]]] = {}
-
-        def discover(pair: PairKey) -> None:
-            if pair not in index:
-                index[pair] = len(order)
-                order.append(pair)
-                for known in order:
-                    queue.append((pair, known))
-                    if known != pair:
-                        queue.append((known, pair))
-
-        while queue:
-            (la, lb), (ra, rb) = queue.popleft()
-            ea = a.transitions.get((la, ra))
-            eb = b.transitions.get((lb, rb))
-            if not ea or not eb:
-                continue
-            out = []
+        def step(left: PairKey, right: PairKey) -> Iterator[tuple[str, PairKey]]:
+            ea = a.transitions.get((left[0], right[0]), ())
+            eb = b.transitions.get((left[1], right[1]), ())
             for g1, t1 in ea:
                 for g2, t2 in eb:
                     m = gp.meet(g1, g2)
-                    if m is None:
-                        continue
-                    target = (next(iter(t1)), next(iter(t2)))
-                    discover(target)
-                    out.append((m, name(*target)))
-            if out:
-                transitions[(name(la, lb), name(ra, rb))] = out
+                    if m is not None:
+                        yield m, (next(iter(t1)), next(iter(t2)))
 
-        if mode == "intersect":
-            finals = {name(p, q) for (p, q) in order
-                      if p in a.finals and q in b.finals}
-        else:
-            finals = {name(p, q) for (p, q) in order
-                      if p in a.finals or q in b.finals}
-        states = {name(p, q) for (p, q) in order}
-        return TreeAutomaton(self.width, states, name(*root), finals,
-                             transitions, deterministic=True, validate=False)
+        join = all if mode == "intersect" else any
+        return _explored_automaton(
+            self.width, (a.initial, b.initial), step,
+            lambda pair: join((pair[0] in a.finals, pair[1] in b.finals)))
 
     def complement(self) -> "TreeAutomaton":
         if not self.deterministic:
@@ -356,55 +322,31 @@ class TreeAutomaton:
         The output is deterministic and total (missing entries fall to the
         implicit dead state, which corresponds to the empty subset).
         """
-        def name(subset: frozenset[str]) -> str:
-            return "{" + ",".join(sorted(subset)) + "}"
-
-        root = frozenset({self.initial})
-        order: list[frozenset[str]] = [root]
-        index = {root: 0}
-        queue: deque[tuple[frozenset[str], frozenset[str]]] = deque([(root, root)])
-        transitions: dict[PairKey, list[tuple[str, str]]] = {}
-
-        def discover(subset: frozenset[str]) -> None:
-            if subset not in index:
-                index[subset] = len(order)
-                order.append(subset)
-                for known in order:
-                    queue.append((subset, known))
-                    if known != subset:
-                        queue.append((known, subset))
-
-        while queue:
-            left, right = queue.popleft()
+        def step(left: frozenset[str], right: frozenset[str]
+                 ) -> Iterator[tuple[str, frozenset[str]]]:
             collected: list[Entry] = []
             for p in left:
                 for q in right:
                     collected.extend(self.transitions.get((p, q), ()))
             if not collected:
-                continue
+                return
             positions = gp.constrained_positions(g for g, _ in collected)
             by_target: dict[frozenset[str], list[str]] = {}
             # Minterm cubes: concrete exactly at the constrained positions, so
             # every collected guard either subsumes a cube or misses it.
-            for cube in _assignments(positions, self.width):
+            for cube in gp.assignments(positions, self.width):
                 targets: set[str] = set()
                 for g, ts in collected:
                     if gp.matches(g, cube):
                         targets.update(ts)
                 if targets:
                     by_target.setdefault(frozenset(targets), []).append(cube)
-            out = []
             for subset in sorted(by_target, key=lambda s: sorted(s)):
-                discover(subset)
                 for pattern in gp.merge_patterns(by_target[subset]):
-                    out.append((pattern, name(subset)))
-            if out:
-                transitions[(name(left), name(right))] = out
+                    yield pattern, subset
 
-        finals = {name(s) for s in order if s & self.finals}
-        states = {name(s) for s in order}
-        return TreeAutomaton(self.width, states, name(root), finals,
-                             transitions, deterministic=True, validate=False)
+        return _explored_automaton(self.width, frozenset({self.initial}), step,
+                                   lambda subset: bool(subset & self.finals))
 
     # ------------------------------------------------------------------
     # projection and cylindrification
@@ -618,24 +560,12 @@ class TreeAutomaton:
     def renumbered(self, prefix: str = "q") -> "TreeAutomaton":
         """Rename states q0..qN in a canonical discovery order, independent
         of the current names (for reachable automata)."""
-        order: list[str] = [self.initial]
-        index = {self.initial: 0}
-        queue: deque[PairKey] = deque([(self.initial, self.initial)])
-
-        def discover(state: str) -> None:
-            if state not in index:
-                index[state] = len(order)
-                order.append(state)
-                for known in order:
-                    queue.append((state, known))
-                    if known != state:
-                        queue.append((known, state))
-
-        while queue:
-            pair = queue.popleft()
-            for guard, targets in sorted(self.transitions.get(pair, ())):
+        def step(left: str, right: str) -> Iterator[tuple[str, str]]:
+            for guard, targets in sorted(self.transitions.get((left, right), ())):
                 for target in sorted(targets):
-                    discover(target)
+                    yield guard, target
+
+        order, _ = _explore(self.initial, step)
         for leftover in sorted(self.states - set(order)):
             if leftover != self.sink:
                 order.append(leftover)
@@ -707,11 +637,7 @@ class TreeAutomaton:
             mentioned.add(sink)
         if count is not None:
             if count == len(mentioned) + 1 and sink is None:
-                sink = "sink"
-                n = 0
-                while sink in mentioned:
-                    n += 1
-                    sink = f"sink{n}"
+                sink = fresh_name("sink", mentioned)
                 mentioned.add(sink)
             elif count != len(mentioned):
                 raise AutomatonError(
@@ -719,23 +645,72 @@ class TreeAutomaton:
         transitions: dict[PairKey, list[tuple[str, str]]] = {}
         for left, right, guard, target in raw:
             transitions.setdefault((left, right), []).append((guard, target))
-        deterministic = True
-        for pair_entries in transitions.values():
-            for i, (g1, _) in enumerate(pair_entries):
-                for g2, _ in pair_entries[i + 1:]:
-                    if not gp.disjoint(g1, g2):
-                        deterministic = False
+        deterministic = not any(_overlap(g for g, _ in pair_entries)
+                                for pair_entries in transitions.values())
         if sink is not None and not deterministic:
             sink = None
         return cls(width, mentioned, initial, finals, transitions,
                    deterministic=deterministic, sink=sink)
 
 
-def _assignments(positions: list[int], width: int) -> Iterator[str]:
-    """All guards concrete exactly at the given positions (don't-care elsewhere)."""
-    import itertools
-    base = ["*"] * width
-    for bits in itertools.product("01", repeat=len(positions)):
-        for i, b in zip(positions, bits):
-            base[i] = b
-        yield "".join(base)
+def fresh_name(base: str, taken) -> str:
+    """``base``, or ``base`` followed by the least positive number, whichever
+    is first not in ``taken``."""
+    name, n = base, 0
+    while name in taken:
+        n += 1
+        name = f"{base}{n}"
+    return name
+
+
+def _overlap(guards) -> tuple[str, str] | None:
+    """The first pair of listed guards that share a symbol, if any."""
+    guards = list(guards)
+    for i, g1 in enumerate(guards):
+        for g2 in guards[i + 1:]:
+            if not gp.disjoint(g1, g2):
+                return g1, g2
+    return None
+
+
+def _explore(root, step):
+    """Discover every state key reachable from ``root``, bottom-up.
+
+    A newly found key is paired with every known key in both orders (with
+    itself once), and pairs are expanded first in, first out.
+    ``step(left, right)`` yields the pair's ``(guard, target_key)`` entries.
+    Returns the keys in discovery order and the entries keyed by index
+    pairs, with targets as indices.
+    """
+    order = [root]
+    index = {root: 0}
+    queue: deque[tuple[int, int]] = deque([(0, 0)])
+    table: dict[tuple[int, int], list[tuple[str, int]]] = {}
+    while queue:
+        i, j = queue.popleft()
+        out = []
+        for guard, key in step(order[i], order[j]):
+            k = index.get(key)
+            if k is None:
+                k = index[key] = len(order)
+                order.append(key)
+                for known in range(k + 1):
+                    queue.append((k, known))
+                    if known != k:
+                        queue.append((known, k))
+            out.append((guard, k))
+        if out:
+            table[(i, j)] = out
+    return order, table
+
+
+def _explored_automaton(width: int, root, step, is_final) -> TreeAutomaton:
+    """The deterministic automaton ``_explore`` finds from ``root``, state
+    ``i`` named ``q<i>``; ``is_final`` decides on the state keys."""
+    order, table = _explore(root, step)
+    names = [f"q{i}" for i in range(len(order))]
+    transitions = {(names[i], names[j]): [(g, names[k]) for g, k in entries]
+                   for (i, j), entries in table.items()}
+    finals = {name for name, key in zip(names, order) if is_final(key)}
+    return TreeAutomaton(width, names, names[0], finals, transitions,
+                         deterministic=True, validate=False)

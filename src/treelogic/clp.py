@@ -80,9 +80,6 @@ class Program:
         return [c for c in self.clauses
                 if c.name == name and len(c.params) == arity]
 
-    def predicates(self) -> set[tuple[str, int]]:
-        return {(c.name, len(c.params)) for c in self.clauses}
-
 
 @dataclass
 class ConstraintStore:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import guards as gp
-from .automata import AutomatonError, TreeAutomaton
+from .automata import AutomatonError, TreeAutomaton, fresh_name
 from .formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Call, Exists1,
                        Exists2, FalseF, Formula, Not, Or, TrueF, VarTable,
                        _has_call, build_var_table, desugar, free_variables,
@@ -209,11 +209,7 @@ def zero_pad_closure(aut: TreeAutomaton, minimize_result: bool = True
                             zstar.add(target)
                             changed = True
 
-    zbar = "z"
-    n = 0
-    while zbar in aut.states:
-        n += 1
-        zbar = f"z{n}"
+    zbar = fresh_name("z", aut.states)
 
     transitions: dict[tuple[str, str], dict[str, set[str]]] = {}
 

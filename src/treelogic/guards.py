@@ -73,13 +73,13 @@ def least_symbol(pattern: str) -> str:
     return pattern.replace("*", "0")
 
 
-def concrete_symbols(pattern: str) -> Iterator[str]:
-    stars = [i for i, c in enumerate(pattern) if c == "*"]
-    chars = list(pattern)
-    for bits in itertools.product("01", repeat=len(stars)):
-        for i, b in zip(stars, bits):
-            chars[i] = b
-        yield "".join(chars)
+def assignments(positions: list[int], width: int) -> Iterator[str]:
+    """All guards concrete exactly at the given positions (don't-care elsewhere)."""
+    base = ["*"] * width
+    for bits in itertools.product("01", repeat=len(positions)):
+        for i, b in zip(positions, bits):
+            base[i] = b
+        yield "".join(base)
 
 
 def constrained_positions(patterns: Iterable[str]) -> list[int]:

@@ -47,11 +47,6 @@ def node_count(tree: Tree) -> int:
     return 1 + node_count(tree.left) + node_count(tree.right)
 
 
-def tree_width(tree: Tree) -> int | None:
-    """Label length at the root, or None for the empty tree."""
-    return None if tree is None else len(tree.label)
-
-
 def validate_tree(tree: Tree, width: int | None = None) -> int | None:
     """Check all labels share one length (== width when given); return it."""
     if tree is None:

@@ -113,6 +113,25 @@ def test_product_language_against_brute_force():
         assert language_sample(a.union(b), 4) == either
 
 
+def test_product_state_names_cannot_collide():
+    # Naming a pair from its components would give both (x,y | z) and
+    # (x | y,z) the name "(x,y,z)".
+    a = TreeAutomaton(1, {"x,y", "x"}, "x,y", {"x"},
+                      {("x,y", "x,y"): {"1": "x"}})
+    b = TreeAutomaton(1, {"z", "y,z"}, "z", {"y,z"},
+                      {("z", "z"): {"1": "y,z"}})
+    leaf = Node("1")
+    assert a.accepts(leaf) and b.accepts(leaf)
+    assert not a.accepts(None) and not b.accepts(None)
+    both = a.intersect(b)
+    assert both.accepts(leaf)
+    assert not both.accepts(None)
+    assert language_sample(both, 3) == language_sample(a, 3) & language_sample(b, 3)
+    either = a.union(b)
+    assert not either.accepts(None)
+    assert language_sample(either, 3) == language_sample(a, 3) | language_sample(b, 3)
+
+
 def test_complement_involution(ac_com_automaton):
     twice = ac_com_automaton.complement().complement()
     assert twice.equivalent(ac_com_automaton)
@@ -159,6 +178,19 @@ def test_determinize_without_finals_is_empty():
     nd = TreeAutomaton(nd.width, nd.states, nd.initial, set(), nd.transitions,
                        deterministic=False)
     assert nd.determinize().is_empty()
+
+
+def test_subset_state_names_cannot_collide():
+    # Naming a subset from its members would give both {a, b} and {"a,b"}
+    # the name "{a,b}".
+    nd = TreeAutomaton(1, {"i", "a", "b", "a,b"}, "i", {"a,b"},
+                       {("i", "i"): [("1", {"a", "b"}), ("0", "a,b")]},
+                       deterministic=False)
+    det = nd.determinize()
+    assert nd.accepts(Node("0")) and det.accepts(Node("0"))
+    assert not nd.accepts(Node("1"))
+    assert not det.accepts(Node("1"))
+    assert language_sample(det, 3) == language_sample(nd, 3)
 
 
 def test_determinize_language_preserved_randomized():

@@ -173,3 +173,21 @@ def test_outputs_are_deterministic(tmp_path, fixtures_dir):
         assert proc.returncode == 0
         runs.append(proc.stdout)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["compile", "ac_com.mso"], "golden_compile_ac_com.aut"),
+    (["compile", "local_c_command.mso"], "golden_compile_local_c_command.aut"),
+    (["compile", "--no-minimize", "ac_com.mso"],
+     "golden_compile_no_minimize_ac_com.aut"),
+    (["solve", "--all", "lexicon.clp", "?- lexicon(x)."],
+     "golden_solve_all_lexicon.txt"),
+])
+def test_outputs_match_golden_files(capsys, fixtures_dir, argv, golden):
+    # Identical inputs give byte-identical outputs across versions; the
+    # golden files were written by an earlier version of the CLI.
+    args = [str(fixtures_dir / a) if a.endswith((".mso", ".clp")) else a
+            for a in argv]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert out == (fixtures_dir / golden).read_text(encoding="utf-8")
