@@ -22,6 +22,11 @@ Conventions:
   states can share a name whatever names the inputs use.  Only names
   supplied by the caller or read by ``from_text`` survive an operation;
   ``renumbered`` and ``minimize`` give their own canonical names.
+* ``minimize`` treats the implicit dead state as one ordinary state.  It
+  builds each reachable state pair's symbol->target map once, as a reduced
+  ordered decision diagram whose split nodes are keyed by bit position and
+  shared across pairs (as in MONA), and each Moore round only relabels the
+  diagrams' leaves by block.
 
 Text format (one construct per line, ``#`` starts a comment)::
 
@@ -388,64 +393,78 @@ class TreeAutomaton:
         language, unique up to state renaming.  Transitions into the dead
         class are stripped and the class is designated as the sink, so empty
         languages come out as a single non-final initial state.
+
+        The implicit dead state (``sink``, or a fresh name) is an ordinary
+        state that every uncovered symbol goes to.  Each reachable pair's
+        symbol->target map is built once, as a reduced ordered decision
+        diagram over bit positions whose nodes are shared across pairs and
+        whose split nodes carry their position.  Moore refinement then only
+        relabels the diagrams' leaves by block and reduces them again, and
+        two states stay together while their rows and columns of relabelled
+        diagrams agree.
         """
         if not self.deterministic:
             raise AutomatonError("minimize requires a deterministic automaton")
-        total = self.with_materialized_sink()
-        reached = total.reachable_states()
-        states = sorted(reached)
-        transitions = {
-            pair: entries for pair, entries in total.transitions.items()
-            if pair[0] in reached and pair[1] in reached
-        }
+        dead = self.sink if self.sink is not None else fresh_name("dead", self.states)
+        # Diagram nodes are (target,) leaves or (pos, lo, hi) splits,
+        # hash-consed, each listed after its children.
+        nodes: list[tuple] = []
+        ids: dict[tuple, int] = {}
+        diagram: dict[PairKey, int] = {}
 
-        # Moore refinement; signatures canonicalize the symbol->block map of
-        # each (state, co-state) pair as a reduced binary decision tree.
-        block: dict[str, int] = {s: (1 if s in total.finals else 0) for s in states}
+        def node(key: tuple) -> int:
+            if key not in ids:
+                ids[key] = len(nodes)
+                nodes.append(key)
+            return ids[key]
+
+        def step(left: str, right: str) -> Iterator[tuple[str, str]]:
+            entries = [(g, next(iter(ts)))
+                       for g, ts in self.transitions.get((left, right), ())]
+            memo: dict[tuple[int, tuple[int, ...]], int] = {}
+            leaves: set[str] = set()
+
+            def build(pos: int, live: tuple[int, ...]) -> int:
+                if pos == self.width or not live:
+                    target = entries[live[0]][1] if live else dead
+                    leaves.add(target)
+                    return node((target,))
+                if (pos, live) not in memo:
+                    lo = build(pos + 1, tuple(i for i in live if entries[i][0][pos] != "1"))
+                    hi = build(pos + 1, tuple(i for i in live if entries[i][0][pos] != "0"))
+                    memo[pos, live] = lo if lo == hi else node((pos, lo, hi))
+                return memo[pos, live]
+
+            diagram[left, right] = build(0, tuple(range(len(entries))))
+            # Only the targets matter: _explore serves as reachability here.
+            for target in sorted(leaves):
+                yield "", target
+
+        order, _ = _explore(self.initial, step)
+        states = sorted(order)
+
+        # Moore refinement; a pair's signature is its diagram with the
+        # leaves relabelled by block and reduced again.
+        block: dict[str, int] = {s: (1 if s in self.finals else 0) for s in states}
         while True:
-            interned: dict[object, int] = {}
+            label: list[int] = []
+            interned: dict[tuple, int] = {}
+            for key in nodes:
+                if len(key) == 1:
+                    key = (block[key[0]],)
+                elif label[key[1]] == label[key[2]]:
+                    label.append(label[key[1]])
+                    continue
+                else:
+                    key = (key[0], label[key[1]], label[key[2]])
+                label.append(interned.setdefault(key, len(interned)))
 
-            def tree_id(key: object) -> int:
-                if key not in interned:
-                    interned[key] = len(interned)
-                return interned[key]
-
-            def decision(entries: tuple[Entry, ...]) -> int:
-                memo: dict[tuple[int, frozenset[int]], int] = {}
-                items = [(g, block[next(iter(ts))]) for g, ts in entries]
-
-                def build(pos: int, live: tuple[int, ...]) -> int:
-                    if not live:
-                        return tree_id(("dead",))
-                    key = (pos, frozenset(live))
-                    if key in memo:
-                        return memo[key]
-                    if pos == self.width:
-                        node = tree_id(("leaf", items[live[0]][1]))
-                    else:
-                        zeros = tuple(i for i in live if items[i][0][pos] in "0*")
-                        ones = tuple(i for i in live if items[i][0][pos] in "1*")
-                        lo = build(pos + 1, zeros)
-                        hi = build(pos + 1, ones)
-                        node = lo if lo == hi else tree_id(("split", lo, hi))
-                    memo[key] = node
-                    return node
-
-                return build(0, tuple(range(len(items))))
-
-            pair_sig: dict[PairKey, int] = {}
-            for pair, entries in transitions.items():
-                pair_sig[pair] = decision(entries)
-            dead_sig = tree_id(("dead",))
-
-            signatures: dict[str, tuple] = {}
-            for s in states:
-                row = tuple(pair_sig.get((s, t), dead_sig) for t in states)
-                col = tuple(pair_sig.get((t, s), dead_sig) for t in states)
-                signatures[s] = (block[s], row, col)
             groups: dict[tuple, list[str]] = {}
             for s in states:
-                groups.setdefault(signatures[s], []).append(s)
+                signature = (block[s],
+                             tuple(label[diagram[s, t]] for t in states),
+                             tuple(label[diagram[t, s]] for t in states))
+                groups.setdefault(signature, []).append(s)
             new_block: dict[str, int] = {}
             for i, sig in enumerate(sorted(groups, key=lambda k: groups[k][0])):
                 for s in groups[sig]:
@@ -467,7 +486,7 @@ class TreeAutomaton:
         for (bl, br), (sl, sr) in {(bl, br): (rep[bl], rep[br])
                                    for bl in rep for br in rep}.items():
             merged: dict[str, list[str]] = {}
-            for guard, targets in transitions.get((sl, sr), ()):
+            for guard, targets in self.transitions.get((sl, sr), ()):
                 merged.setdefault(bname(block[next(iter(targets))]), []).append(guard)
             out = []
             for target, pats in sorted(merged.items()):
@@ -477,8 +496,8 @@ class TreeAutomaton:
                 quotient[(bname(bl), bname(br))] = out
 
         q_states = {bname(b) for b in rep}
-        q_finals = {bname(block[s]) for s in states if s in total.finals}
-        q_initial = bname(block[total.initial])
+        q_finals = {bname(block[s]) for s in states if s in self.finals}
+        q_initial = bname(block[self.initial])
 
         # Re-detect the dead class and make it implicit again.
         sink = None

@@ -231,6 +231,32 @@ def random_deterministic(rng: random.Random, width: int,
     return TreeAutomaton(width, states, states[0], finals, transitions)
 
 
+def random_label_deterministic(rng: random.Random, width: int,
+                               max_states: int = 4) -> TreeAutomaton:
+    """Like ``random_deterministic``, but each guard fixes a random part of
+    the still-uncovered cube it is cut from, so transitions depend on the
+    label (``random_deterministic``'s first guard is the whole space)."""
+    n = rng.randint(1, max_states)
+    states = [f"r{i}" for i in range(n)]
+    transitions = {}
+    for left in states:
+        for right in states:
+            if rng.random() < 0.3:
+                continue
+            entries = {}
+            space = ["*" * width]
+            for _ in range(rng.randint(1, 4)):
+                if not space:
+                    break
+                cube = "".join(rng.choice("01") if c == "*" and rng.random() < 0.5
+                               else c for c in rng.choice(space))
+                space = [p for c in space for p in subtract(c, cube)]
+                entries[cube] = rng.choice(states)
+            transitions[(left, right)] = entries
+    finals = {s for s in states if rng.random() < 0.4}
+    return TreeAutomaton(width, states, states[0], finals, transitions)
+
+
 def random_nondeterministic(rng: random.Random, width: int,
                             max_states: int = 4) -> TreeAutomaton:
     n = rng.randint(1, max_states)

@@ -6,7 +6,7 @@ from treelogic import AutomatonError, TreeAutomaton
 from treelogic.trees import Node, node_count, parse_tree
 
 from oracle import (iter_trees, language_sample, random_deterministic,
-                    random_nondeterministic)
+                    random_label_deterministic, random_nondeterministic)
 
 T_ACCEPT = Node("00", Node("10"), Node("00", Node("01"), None))
 T_SIBLINGS = Node("00", Node("10"), Node("01"))
@@ -230,6 +230,40 @@ def test_minimize_preserves_language_randomized():
         assert minimal.equivalent(aut)
         again = minimal.minimize()
         assert len(again.states) == len(minimal.states)
+
+
+def test_minimize_keeps_states_that_test_different_bits():
+    # (a, i) and (b, i) lead to f on the same number of symbols, but through
+    # different bits; a diagram node without its position would merge a and b.
+    aut = TreeAutomaton.from_text(
+        "width 2\ninitial i\nfinals f\n"
+        "trans i i 10 -> a\ntrans i i 01 -> b\n"
+        "trans a i 1* -> f\ntrans b i *1 -> f\n")
+    minimal = aut.minimize()
+    assert len(minimal.states) == 5
+    assert minimal.equivalent(aut)
+    assert not minimal.accepts(Node("10", Node("01"), None))
+
+
+def test_minimize_label_dependent_guards_randomized():
+    rng = random.Random(41)
+    for width, count in ((1, 30), (2, 20), (3, 3)):
+        trees = list(iter_trees(4, width))
+        for _ in range(count):
+            aut = random_label_deterministic(rng, width)
+            minimal = aut.minimize()
+            assert all(minimal.accepts(t) == aut.accepts(t) for t in trees)
+            again = minimal.minimize()
+            assert len(again.states) == len(minimal.states)
+            text = minimal.renumbered().to_text()
+            assert again.renumbered().to_text() == text
+            # The same automaton with a named implicit sink, and with that
+            # sink made explicit on every uncovered symbol.
+            named = TreeAutomaton(width, aut.states | {"a"}, aut.initial,
+                                  aut.finals, aut.transitions, sink="a")
+            explicit = named.with_materialized_sink()
+            assert named.minimize().renumbered().to_text() == text
+            assert explicit.minimize().renumbered().to_text() == text
 
 
 def test_language_equal_automata_minimize_to_equal_sizes(ac_com_automaton):

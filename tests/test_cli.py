@@ -182,6 +182,9 @@ def test_outputs_are_deterministic(tmp_path, fixtures_dir):
      "golden_compile_no_minimize_ac_com.aut"),
     (["solve", "--all", "lexicon.clp", "?- lexicon(x)."],
      "golden_solve_all_lexicon.txt"),
+    (["compile", "chain8.mso"], "golden_compile_chain8.aut"),
+    (["compile", "union_negation_ex1.mso"],
+     "golden_compile_union_negation_ex1.aut"),
 ])
 def test_outputs_match_golden_files(capsys, fixtures_dir, argv, golden):
     # Identical inputs give byte-identical outputs across versions; the
