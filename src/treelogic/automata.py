@@ -336,14 +336,14 @@ class TreeAutomaton:
             if not collected:
                 return
             positions = gp.constrained_positions(g for g, _ in collected)
-            by_target: dict[frozenset[str], list[str]] = {}
             # Minterm cubes: concrete exactly at the constrained positions, so
-            # every collected guard either subsumes a cube or misses it.
-            for cube in gp.assignments(positions, self.width):
-                targets: set[str] = set()
-                for g, ts in collected:
-                    if gp.matches(g, cube):
-                        targets.update(ts)
+            # every collected guard is the union of those it expands to.
+            minterms: dict[str, set[str]] = {}
+            for g, ts in collected:
+                for cube in gp.expand(g, [i for i in positions if g[i] == "*"]):
+                    minterms.setdefault(cube, set()).update(ts)
+            by_target: dict[frozenset[str], list[str]] = {}
+            for cube, targets in minterms.items():
                 if targets:
                     by_target.setdefault(frozenset(targets), []).append(cube)
             for subset in sorted(by_target, key=lambda s: sorted(s)):

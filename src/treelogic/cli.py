@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 for success / SAT / ACCEPT / EQUIVALENT,
 3 for UNSAT / REJECT / INEQUIVALENT / no solutions, 1 for usage, parse and
-sort errors, 2 for resource limits (width overflow).  Identical inputs
-produce byte-identical outputs.
+sort errors, 2 for resource limits (width overflow, input nested too
+deeply).  Identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -210,6 +210,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except WidthOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return 2
     except (FormulaError, CompileError, AutomatonError, ProgramError,
             SolveError, OSError, ValueError) as exc:

@@ -9,6 +9,7 @@ single symbol.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Iterable, Iterator
 
@@ -73,9 +74,10 @@ def least_symbol(pattern: str) -> str:
     return pattern.replace("*", "0")
 
 
-def assignments(positions: list[int], width: int) -> Iterator[str]:
-    """All guards concrete exactly at the given positions (don't-care elsewhere)."""
-    base = ["*"] * width
+def expand(pattern: str, positions: list[int]) -> Iterator[str]:
+    """All guards obtained from the pattern by filling the given ``*``
+    positions with every combination of bits."""
+    base = list(pattern)
     for bits in itertools.product("01", repeat=len(positions)):
         for i, b in zip(positions, bits):
             base[i] = b
@@ -119,43 +121,43 @@ def covers_all(patterns: Iterable[str], width: int) -> bool:
     return not uncovered(patterns, width)
 
 
-def _merge_two(a: str, b: str) -> str | None:
-    """Merge two guards differing in exactly one concrete position."""
-    diff = -1
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x == y:
-            continue
-        if x == "*" or y == "*" or diff >= 0:
-            return None
-        diff = i
-    if diff < 0:
-        return a
-    return a[:diff] + "*" + a[diff + 1:]
-
-
 def merge_patterns(patterns: Iterable[str]) -> list[str]:
     """Compact a set of guards by cube merging; result order is deterministic.
 
     Greedy, not minimal, but never changes the denoted symbol set as long as
-    the inputs are pairwise disjoint or nested.
+    the inputs are pairwise disjoint or nested.  Each step merges the least
+    cube ``a`` (in sorted order) that has a partner ``b > a`` differing in one
+    position where both are concrete with its least such partner; subsumed
+    cubes are dropped at the end.  The only partners ``b > a`` are the
+    flips of a ``0`` of ``a`` to ``1``, so finding them takes one set lookup
+    per position; a heap of candidate cubes yields the least ``a`` without a
+    rescan.  After a merge, the merged cube and those of its flip-neighbours
+    that sort below it are pushed, and stale entries are skipped when popped.
+    The result is that of restarting the all-pairs scan after every merge.
     """
     pats = set(patterns)
-    while True:
-        found = None
-        ordered = sorted(pats)
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1:]:
-                m = _merge_two(a, b)
-                if m is not None:
-                    found = (a, b, m)
-                    break
-            if found:
-                break
-        if found is None:
-            break
-        a, b, m = found
-        pats.discard(a)
-        pats.discard(b)
-        pats.add(m)
+    if len(pats) < 2:
+        return sorted(pats)
+
+    def flip(a: str, i: int, ch: str) -> str:
+        return a[:i] + ch + a[i + 1:]
+
+    heap = sorted(pats)
+    while heap:
+        a = heapq.heappop(heap)
+        if a not in pats:
+            continue
+        # The partner flipping the last possible position is the least one.
+        i = next((i for i in range(len(a) - 1, -1, -1)
+                  if a[i] == "0" and flip(a, i, "1") in pats), -1)
+        if i < 0:
+            continue
+        pats -= {a, flip(a, i, "1")}
+        merged = flip(a, i, "*")
+        pats.add(merged)
+        heapq.heappush(heap, merged)
+        for j, c in enumerate(merged):
+            if c == "1" and flip(merged, j, "0") in pats:
+                heapq.heappush(heap, flip(merged, j, "0"))
     return [p for p in sorted(pats)
             if not any(q != p and subsumes(q, p) for q in pats)]

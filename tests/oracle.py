@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterable
 
 from treelogic.formulas import (FIRST, And, Atom, Exists1, Exists2, FalseF,
                                 Forall1, Forall2, Iff, Implies, Not, Or,
                                 TrueF)
 from treelogic.automata import TreeAutomaton
-from treelogic.guards import subtract
+from treelogic.guards import subsumes, subtract
 from treelogic.trees import Node, addresses, format_tree
 
 
@@ -198,6 +199,53 @@ def language_sample(aut: TreeAutomaton, max_nodes: int) -> frozenset:
     """Accepted trees with at most max_nodes nodes, as formatted strings."""
     return frozenset(format_tree(t) for t in iter_trees(max_nodes, aut.width)
                      if aut.accepts(t))
+
+
+# ----------------------------------------------------------------------
+# guard merging: the restart-after-every-merge greedy that
+# guards.merge_patterns must agree with
+
+
+def _merge_two(a: str, b: str) -> str | None:
+    """Merge two guards differing in exactly one concrete position."""
+    diff = -1
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x == y:
+            continue
+        if x == "*" or y == "*" or diff >= 0:
+            return None
+        diff = i
+    if diff < 0:
+        return a
+    return a[:diff] + "*" + a[diff + 1:]
+
+
+def greedy_merge_patterns(patterns: Iterable[str]) -> list[str]:
+    """Compact a set of guards by cube merging; result order is deterministic.
+
+    Greedy, not minimal, but never changes the denoted symbol set as long as
+    the inputs are pairwise disjoint or nested.
+    """
+    pats = set(patterns)
+    while True:
+        found = None
+        ordered = sorted(pats)
+        for i, a in enumerate(ordered):
+            for b in ordered[i + 1:]:
+                m = _merge_two(a, b)
+                if m is not None:
+                    found = (a, b, m)
+                    break
+            if found:
+                break
+        if found is None:
+            break
+        a, b, m = found
+        pats.discard(a)
+        pats.discard(b)
+        pats.add(m)
+    return [p for p in sorted(pats)
+            if not any(q != p and subsumes(q, p) for q in pats)]
 
 
 # ----------------------------------------------------------------------

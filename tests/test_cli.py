@@ -54,6 +54,18 @@ def test_compile_width_overflow_exit_code(capsys, tmp_path):
     assert "width" in err
 
 
+def test_deeply_nested_input_exits_2_without_traceback(tmp_path):
+    src = tmp_path / "deep.mso"
+    src.write_text("~" * 3000 + "sing(X)\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "treelogic", "sat", str(src)],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: input nested too deeply")
+
+
 def test_compile_stats_lines(capsys, ac_com_path):
     code, out, err = run_cli(capsys, "compile", ac_com_path, "--stats")
     assert code == 0
@@ -185,6 +197,12 @@ def test_outputs_are_deterministic(tmp_path, fixtures_dir):
     (["compile", "chain8.mso"], "golden_compile_chain8.aut"),
     (["compile", "union_negation_ex1.mso"],
      "golden_compile_union_negation_ex1.aut"),
+    (["compile", "--no-minimize", "local_c_command.mso"],
+     "golden_compile_no_minimize_local_c_command.aut"),
+    (["solve", "--all", "parse_pipeline.clp",
+      "?- { in(a, John) & in(b, Sees) & in(c, Mary) & prec(a, b) "
+      "& prec(b, c) } & parse(a, b, c)."],
+     "golden_solve_all_parse_pipeline.txt"),
 ])
 def test_outputs_match_golden_files(capsys, fixtures_dir, argv, golden):
     # Identical inputs give byte-identical outputs across versions; the

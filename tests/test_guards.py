@@ -1,8 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from treelogic import guards as gp
+
+from oracle import greedy_merge_patterns, random_guard
 
 patterns = st.text(alphabet="01*", min_size=3, max_size=3)
 symbols = st.text(alphabet="01", min_size=3, max_size=3)
@@ -44,6 +48,30 @@ def test_merge_patterns():
     assert gp.merge_patterns(["00", "01", "10", "11"]) == ["**"]
     assert gp.merge_patterns(["0*", "00"]) == ["0*"]
     assert gp.merge_patterns(["01", "10"]) == ["01", "10"]
+
+
+def _random_merge_input(rng: random.Random, width: int) -> list[str]:
+    count = rng.randint(0, 40)
+    if rng.random() < 0.5:
+        # concrete symbols only, as subset construction passes them
+        return ["".join(rng.choice("01") for _ in range(width))
+                for _ in range(count)]
+    pats = [random_guard(rng, width) for _ in range(count)]
+    # nested cubes: fill some don't-care positions of earlier ones
+    for p in rng.sample(pats, min(len(pats), rng.randint(0, 10))):
+        pats.append("".join(rng.choice("01") if c == "*" and rng.random() < 0.5
+                            else c for c in p))
+    return pats
+
+
+def test_merge_patterns_equals_greedy_randomized():
+    rng = random.Random(20261018)
+    for _ in range(6000):
+        pats = _random_merge_input(rng, rng.randint(0, 6))
+        assert gp.merge_patterns(pats) == greedy_merge_patterns(pats), pats
+    for pats in ([], [""], ["01"], ["01", "01"], ["00", "01"], ["01", "10"],
+                 ["0*", "00"], ["1*", "0*"], ["**", "1*"]):
+        assert gp.merge_patterns(pats) == greedy_merge_patterns(pats), pats
 
 
 def test_check_guard():
