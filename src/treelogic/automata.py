@@ -45,8 +45,9 @@ empty bit string) are written ``-``.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import guards as gp
 from .trees import Node, Tree, validate_tree
@@ -281,18 +282,22 @@ class TreeAutomaton:
     # boolean operations
 
     def intersect(self, other: "TreeAutomaton") -> "TreeAutomaton":
-        return self._product(other, mode="intersect")
+        return self._product(other, operator.and_)
 
     def union(self, other: "TreeAutomaton") -> "TreeAutomaton":
-        return self._product(other, mode="union")
+        return self._product(other, operator.or_)
 
-    def _product(self, other: "TreeAutomaton", mode: str) -> "TreeAutomaton":
+    def _product(self, other: "TreeAutomaton",
+                 accept: Callable[[bool, bool], bool]) -> "TreeAutomaton":
+        """The product automaton; a pair state is final when ``accept`` holds
+        of its components' finality.  The dead states are materialized when
+        a pair with one dead component can be final."""
         if self.width != other.width:
             raise AutomatonError(
                 f"width mismatch: {self.width} vs {other.width}")
         a = self if self.deterministic else self.determinize()
         b = other if other.deterministic else other.determinize()
-        if mode == "union":
+        if accept(True, False) or accept(False, True):
             a = a.with_materialized_sink()
             b = b.with_materialized_sink()
 
@@ -305,10 +310,9 @@ class TreeAutomaton:
                     if m is not None:
                         yield m, (next(iter(t1)), next(iter(t2)))
 
-        join = all if mode == "intersect" else any
         return _explored_automaton(
             self.width, (a.initial, b.initial), step,
-            lambda pair: join((pair[0] in a.finals, pair[1] in b.finals)))
+            lambda pair: accept(pair[0] in a.finals, pair[1] in b.finals))
 
     def complement(self) -> "TreeAutomaton":
         if not self.deterministic:
@@ -401,7 +405,8 @@ class TreeAutomaton:
         whose split nodes carry their position.  Moore refinement then only
         relabels the diagrams' leaves by block and reduces them again, and
         two states stay together while their rows and columns of relabelled
-        diagrams agree.
+        diagrams agree.  The dead state is refined even when unreachable, so
+        its block is the dead class.
         """
         if not self.deterministic:
             raise AutomatonError("minimize requires a deterministic automaton")
@@ -441,7 +446,13 @@ class TreeAutomaton:
                 yield "", target
 
         order, _ = _explore(self.initial, step)
+        # The dead state always takes part, after the reachable states, so
+        # every state equivalent to it lands in its block; an unreachable one
+        # has no diagrams, and its rows and columns are the dead leaf.
         states = sorted(order)
+        if dead not in order:
+            states.append(dead)
+        dead_leaf = node((dead,))
 
         # Moore refinement; a pair's signature is its diagram with the
         # leaves relabelled by block and reduced again.
@@ -462,12 +473,12 @@ class TreeAutomaton:
             groups: dict[tuple, list[str]] = {}
             for s in states:
                 signature = (block[s],
-                             tuple(label[diagram[s, t]] for t in states),
-                             tuple(label[diagram[t, s]] for t in states))
+                             tuple(label[diagram.get((s, t), dead_leaf)] for t in states),
+                             tuple(label[diagram.get((t, s), dead_leaf)] for t in states))
                 groups.setdefault(signature, []).append(s)
             new_block: dict[str, int] = {}
-            for i, sig in enumerate(sorted(groups, key=lambda k: groups[k][0])):
-                for s in groups[sig]:
+            for i, members in enumerate(groups.values()):
+                for s in members:
                     new_block[s] = i
             if new_block == block:
                 break
@@ -475,70 +486,46 @@ class TreeAutomaton:
 
         rep: dict[int, str] = {}
         for s in states:
-            b = block[s]
-            if b not in rep or s < rep[b]:
-                rep[b] = s
+            rep.setdefault(block[s], s)
+        # The dead class is the sink; transitions into it are stripped.
+        sink: int | None = block[dead]
+        if dead not in order and list(block.values()).count(sink) == 1:
+            del rep[sink]
+            sink = None
 
         def bname(b: int) -> str:
             return f"m{b}"
 
         quotient: dict[PairKey, list[tuple[str, str]]] = {}
-        for (bl, br), (sl, sr) in {(bl, br): (rep[bl], rep[br])
-                                   for bl in rep for br in rep}.items():
-            merged: dict[str, list[str]] = {}
-            for guard, targets in self.transitions.get((sl, sr), ()):
-                merged.setdefault(bname(block[next(iter(targets))]), []).append(guard)
-            out = []
-            for target, pats in sorted(merged.items()):
-                for pattern in gp.merge_patterns(pats):
-                    out.append((pattern, target))
-            if out:
-                quotient[(bname(bl), bname(br))] = out
+        for bl in rep:
+            for br in rep:
+                if sink in (bl, br):
+                    continue
+                merged: dict[str, list[str]] = {}
+                for guard, targets in self.transitions.get((rep[bl], rep[br]), ()):
+                    b = block[next(iter(targets))]
+                    if b != sink:
+                        merged.setdefault(bname(b), []).append(guard)
+                out = []
+                for target, pats in sorted(merged.items()):
+                    for pattern in gp.merge_patterns(pats):
+                        out.append((pattern, target))
+                if out:
+                    quotient[(bname(bl), bname(br))] = out
 
-        q_states = {bname(b) for b in rep}
-        q_finals = {bname(block[s]) for s in states if s in self.finals}
-        q_initial = bname(block[self.initial])
-
-        # Re-detect the dead class and make it implicit again.
-        sink = None
-        for b in sorted(rep):
-            cand = bname(b)
-            if cand in q_finals:
-                continue
-            absorbing = all(
-                target == cand
-                for (left, right), pair_entries in quotient.items()
-                if left == cand or right == cand
-                for _, target in pair_entries)
-            into_self = all(
-                target == cand
-                for _, target in quotient.get((cand, cand), ()))
-            if absorbing and into_self:
-                sink = cand
-                break
-        if sink is not None:
-            quotient = {
-                pair: [e for e in pair_entries if e[1] != sink]
-                for pair, pair_entries in quotient.items()
-                if pair[0] != sink and pair[1] != sink
-            }
-            quotient = {p: e for p, e in quotient.items() if e}
-
-        return TreeAutomaton(self.width, q_states, q_initial, q_finals,
-                             quotient, deterministic=True, sink=sink,
+        return TreeAutomaton(self.width, {bname(b) for b in rep},
+                             bname(block[self.initial]),
+                             {bname(block[s]) for s in states if s in self.finals},
+                             quotient, deterministic=True,
+                             sink=None if sink is None else bname(sink),
                              validate=False)
 
     # ------------------------------------------------------------------
     # language comparison and witnesses
 
     def equivalent(self, other: "TreeAutomaton") -> bool:
-        if self.width != other.width:
-            raise AutomatonError(
-                f"width mismatch: {self.width} vs {other.width}")
-        a = self if self.deterministic else self.determinize()
-        b = other if other.deterministic else other.determinize()
-        return (a.intersect(b.complement()).is_empty()
-                and b.intersect(a.complement()).is_empty())
+        """Whether no tree is accepted by exactly one of the two."""
+        return self._product(other, operator.ne).is_empty()
 
     def witness(self) -> Tree:
         """A size-minimal accepted tree, or None for the empty language.

@@ -3,7 +3,7 @@
 The pipeline is structural: atomic relations get hand-built minimal automata,
 conjunction becomes the product, negation the complement, and existential
 quantification the projection followed by the subset construction.  The
-outputs of every construction are minimized by default, which doubles as the
+automaton of every subformula is minimized by default, which doubles as the
 satisfiability test: the minimal automaton of an unsatisfiable formula has a
 single non-final initial state.
 
@@ -17,6 +17,9 @@ frontier nodes (``zero_pad_closure``).  The closure is applied before
 projecting a quantified bit (a satisfying choice for the quantified variable
 may need nodes outside the labeled region) and again after determinizing the
 projection (the erase image is closed under growth but not under pruning).
+The first closure stays nondeterministic, since its projection is
+nondeterministic anyway, so a quantifier costs two subset constructions (of
+the projection and of the second closure) and one minimization.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import guards as gp
-from .automata import AutomatonError, TreeAutomaton, fresh_name
+from .automata import TreeAutomaton, _explore, fresh_name
 from .formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Call, Exists1,
                        Exists2, FalseF, Formula, Not, Or, TrueF, VarTable,
                        _has_call, build_var_table, desugar, free_variables,
@@ -181,34 +184,25 @@ def base_automaton(kind: str, positions, width: int) -> TreeAutomaton:
 # zero-padding closure
 
 
-def zero_pad_closure(aut: TreeAutomaton, minimize_result: bool = True
-                     ) -> TreeAutomaton:
-    """Smallest language containing T(aut) that is closed under adding and
-    pruning all-zero-labeled frontier nodes.
+def zero_pad_closure(aut: TreeAutomaton) -> TreeAutomaton:
+    """Nondeterministic automaton of the smallest language containing T(aut)
+    that is closed under adding and pruning all-zero-labeled frontier nodes.
 
-    Built by running the automaton nondeterministically with one extra state
-    standing for "this subtree is all-zero": such a subtree may resolve to
-    the state of any all-zero tree (the tree can be swapped for a different
+    Takes any automaton.  The result runs it with one extra state standing
+    for "this subtree is all-zero": such a subtree may resolve to the state
+    of any run on any all-zero tree (the tree can be swapped for a different
     all-zero tree, including the empty one, without changing the encoded
-    assignment).
+    assignment).  Callers determinize the result.
     """
-    if not aut.deterministic:
-        raise AutomatonError("zero_pad_closure requires a deterministic automaton")
     zero = gp.zero_symbol(aut.width)
 
-    zstar = {aut.initial}
-    changed = True
-    while changed:
-        changed = False
-        for (left, right), entries in aut.transitions.items():
-            if left in zstar and right in zstar:
-                for guard, targets in entries:
-                    if gp.matches(guard, zero):
-                        target = next(iter(targets))
-                        if target not in zstar:
-                            zstar.add(target)
-                            changed = True
+    def zero_step(left: str, right: str):
+        for guard, targets in aut.transitions.get((left, right), ()):
+            if gp.matches(guard, zero):
+                for target in targets:
+                    yield guard, target
 
+    zstar = set(_explore(aut.initial, zero_step)[0])
     zbar = fresh_name("z", aut.states)
 
     transitions: dict[tuple[str, str], dict[str, set[str]]] = {}
@@ -231,10 +225,8 @@ def zero_pad_closure(aut: TreeAutomaton, minimize_result: bool = True
     finals = set(aut.finals)
     if zstar & aut.finals:
         finals.add(zbar)
-    nfa = TreeAutomaton(aut.width, aut.states | {zbar}, zbar, finals,
-                        transitions, deterministic=False, validate=False)
-    det = nfa.determinize()
-    return det.minimize() if minimize_result else det
+    return TreeAutomaton(aut.width, aut.states | {zbar}, zbar, finals,
+                         transitions, deterministic=False, validate=False)
 
 
 # ----------------------------------------------------------------------
@@ -277,9 +269,12 @@ def compile_formula(formula: Formula, ctx: CompilationContext | None = None
 
 
 def _step(ctx: CompilationContext, op: str, aut: TreeAutomaton) -> TreeAutomaton:
-    states_in = len(aut.states)
-    if ctx.minimize_steps:
-        aut = aut.minimize()
+    return _record(ctx, op, len(aut.states),
+                   aut.minimize() if ctx.minimize_steps else aut)
+
+
+def _record(ctx: CompilationContext, op: str, states_in: int,
+            aut: TreeAutomaton) -> TreeAutomaton:
     ctx.stats.append(CompileStep(len(ctx.stats) + 1, op, states_in, len(aut.states)))
     return aut
 
@@ -303,10 +298,7 @@ def _compile(f: Formula, ctx: CompilationContext, table: VarTable) -> TreeAutoma
         right = _compile(f.right, ctx, table)
         return _step(ctx, "or", left.union(right))
     if isinstance(f, Not):
-        body = _compile(f.body, ctx, table)
-        if not body.deterministic:
-            body = body.determinize()
-        return _step(ctx, "not", body.complement())
+        return _step(ctx, "not", _compile(f.body, ctx, table).complement())
     if isinstance(f, (Exists1, Exists2)):
         sort = FIRST if isinstance(f, Exists1) else SECOND
         if table.has(f.var):
@@ -321,13 +313,13 @@ def _compile(f: Formula, ctx: CompilationContext, table: VarTable) -> TreeAutoma
         if sort == FIRST:
             sing = base_automaton("sing", (pos,), inner_table.width)
             body = _step(ctx, f"sing:{f.var}", body.intersect(sing))
-        closed = _step(ctx, "close", zero_pad_closure(body, minimize_result=False))
+        closed = _record(ctx, "close", len(body.states), zero_pad_closure(body))
         projected = closed.project(pos).determinize()
-        result = zero_pad_closure(projected, minimize_result=ctx.minimize_steps)
-        op = "exists1" if sort == FIRST else "exists2"
-        ctx.stats.append(CompileStep(len(ctx.stats) + 1, op,
-                                     len(closed.states), len(result.states)))
-        return result
+        result = zero_pad_closure(projected).determinize()
+        if ctx.minimize_steps:
+            result = result.minimize()
+        return _record(ctx, "exists1" if sort == FIRST else "exists2",
+                       len(closed.states), result)
     if isinstance(f, Call):
         raise CompileError("expand macros before compiling")
     raise CompileError(f"cannot compile {type(f).__name__} "

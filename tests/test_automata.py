@@ -272,6 +272,20 @@ def test_language_equal_automata_minimize_to_equal_sizes(ac_com_automaton):
         len(ac_com_automaton.minimize().states)
 
 
+def test_minimize_finds_undeclared_absorbing_class_randomized():
+    # A double complement keeps the materialized dead state as an ordinary,
+    # undeclared one; minimize must still find it and strip it.
+    rng = random.Random(53)
+    for _ in range(600):
+        width = rng.randint(0, 3)
+        make = rng.choice([random_deterministic, random_label_deterministic])
+        a = make(rng, width)
+        twice = a.complement().complement()
+        assert twice.sink is None
+        assert (twice.minimize().renumbered().to_text()
+                == a.minimize().renumbered().to_text())
+
+
 def test_minimize_requires_deterministic():
     nd = sing_automaton().project(0)
     with pytest.raises(AutomatonError):
@@ -365,6 +379,31 @@ def test_equivalent_through_pipeline(ac_com_automaton):
 
 def test_equivalent_complement_differs(ac_com_automaton):
     assert not ac_com_automaton.equivalent(ac_com_automaton.complement())
+
+
+def _two_sided_complement_equivalent(a, b):
+    a = a if a.deterministic else a.determinize()
+    b = b if b.deterministic else b.determinize()
+    return (a.intersect(b.complement()).is_empty()
+            and b.intersect(a.complement()).is_empty())
+
+
+def test_equivalent_matches_two_sided_complement_randomized():
+    rng = random.Random(67)
+    makers = [random_deterministic, random_label_deterministic,
+              random_nondeterministic]
+    answers = []
+    for _ in range(300):
+        width = rng.randint(0, 2)
+        a = rng.choice(makers)(rng, width)
+        other = rng.choice(makers)(rng, width)
+        b = rng.choice([other, a.union(other), a.determinize().minimize(),
+                        a.determinize().complement()])
+        want = _two_sided_complement_equivalent(a, b)
+        assert a.equivalent(b) == want
+        assert b.equivalent(a) == want
+        answers.append(want)
+    assert any(answers) and not all(answers)
 
 
 def test_witness_of_empty_is_missing():

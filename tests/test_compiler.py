@@ -119,6 +119,37 @@ def _strip_zero_frontier(tree):
     return Node(tree.label, left, right)
 
 
+def test_quantifier_runs_two_subset_constructions(monkeypatch):
+    calls = []
+    determinize = TreeAutomaton.determinize
+
+    def counted(self):
+        calls.append(self)
+        return determinize(self)
+
+    monkeypatch.setattr(TreeAutomaton, "determinize", counted)
+    aut, _, ctx = compiled("ex1 z. idom(z, x)")
+    assert len(calls) == 2
+    assert [s.op for s in ctx.stats] == ["atom:idom", "sing:z", "close",
+                                         "exists1", "sing:x"]
+    # The close record reports the body and its (nondeterministic) closure,
+    # which has one extra state.
+    close = ctx.stats[2]
+    assert close.states_in == ctx.stats[1].states_out
+    assert close.states_out == close.states_in + 1
+    assert ctx.stats[3].states_in == close.states_out
+
+
+def test_closure_accepts_nondeterministic_input():
+    from oracle import random_nondeterministic
+    rng = random.Random(29)
+    for _ in range(60):
+        nfa = random_nondeterministic(rng, width=rng.randint(0, 2))
+        closed = zero_pad_closure(nfa)
+        assert not closed.deterministic
+        assert closed.equivalent(zero_pad_closure(nfa.determinize()))
+
+
 def test_closure_of_empty_is_empty():
     assert zero_pad_closure(TreeAutomaton.empty_language(2)).is_empty()
 
