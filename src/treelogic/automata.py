@@ -14,7 +14,13 @@ Conventions:
   ``sink`` attribute optionally names that dead state; a designated sink is
   never final and absorbs from both child positions.
 * Automata are immutable after construction.  Every operation returns a
-  fresh automaton, so values can be shared freely across threads.
+  fresh automaton, so values can be shared freely across threads.  The one
+  mutable part is ``_steps``, a memo of the transition function that runs
+  fill the first time they meet a (left, right, label) step.  An entry is a
+  function of its key and never changes once written, so two threads that
+  fill the same key store the same value and sharing stays safe.
+* Runs (``run``, ``run_set``, ``accepts``) fold the tree bottom-up over an
+  explicit stack, so their depth is not bounded by the recursion limit.
 * State identity is meaningless across automata: compare languages with
   ``equivalent``, never state sets.
 * Constructed automata (products, subset constructions) name their states
@@ -56,6 +62,9 @@ PairKey = tuple[str, str]
 Entry = tuple[str, frozenset[str]]
 
 
+_BITS = frozenset("01")
+
+
 class AutomatonError(ValueError):
     pass
 
@@ -78,7 +87,7 @@ def _normalize(transitions) -> dict[PairKey, tuple[Entry, ...]]:
 
 class TreeAutomaton:
     __slots__ = ("width", "states", "initial", "finals", "transitions",
-                 "deterministic", "sink")
+                 "deterministic", "sink", "_steps")
 
     def __init__(self, width, states, initial, finals, transitions,
                  deterministic=True, sink=None, validate=True):
@@ -89,6 +98,7 @@ class TreeAutomaton:
         self.transitions = _normalize(transitions)
         self.deterministic = bool(deterministic)
         self.sink = sink
+        self._steps: dict[tuple, object] = {}  # memo of runs' steps, see _fold
         if validate:
             self._validate()
 
@@ -155,44 +165,80 @@ class TreeAutomaton:
         """State reached on the tree (deterministic mode); None = dead."""
         if not self.deterministic:
             raise AutomatonError("run() requires a deterministic automaton")
-        self._check_tree(tree)
-        return self._run(tree)
-
-    def _run(self, tree: Tree) -> str | None:
-        if tree is None:
-            return self.initial
-        left = self._run(tree.left)
-        right = self._run(tree.right)
-        if left is None or right is None:
-            return self.sink
-        for guard, targets in self.transitions.get((left, right), ()):
-            if gp.matches(guard, tree.label):
-                return next(iter(targets))
-        return self.sink
+        return self._fold(tree, self.initial, self._fill_state)
 
     def run_set(self, tree: Tree) -> frozenset[str]:
         """All states reachable on the tree (nondeterministic reading)."""
-        self._check_tree(tree)
-        return self._run_set(tree)
-
-    def _run_set(self, tree: Tree) -> frozenset[str]:
-        if tree is None:
-            return frozenset({self.initial})
-        lefts = self._run_set(tree.left)
-        rights = self._run_set(tree.right)
-        out: set[str] = set()
-        for left in lefts:
-            for right in rights:
-                for guard, targets in self.transitions.get((left, right), ()):
-                    if gp.matches(guard, tree.label):
-                        out.update(targets)
-        return frozenset(out)
+        return self._fold(tree, frozenset({self.initial}), self._fill_states)
 
     def accepts(self, tree: Tree) -> bool:
         if self.deterministic:
             state = self.run(tree)
             return state is not None and state in self.finals
         return bool(self.run_set(tree) & self.finals)
+
+    def _fold(self, tree: Tree, leaf, fill):
+        """The tree's bottom-up value, without recursion.  Nodes are listed
+        in preorder and valued in reverse, so when a node is valued its left
+        child's value is on top of the value stack and its right child's
+        below it.  Each step is read from the ``_steps`` memo and computed by
+        ``fill`` the first time its key is seen.  Keys are (left, right,
+        label) for ``run`` and (lefts, rights, label) for ``run_set``; state
+        names are strings and state sets frozensets, so they never collide."""
+        if tree is None:
+            return leaf
+        nodes = []
+        pending = [tree]
+        while pending:
+            node = pending.pop()
+            nodes.append(node)
+            if node.right is not None:
+                pending.append(node.right)
+            if node.left is not None:
+                pending.append(node.left)
+        steps = self._steps
+        values: list = []
+        push, pop = values.append, values.pop
+        for node in reversed(nodes):
+            left = leaf if node.left is None else pop()
+            right = leaf if node.right is None else pop()
+            key = (left, right, node.label)
+            try:
+                push(steps[key])
+            except KeyError:
+                push(fill(key, tree))
+        return values[0]
+
+    def _fill_state(self, key: tuple, tree: Tree) -> str | None:
+        left, right, label = key
+        self._check_label(label, tree)
+        target = self.sink
+        if left is not None and right is not None:
+            for guard, targets in self.transitions.get((left, right), ()):
+                if gp.matches(guard, label):
+                    target = next(iter(targets))
+                    break
+        self._steps[key] = target
+        return target
+
+    def _fill_states(self, key: tuple, tree: Tree) -> frozenset[str]:
+        lefts, rights, label = key
+        self._check_label(label, tree)
+        out: set[str] = set()
+        for left in lefts:
+            for right in rights:
+                for guard, targets in self.transitions.get((left, right), ()):
+                    if gp.matches(guard, label):
+                        out.update(targets)
+        self._steps[key] = targets = frozenset(out)
+        return targets
+
+    def _check_label(self, label: str, tree: Tree) -> None:
+        """A label of another width or with a character other than 0/1
+        makes the whole-tree check raise, so the error and its message are
+        those of the first bad label in preorder."""
+        if len(label) != self.width or not _BITS.issuperset(label):
+            self._check_tree(tree)
 
     def _check_tree(self, tree: Tree) -> None:
         width = validate_tree(tree)

@@ -99,10 +99,10 @@ def base_automaton(kind: str, positions, width: int) -> TreeAutomaton:
         # Reflexive instances collapse: equality-style relations hold of
         # every labeling, the irreflexive orders of none.
         if kind in ("rdom", "eqset", "eq1", "sub", "in"):
-            return TreeAutomaton.all_trees(width)
-        return TreeAutomaton.empty_language(width)
-
-    if kind == "sing":
+            aut = TreeAutomaton.all_trees(width)
+        else:
+            aut = TreeAutomaton.empty_language(width)
+    elif kind == "sing":
         i, = positions
         aut = TreeAutomaton(
             width, {"n0", "n1", "s"}, "n0", {"n1"},
@@ -287,8 +287,8 @@ def _compile(f: Formula, ctx: CompilationContext, table: VarTable) -> TreeAutoma
         return _step(ctx, "false", TreeAutomaton.empty_language(width))
     if isinstance(f, Atom):
         positions = tuple(table.position(a) for a in f.args)
-        return _step(ctx, f"atom:{f.kind}",
-                     base_automaton(f.kind, positions, width))
+        aut = base_automaton(f.kind, positions, width)
+        return _record(ctx, f"atom:{f.kind}", len(aut.states), aut)
     if isinstance(f, And):
         left = _compile(f.left, ctx, table)
         right = _compile(f.right, ctx, table)

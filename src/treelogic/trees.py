@@ -48,15 +48,21 @@ def node_count(tree: Tree) -> int:
 
 
 def validate_tree(tree: Tree, width: int | None = None) -> int | None:
-    """Check all labels share one length (== width when given); return it."""
+    """Check all labels share one length (== width when given); return it.
+    The first bad label in preorder is the one reported."""
     if tree is None:
         return width
     if width is None:
         width = len(tree.label)
-    if len(tree.label) != width or set(tree.label) - {"0", "1"}:
-        raise ValueError(f"bad label {tree.label!r}, expected {width} bits")
-    validate_tree(tree.left, width)
-    validate_tree(tree.right, width)
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        if len(node.label) != width or set(node.label) - {"0", "1"}:
+            raise ValueError(f"bad label {node.label!r}, expected {width} bits")
+        if node.right is not None:
+            pending.append(node.right)
+        if node.left is not None:
+            pending.append(node.left)
     return width
 
 

@@ -21,7 +21,7 @@ from treelogic.formulas import (FIRST, And, Atom, Exists1, Exists2, FalseF,
                                 Forall1, Forall2, Iff, Implies, Not, Or,
                                 TrueF)
 from treelogic.automata import TreeAutomaton
-from treelogic.guards import subsumes, subtract
+from treelogic.guards import matches, subsumes, subtract
 from treelogic.trees import Node, addresses, format_tree
 
 
@@ -202,6 +202,45 @@ def language_sample(aut: TreeAutomaton, max_nodes: int) -> frozenset:
 
 
 # ----------------------------------------------------------------------
+# runs: the recursive runs that TreeAutomaton.run, run_set and accepts must
+# agree with (labels are assumed valid)
+
+
+def recursive_run(aut: TreeAutomaton, tree) -> str | None:
+    if tree is None:
+        return aut.initial
+    left = recursive_run(aut, tree.left)
+    right = recursive_run(aut, tree.right)
+    if left is None or right is None:
+        return aut.sink
+    for guard, targets in aut.transitions.get((left, right), ()):
+        if matches(guard, tree.label):
+            return next(iter(targets))
+    return aut.sink
+
+
+def recursive_run_set(aut: TreeAutomaton, tree) -> frozenset[str]:
+    if tree is None:
+        return frozenset({aut.initial})
+    lefts = recursive_run_set(aut, tree.left)
+    rights = recursive_run_set(aut, tree.right)
+    out: set[str] = set()
+    for left in lefts:
+        for right in rights:
+            for guard, targets in aut.transitions.get((left, right), ()):
+                if matches(guard, tree.label):
+                    out.update(targets)
+    return frozenset(out)
+
+
+def recursive_accepts(aut: TreeAutomaton, tree) -> bool:
+    if aut.deterministic:
+        state = recursive_run(aut, tree)
+        return state is not None and state in aut.finals
+    return bool(recursive_run_set(aut, tree) & aut.finals)
+
+
+# ----------------------------------------------------------------------
 # guard merging: the restart-after-every-merge greedy that
 # guards.merge_patterns must agree with
 
@@ -254,6 +293,17 @@ def greedy_merge_patterns(patterns: Iterable[str]) -> list[str]:
 
 def random_guard(rng: random.Random, width: int) -> str:
     return "".join(rng.choice("01*") for _ in range(width))
+
+
+def random_tree(rng: random.Random, size: int, width: int):
+    """A random tree with ``size`` nodes; the left subtree's size is uniform,
+    so the depth stays logarithmic in expectation."""
+    if size == 0:
+        return None
+    k = rng.randrange(size)
+    label = "".join(rng.choice("01") for _ in range(width))
+    return Node(label, random_tree(rng, k, width),
+                random_tree(rng, size - 1 - k, width))
 
 
 def random_deterministic(rng: random.Random, width: int,

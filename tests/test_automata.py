@@ -1,12 +1,17 @@
 import random
+import sys
+import threading
 
 import pytest
 
 from treelogic import AutomatonError, TreeAutomaton
-from treelogic.trees import Node, node_count, parse_tree
+from treelogic.compiler import zero_pad_closure
+from treelogic.trees import Node, node_count, parse_tree, validate_tree
 
 from oracle import (iter_trees, language_sample, random_deterministic,
-                    random_label_deterministic, random_nondeterministic)
+                    random_label_deterministic, random_nondeterministic,
+                    random_tree, recursive_accepts, recursive_run,
+                    recursive_run_set)
 
 T_ACCEPT = Node("00", Node("10"), Node("00", Node("01"), None))
 T_SIBLINGS = Node("00", Node("10"), Node("01"))
@@ -43,6 +48,98 @@ def test_run_states(ac_com_automaton):
     assert aut.run(Node("00", Node("01"), None)) == "a2"
     assert aut.run(T_ACCEPT) == "a4"
     assert aut.run(T_SIBLINGS) == aut.sink
+
+
+def _run_cases(rng, count):
+    """Random automata of every kind the runs distinguish: deterministic with
+    an implicit sink, with a named sink whose pairs are unlisted (minimize)
+    or listed (with_materialized_sink), label-dependent, nondeterministic."""
+    for _ in range(count):
+        width = rng.randint(0, 2)
+        make = rng.choice([random_deterministic, random_label_deterministic,
+                           random_nondeterministic])
+        aut = make(rng, width)
+        if aut.deterministic:
+            aut = rng.choice([aut, aut.minimize(), aut.with_materialized_sink()])
+        yield aut
+
+
+def test_runs_match_recursive_runs_randomized():
+    rng = random.Random(61)
+    for aut in _run_cases(rng, 36):
+        trees = list(iter_trees(4, aut.width))
+        trees += [random_tree(rng, 200, aut.width) for _ in range(5)]
+        for tree in trees:
+            for _ in range(2):  # the second call reads the memo
+                assert aut.accepts(tree) == recursive_accepts(aut, tree)
+                assert aut.run_set(tree) == recursive_run_set(aut, tree)
+                if aut.deterministic:
+                    assert aut.run(tree) == recursive_run(aut, tree)
+
+
+def _chain(depth, label, bottom):
+    tree = Node(bottom)
+    for _ in range(depth - 1):
+        tree = Node(label, tree, None)
+    return tree
+
+
+@pytest.mark.parametrize("tree, error, message", [
+    (Node("00", Node("1"), None), ValueError, "bad label '1', expected 2 bits"),
+    (Node("101", Node("10"), None), ValueError, "bad label '10', expected 3 bits"),
+    (_chain(50, "01", "0a"), ValueError, "bad label '0a', expected 2 bits"),
+    (Node("101", Node("011"), None), AutomatonError,
+     "tree labels have width 3, automaton has width 2"),
+])
+def test_run_errors_name_the_first_bad_label(ac_com_automaton, tree, error,
+                                             message):
+    nondet = ac_com_automaton.project(1).cylindrify(1)
+    for aut in (ac_com_automaton, nondet):
+        aut.accepts(_chain(50, "00", "10"))  # fill part of the memo first
+        for call in (aut.accepts, aut.run_set):
+            with pytest.raises(error) as raised:
+                call(tree)
+            assert type(raised.value) is error
+            assert str(raised.value) == message
+
+
+def test_runs_finish_on_deep_chain():
+    sing = sing_automaton()
+    closed = zero_pad_closure(sing)
+    tree = _chain(10**5, "0", "1")
+    assert validate_tree(tree) == 1
+    assert sing.accepts(tree)
+    assert closed.accepts(tree)
+    assert closed.run_set(_chain(10**5, "0", "0")).isdisjoint(closed.finals)
+    with pytest.raises(ValueError, match="bad label '2'"):
+        sing.accepts(_chain(10**5, "0", "2"))
+
+
+def test_shared_automaton_runs_agree_across_threads():
+    # Threads fill one automaton's memo concurrently; every answer must still
+    # be the recursive run's.
+    rng = random.Random(67)
+    aut = random_label_deterministic(rng, 2, max_states=4)
+    trees = [random_tree(rng, 40, 2) for _ in range(60)]
+    want = [recursive_accepts(aut, t) for t in trees]
+    failures = []
+
+    def work():
+        if [aut.accepts(t) for t in trees] != want:
+            failures.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
 
 
 # ----------------------------------------------------------------------

@@ -140,6 +140,33 @@ def test_quantifier_runs_two_subset_constructions(monkeypatch):
     assert ctx.stats[3].states_in == close.states_out
 
 
+@pytest.mark.parametrize("text, minimizations", [
+    ("sub(X, Y)", 1), ("sub(X, X)", 1),
+    ("pdom(x, x)", 3),  # pdom, then x's singleton and its "sing:x" step
+])
+def test_atom_is_minimized_once(monkeypatch, text, minimizations):
+    # base_automaton's result is minimal, reflexive shortcuts included, so
+    # the compiler records it without minimizing it again.
+    calls = []
+    minimize = TreeAutomaton.minimize
+
+    def counted(self):
+        calls.append(self)
+        return minimize(self)
+
+    monkeypatch.setattr(TreeAutomaton, "minimize", counted)
+    formula, _ = parse_formula(text)
+    table = build_var_table(formula)
+    aut = base_automaton(formula.kind, [table.position(a) for a in formula.args],
+                         table.width)
+    assert minimize(aut).to_text() == aut.to_text()
+    calls.clear()
+    _, _, ctx = compiled(text)
+    assert len(calls) == minimizations
+    assert ctx.stats[0].op == f"atom:{formula.kind}"
+    assert ctx.stats[0].states_in == ctx.stats[0].states_out == len(aut.states)
+
+
 def test_closure_accepts_nondeterministic_input():
     from oracle import random_nondeterministic
     rng = random.Random(29)

@@ -39,6 +39,13 @@ def test_parse_errors():
         parse_tree("(0 (11 () ()) ())")  # inconsistent widths
 
 
+def test_validate_reports_first_bad_label_in_preorder():
+    t = Node("00", Node("00", None, Node("0")), Node("1"))
+    with pytest.raises(ValueError, match="bad label '0', expected 2 bits"):
+        validate_tree(t)
+    assert validate_tree(t.left.left, 3) == 3  # empty tree keeps the width
+
+
 def test_addresses_and_assignment():
     t = Node("10", Node("01"), Node("00", None, Node("11")))
     assert addresses(t) == {"": "10", "0": "01", "1": "00", "11": "11"}
