@@ -56,7 +56,7 @@ from collections import deque
 from typing import Callable, Iterator
 
 from . import guards as gp
-from .trees import Node, Tree, validate_tree
+from .trees import Node, Tree, preorder, validate_tree
 
 PairKey = tuple[str, str]
 Entry = tuple[str, frozenset[str]]
@@ -153,11 +153,6 @@ class TreeAutomaton:
         """The canonical automaton of the empty language."""
         return TreeAutomaton(width, {"q0"}, "q0", set(), {}, sink="q0")
 
-    def entries(self) -> Iterator[tuple[str, str, str, frozenset[str]]]:
-        for (left, right), pair_entries in self.transitions.items():
-            for guard, targets in pair_entries:
-                yield left, right, guard, targets
-
     # ------------------------------------------------------------------
     # runs and membership
 
@@ -187,19 +182,10 @@ class TreeAutomaton:
         names are strings and state sets frozensets, so they never collide."""
         if tree is None:
             return leaf
-        nodes = []
-        pending = [tree]
-        while pending:
-            node = pending.pop()
-            nodes.append(node)
-            if node.right is not None:
-                pending.append(node.right)
-            if node.left is not None:
-                pending.append(node.left)
         steps = self._steps
         values: list = []
         push, pop = values.append, values.pop
-        for node in reversed(nodes):
+        for node in reversed(preorder(tree)):
             left = leaf if node.left is None else pop()
             right = leaf if node.right is None else pop()
             key = (left, right, node.label)

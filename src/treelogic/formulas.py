@@ -219,8 +219,7 @@ class _Parser:
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("", 1, 1)
-            raise FormulaError("unexpected end of input", last.line, last.column)
+            self.fail("unexpected end of input")
         self.pos += 1
         return tok
 
@@ -237,7 +236,8 @@ class _Parser:
 
     def fail(self, message: str, tok: Token | None = None,
              cls: type = FormulaError):
-        tok = tok or self.peek() or self.tokens[-1]
+        tok = tok or self.peek() or (self.tokens[-1] if self.tokens
+                                     else Token("", 1, 1))
         raise cls(message, tok.line, tok.column)
 
     # ---- entry points
@@ -415,27 +415,46 @@ def parse_formula_fragment(tokens: list[Token]) -> Formula:
 # traversals
 
 
+_BINARY = (And, Or, Implies, Iff)
+_BINDERS = (Exists1, Exists2, Forall1, Forall2)
+
+
+def _parts(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas, left to right."""
+    if isinstance(f, _BINARY):
+        return f.left, f.right
+    if isinstance(f, Not) or isinstance(f, _BINDERS):
+        return f.body,
+    return ()
+
+
+def _map_parts(f: Formula, fn, *args) -> Formula:
+    """``f`` rebuilt with ``fn(part, *args)`` in place of each immediate
+    subformula, left to right; leaves come back unchanged."""
+    if isinstance(f, _BINARY):
+        return type(f)(fn(f.left, *args), fn(f.right, *args))
+    if isinstance(f, Not):
+        return Not(fn(f.body, *args))
+    if isinstance(f, _BINDERS):
+        return type(f)(f.var, fn(f.body, *args))
+    return f
+
+
 def free_variables(formula: Formula, bound: frozenset[str] = frozenset()
                    ) -> list[tuple[str, str]]:
     """Free variables with sorts, in first-occurrence order."""
     seen: dict[str, str] = {}
 
     def walk(f: Formula, bound: frozenset[str]) -> None:
-        if isinstance(f, Atom):
+        if isinstance(f, (Atom, Call)):
             for a in f.args:
                 if a not in bound and a not in seen:
                     seen[a] = sort_of_name(a)
-        elif isinstance(f, Call):
-            for a in f.args:
-                if a not in bound and a not in seen:
-                    seen[a] = sort_of_name(a)
-        elif isinstance(f, Not):
-            walk(f.body, bound)
-        elif isinstance(f, (And, Or, Implies, Iff)):
-            walk(f.left, bound)
-            walk(f.right, bound)
-        elif isinstance(f, (Exists1, Exists2, Forall1, Forall2)):
+        elif isinstance(f, _BINDERS):
             walk(f.body, bound | {f.var})
+        else:
+            for part in _parts(f):
+                walk(part, bound)
 
     walk(formula, bound)
     return list(seen.items())
@@ -447,14 +466,10 @@ def _map_vars(f: Formula, rename) -> Formula:
         return Atom(f.kind, tuple(rename(a) for a in f.args))
     if isinstance(f, Call):
         return Call(f.name, tuple(rename(a) for a in f.args))
-    if isinstance(f, Not):
-        return Not(_map_vars(f.body, rename))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(_map_vars(f.left, rename), _map_vars(f.right, rename))
-    if isinstance(f, (Exists1, Exists2, Forall1, Forall2)):
+    if isinstance(f, _BINDERS):
         shadowed = lambda a: a if a == f.var else rename(a)
         return type(f)(f.var, _map_vars(f.body, shadowed))
-    return f
+    return _map_parts(f, _map_vars, rename)
 
 
 def substitute(f: Formula, mapping: dict[str, str],
@@ -465,12 +480,7 @@ def substitute(f: Formula, mapping: dict[str, str],
         fresh = lambda v: f"{v}_{next(counter)}"
     if isinstance(f, (Atom, Call)):
         return _map_vars(f, lambda a: mapping.get(a, a))
-    if isinstance(f, Not):
-        return Not(substitute(f.body, mapping, fresh))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(substitute(f.left, mapping, fresh),
-                       substitute(f.right, mapping, fresh))
-    if isinstance(f, (Exists1, Exists2, Forall1, Forall2)):
+    if isinstance(f, _BINDERS):
         inner = {k: v for k, v in mapping.items() if k != f.var}
         if not inner:
             return f
@@ -482,7 +492,7 @@ def substitute(f: Formula, mapping: dict[str, str],
             body = substitute(body, {var: renamed}, fresh)
             var = renamed
         return type(f)(var, substitute(body, inner, fresh))
-    return f
+    return _map_parts(f, substitute, mapping, fresh)
 
 
 def expand_macros(formula: Formula, defs: list[MacroDef] | dict[str, MacroDef]
@@ -504,36 +514,23 @@ def expand_macros(formula: Formula, defs: list[MacroDef] | dict[str, MacroDef]
                                  f"argument(s), got {len(f.args)}")
             body = substitute(macro.body, dict(zip(macro.params, f.args)), fresh)
             return expand(body, stack + (f.name,))
-        if isinstance(f, Not):
-            return Not(expand(f.body, stack))
-        if isinstance(f, (And, Or, Implies, Iff)):
-            return type(f)(expand(f.left, stack), expand(f.right, stack))
-        if isinstance(f, (Exists1, Exists2, Forall1, Forall2)):
-            return type(f)(f.var, expand(f.body, stack))
-        return f
+        return _map_parts(f, expand, stack)
 
     return expand(formula, ())
 
 
 def desugar(f: Formula) -> Formula:
     """Rewrite ->, <-> and universal quantifiers into ~, &, |, exists."""
+    f = _map_parts(f, desugar)
     if isinstance(f, Implies):
-        return Or(Not(desugar(f.left)), desugar(f.right))
+        return Or(Not(f.left), f.right)
     if isinstance(f, Iff):
-        a, b = desugar(f.left), desugar(f.right)
+        a, b = f.left, f.right
         return And(Or(Not(a), b), Or(Not(b), a))
     if isinstance(f, Forall1):
-        return Not(Exists1(f.var, Not(desugar(f.body))))
+        return Not(Exists1(f.var, Not(f.body)))
     if isinstance(f, Forall2):
-        return Not(Exists2(f.var, Not(desugar(f.body))))
-    if isinstance(f, Not):
-        return Not(desugar(f.body))
-    if isinstance(f, (And, Or)):
-        return type(f)(desugar(f.left), desugar(f.right))
-    if isinstance(f, (Exists1, Exists2)):
-        return type(f)(f.var, desugar(f.body))
-    if isinstance(f, (Implies, Iff)):  # pragma: no cover
-        raise AssertionError
+        return Not(Exists2(f.var, Not(f.body)))
     return f
 
 
@@ -556,14 +553,10 @@ def rename_bound_apart(f: Formula, avoid: frozenset[str] = frozenset()) -> Formu
     def walk(f: Formula, env: dict[str, str]) -> Formula:
         if isinstance(f, (Atom, Call)):
             return _map_vars(f, lambda a: env.get(a, a))
-        if isinstance(f, Not):
-            return Not(walk(f.body, env))
-        if isinstance(f, (And, Or, Implies, Iff)):
-            return type(f)(walk(f.left, env), walk(f.right, env))
-        if isinstance(f, (Exists1, Exists2, Forall1, Forall2)):
+        if isinstance(f, _BINDERS):
             new = pick(f.var)
             return type(f)(new, walk(f.body, {**env, f.var: new}))
-        return f
+        return _map_parts(f, walk, env)
 
     return walk(f, {})
 
@@ -652,12 +645,4 @@ def build_var_table(formula: Formula, ambient: VarTable | None = None) -> VarTab
 
 
 def _has_call(f: Formula) -> bool:
-    if isinstance(f, Call):
-        return True
-    if isinstance(f, Not):
-        return _has_call(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return _has_call(f.left) or _has_call(f.right)
-    if isinstance(f, (Exists1, Exists2, Forall1, Forall2)):
-        return _has_call(f.body)
-    return False
+    return isinstance(f, Call) or any(map(_has_call, _parts(f)))

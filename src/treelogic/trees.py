@@ -41,10 +41,22 @@ class Node:
 Tree = Node | None
 
 
+def preorder(tree: Tree) -> list[Node]:
+    """The tree's nodes in preorder, listed without recursion."""
+    nodes = []
+    pending = [tree] if tree is not None else []
+    while pending:
+        node = pending.pop()
+        nodes.append(node)
+        if node.right is not None:
+            pending.append(node.right)
+        if node.left is not None:
+            pending.append(node.left)
+    return nodes
+
+
 def node_count(tree: Tree) -> int:
-    if tree is None:
-        return 0
-    return 1 + node_count(tree.left) + node_count(tree.right)
+    return len(preorder(tree))
 
 
 def validate_tree(tree: Tree, width: int | None = None) -> int | None:
@@ -54,15 +66,9 @@ def validate_tree(tree: Tree, width: int | None = None) -> int | None:
         return width
     if width is None:
         width = len(tree.label)
-    pending = [tree]
-    while pending:
-        node = pending.pop()
+    for node in preorder(tree):
         if len(node.label) != width or set(node.label) - {"0", "1"}:
             raise ValueError(f"bad label {node.label!r}, expected {width} bits")
-        if node.right is not None:
-            pending.append(node.right)
-        if node.left is not None:
-            pending.append(node.left)
     return width
 
 
@@ -87,9 +93,7 @@ def assignment_from_tree(tree: Tree, width: int) -> dict[int, frozenset[str]]:
 
 
 def preorder_labels(tree: Tree) -> tuple[str, ...]:
-    if tree is None:
-        return ()
-    return (tree.label,) + preorder_labels(tree.left) + preorder_labels(tree.right)
+    return tuple([node.label for node in preorder(tree)])
 
 
 def shape_string(tree: Tree) -> str:
@@ -115,29 +119,34 @@ def parse_tree(text: str) -> Tree:
     """Parse the textual tree format; raises ValueError on malformed input."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
-
-    def parse() -> Tree:
-        nonlocal pos
+    # nodes whose ')' is still to come: [label] before the left subtree is
+    # read, [label, left] after it
+    open_nodes: list[list] = []
+    while True:
         if pos >= len(tokens) or tokens[pos] != "(":
             raise ValueError(f"expected '(' at token {pos} in tree text")
-        pos += 1
-        if pos < len(tokens) and tokens[pos] == ")":
+        if pos + 1 >= len(tokens):
+            raise ValueError("unexpected end of tree text")
+        label = tokens[pos + 1]
+        pos += 2
+        if label != ")":
+            if label == "-":
+                label = ""
+            elif set(label) - {"0", "1"}:
+                raise ValueError(f"bad tree label {label!r}")
+            open_nodes.append([label])
+            continue
+        # "()" ends a subtree, and so does each node it is the right child of
+        tree = None
+        while open_nodes and len(open_nodes[-1]) == 2:
+            if pos >= len(tokens) or tokens[pos] != ")":
+                raise ValueError("expected ')' closing tree node")
             pos += 1
-            return None
-        label = tokens[pos]
-        pos += 1
-        if label == "-":
-            label = ""
-        elif set(label) - {"0", "1"}:
-            raise ValueError(f"bad tree label {label!r}")
-        left = parse()
-        right = parse()
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise ValueError("expected ')' closing tree node")
-        pos += 1
-        return Node(label, left, right)
-
-    tree = parse()
+            label, left = open_nodes.pop()
+            tree = Node(label, left, tree)
+        if not open_nodes:
+            break
+        open_nodes[-1].append(tree)
     if pos != len(tokens):
         raise ValueError("trailing garbage after tree")
     validate_tree(tree)

@@ -17,9 +17,10 @@ import itertools
 import random
 from typing import Iterable
 
-from treelogic.formulas import (FIRST, And, Atom, Exists1, Exists2, FalseF,
-                                Forall1, Forall2, Iff, Implies, Not, Or,
-                                TrueF)
+from treelogic.formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Call,
+                                Exists1, Exists2, FalseF, Forall1, Forall2,
+                                Formula, Iff, Implies, MacroDef, MacroError,
+                                Not, Or, TrueF, sort_of_name)
 from treelogic.automata import TreeAutomaton
 from treelogic.guards import matches, subsumes, subtract
 from treelogic.trees import Node, addresses, format_tree
@@ -241,6 +242,177 @@ def recursive_accepts(aut: TreeAutomaton, tree) -> bool:
 
 
 # ----------------------------------------------------------------------
+# formula walks: the per-kind walks that formulas' free_variables, _map_vars,
+# substitute, expand_macros, desugar, rename_bound_apart and _has_call must
+# agree with, in results and in the order they invent fresh names
+
+
+def ref_free_variables(formula: Formula, bound: frozenset[str] = frozenset()
+                       ) -> list[tuple[str, str]]:
+    """Free variables with sorts, in first-occurrence order."""
+    seen: dict[str, str] = {}
+
+    def walk(f: Formula, bound: frozenset[str]) -> None:
+        if isinstance(f, Atom):
+            for a in f.args:
+                if a not in bound and a not in seen:
+                    seen[a] = sort_of_name(a)
+        elif isinstance(f, Call):
+            for a in f.args:
+                if a not in bound and a not in seen:
+                    seen[a] = sort_of_name(a)
+        elif isinstance(f, Not):
+            walk(f.body, bound)
+        elif isinstance(f, (And, Or, Implies, Iff)):
+            walk(f.left, bound)
+            walk(f.right, bound)
+        elif isinstance(f, (Exists1, Exists2, Forall1, Forall2)):
+            walk(f.body, bound | {f.var})
+
+    walk(formula, bound)
+    return list(seen.items())
+
+
+def ref_map_vars(f: Formula, rename) -> Formula:
+    """Apply a renaming to free variable occurrences (captures not checked)."""
+    if isinstance(f, Atom):
+        return Atom(f.kind, tuple(rename(a) for a in f.args))
+    if isinstance(f, Call):
+        return Call(f.name, tuple(rename(a) for a in f.args))
+    if isinstance(f, Not):
+        return Not(ref_map_vars(f.body, rename))
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return type(f)(ref_map_vars(f.left, rename), ref_map_vars(f.right, rename))
+    if isinstance(f, (Exists1, Exists2, Forall1, Forall2)):
+        shadowed = lambda a: a if a == f.var else rename(a)
+        return type(f)(f.var, ref_map_vars(f.body, shadowed))
+    return f
+
+
+def ref_substitute(f: Formula, mapping: dict[str, str],
+                   fresh=None) -> Formula:
+    """Capture-avoiding substitution of variables for variables."""
+    if fresh is None:
+        counter = itertools.count(1)
+        fresh = lambda v: f"{v}_{next(counter)}"
+    if isinstance(f, (Atom, Call)):
+        return ref_map_vars(f, lambda a: mapping.get(a, a))
+    if isinstance(f, Not):
+        return Not(ref_substitute(f.body, mapping, fresh))
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return type(f)(ref_substitute(f.left, mapping, fresh),
+                       ref_substitute(f.right, mapping, fresh))
+    if isinstance(f, (Exists1, Exists2, Forall1, Forall2)):
+        inner = {k: v for k, v in mapping.items() if k != f.var}
+        if not inner:
+            return f
+        var, body = f.var, f.body
+        if var in inner.values():
+            renamed = fresh(var)
+            while renamed in inner.values() or renamed in inner:
+                renamed = fresh(var)
+            body = ref_substitute(body, {var: renamed}, fresh)
+            var = renamed
+        return type(f)(var, ref_substitute(body, inner, fresh))
+    return f
+
+
+def ref_expand_macros(formula: Formula, defs: list[MacroDef] | dict[str, MacroDef]
+                      ) -> Formula:
+    """Replace Call nodes by macro bodies; result is Call-free."""
+    table = defs if isinstance(defs, dict) else {d.name: d for d in defs}
+    counter = itertools.count(1)
+    fresh = lambda v: f"{v}_{next(counter)}"
+
+    def expand(f: Formula, stack: tuple[str, ...]) -> Formula:
+        if isinstance(f, Call):
+            if f.name in stack:
+                raise MacroError(f"recursive macro {f.name!r}")
+            macro = table.get(f.name)
+            if macro is None:
+                raise MacroError(f"unknown macro {f.name!r}")
+            if len(f.args) != len(macro.params):
+                raise MacroError(f"macro {f.name} takes {len(macro.params)} "
+                                 f"argument(s), got {len(f.args)}")
+            body = ref_substitute(macro.body, dict(zip(macro.params, f.args)), fresh)
+            return expand(body, stack + (f.name,))
+        if isinstance(f, Not):
+            return Not(expand(f.body, stack))
+        if isinstance(f, (And, Or, Implies, Iff)):
+            return type(f)(expand(f.left, stack), expand(f.right, stack))
+        if isinstance(f, (Exists1, Exists2, Forall1, Forall2)):
+            return type(f)(f.var, expand(f.body, stack))
+        return f
+
+    return expand(formula, ())
+
+
+def ref_desugar(f: Formula) -> Formula:
+    """Rewrite ->, <-> and universal quantifiers into ~, &, |, exists."""
+    if isinstance(f, Implies):
+        return Or(Not(ref_desugar(f.left)), ref_desugar(f.right))
+    if isinstance(f, Iff):
+        a, b = ref_desugar(f.left), ref_desugar(f.right)
+        return And(Or(Not(a), b), Or(Not(b), a))
+    if isinstance(f, Forall1):
+        return Not(Exists1(f.var, Not(ref_desugar(f.body))))
+    if isinstance(f, Forall2):
+        return Not(Exists2(f.var, Not(ref_desugar(f.body))))
+    if isinstance(f, Not):
+        return Not(ref_desugar(f.body))
+    if isinstance(f, (And, Or)):
+        return type(f)(ref_desugar(f.left), ref_desugar(f.right))
+    if isinstance(f, (Exists1, Exists2)):
+        return type(f)(f.var, ref_desugar(f.body))
+    if isinstance(f, (Implies, Iff)):  # pragma: no cover
+        raise AssertionError
+    return f
+
+
+def ref_rename_bound_apart(f: Formula, avoid: frozenset[str] = frozenset()) -> Formula:
+    """Give every binder a name distinct from all free names, other bound
+    names, and the given avoid set (e.g. an ambient variable table)."""
+    used = {name for name, _ in ref_free_variables(f)} | set(avoid)
+    counter = itertools.count(1)
+
+    def pick(v: str) -> str:
+        if v not in used:
+            used.add(v)
+            return v
+        while True:
+            cand = f"{v}_{next(counter)}"
+            if cand not in used:
+                used.add(cand)
+                return cand
+
+    def walk(f: Formula, env: dict[str, str]) -> Formula:
+        if isinstance(f, (Atom, Call)):
+            return ref_map_vars(f, lambda a: env.get(a, a))
+        if isinstance(f, Not):
+            return Not(walk(f.body, env))
+        if isinstance(f, (And, Or, Implies, Iff)):
+            return type(f)(walk(f.left, env), walk(f.right, env))
+        if isinstance(f, (Exists1, Exists2, Forall1, Forall2)):
+            new = pick(f.var)
+            return type(f)(new, walk(f.body, {**env, f.var: new}))
+        return f
+
+    return walk(f, {})
+
+
+def ref_has_call(f: Formula) -> bool:
+    if isinstance(f, Call):
+        return True
+    if isinstance(f, Not):
+        return ref_has_call(f.body)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return ref_has_call(f.left) or ref_has_call(f.right)
+    if isinstance(f, (Exists1, Exists2, Forall1, Forall2)):
+        return ref_has_call(f.body)
+    return False
+
+
+# ----------------------------------------------------------------------
 # guard merging: the restart-after-every-merge greedy that
 # guards.merge_patterns must agree with
 
@@ -372,3 +544,54 @@ def random_nondeterministic(rng: random.Random, width: int,
     finals = {s for s in states if rng.random() < 0.4}
     return TreeAutomaton(width, states, states[0], finals, transitions,
                          deterministic=False)
+
+
+_WALK_NAMES = {FIRST: ("x", "y", "z", "z_1", "x_2"), SECOND: ("X", "Y", "Y_1")}
+
+
+def random_formula(rng: random.Random, depth: int,
+                   macros: list[MacroDef] = ()) -> Formula:
+    """A random formula using every node kind.  Its names include ones of
+    the ``v_1`` shape that the walks invent, so binders collide with free
+    names and fresh names collide with taken ones.  Calls go to ``macros``;
+    a few name a missing macro or pass the wrong number of arguments."""
+
+    def name(sort: str) -> str:
+        return rng.choice(_WALK_NAMES[sort])
+
+    roll = rng.randrange(12 if depth > 0 else 4)
+    if roll == 0:
+        return rng.choice([TrueF(), FalseF()])
+    if roll == 1 and macros:
+        macro = rng.choice(macros)
+        args = [name(sort_of_name(p)) for p in macro.params]
+        if rng.random() < 0.05:
+            args.append("x")
+        return Call("Missing" if rng.random() < 0.03 else macro.name, tuple(args))
+    if roll <= 3:
+        kind = rng.choice(sorted(ATOM_SORTS))
+        return Atom(kind, tuple(name(sort) for sort in ATOM_SORTS[kind]))
+    if roll == 4:
+        return Not(random_formula(rng, depth - 1, macros))
+    if roll <= 8:
+        ctor = rng.choice([And, Or, Implies, Iff])
+        return ctor(random_formula(rng, depth - 1, macros),
+                    random_formula(rng, depth - 1, macros))
+    ctor = rng.choice([Exists1, Exists2, Forall1, Forall2])
+    sort = FIRST if ctor in (Exists1, Forall1) else SECOND
+    return ctor(name(sort), random_formula(rng, depth - 1, macros))
+
+
+def random_macros(rng: random.Random, count: int = 3) -> list[MacroDef]:
+    """Macros ``M0``, ``M1``, ...; each may call the ones before it, and now
+    and then itself.  Parameters and bodies share the names of
+    ``random_formula``, so expanding a call captures names."""
+    macros: list[MacroDef] = []
+    for i in range(count):
+        params = (rng.sample(_WALK_NAMES[FIRST], rng.randint(0, 2))
+                  + rng.sample(_WALK_NAMES[SECOND], rng.randint(0, 1)))
+        header = MacroDef(f"M{i}", tuple(params), TrueF())
+        callable_ = macros + [header] if rng.random() < 0.1 else macros
+        body = random_formula(rng, 3, callable_)
+        macros.append(MacroDef(header.name, header.params, body))
+    return macros

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from treelogic.cli import main
+from treelogic.trees import parse_tree
 
 SRC = str(Path(__file__).parent.parent / "src")
 
@@ -75,6 +76,17 @@ def test_compile_stats_lines(capsys, ac_com_path):
                for line in stats)
 
 
+@pytest.mark.parametrize("name", ["ac_com", "local_c_command"])
+def test_compile_stats_match_golden_files(capsys, fixtures_dir, name):
+    # The step ops name fresh bound variables (e.g. "sing:z_1"), so these
+    # pin the order in which the formula walks invent names.
+    code, _, err = run_cli(capsys, "compile", "--stats",
+                           str(fixtures_dir / f"{name}.mso"))
+    assert code == 0
+    golden = fixtures_dir / f"golden_compile_stats_{name}.txt"
+    assert err == golden.read_text(encoding="utf-8")
+
+
 def test_sat_and_unsat(capsys, tmp_path, ac_com_path):
     code, out, _ = run_cli(capsys, "sat", ac_com_path)
     assert (code, out.strip()) == (0, "SAT")
@@ -116,6 +128,40 @@ def test_member_exit_codes(capsys, tmp_path, fixtures_dir):
     assert (code, out.strip()) == (0, "ACCEPT")
     code, out, _ = run_cli(capsys, "member", aut, str(bad))
     assert (code, out.strip()) == (3, "REJECT")
+
+
+def test_member_on_deep_tree(tmp_path, fixtures_dir, ac_com_automaton):
+    depth = 10 ** 5
+    text = "(10 " * depth + "(01 () ())" + " ())" * depth + "\n"
+    tree_path = tmp_path / "deep.tree"
+    tree_path.write_text(text)
+    expected = "ACCEPT" if ac_com_automaton.accepts(parse_tree(text)) else "REJECT"
+    proc = subprocess.run(
+        [sys.executable, "-m", "treelogic", "member",
+         str(fixtures_dir / "ac_com.aut"), str(tree_path)],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC})
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        ({"ACCEPT": 0, "REJECT": 3}[expected], expected + "\n", "")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["member", "ac_com.aut"], "("),
+    (["sat"], ""),
+    (["sat"], "% nothing but a comment\n"),
+    (["solve", "lexicon.clp", "?- { } & lexicon(x)."], None),
+])
+def test_truncated_input_is_one_error_line(capsys, tmp_path, fixtures_dir,
+                                           argv, text):
+    args = [str(fixtures_dir / a) if a.endswith((".aut", ".clp")) else a
+            for a in argv]
+    if text is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        args.append(str(path))
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_equiv_compiled_against_transcribed(capsys, tmp_path, fixtures_dir,

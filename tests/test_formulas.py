@@ -1,13 +1,18 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from treelogic.formulas import (And, Atom, Call, Exists1, Forall1, FormulaError,
                                 Iff, Implies, MacroError, Not, Or, SortError,
-                                VarTable, build_var_table, desugar,
-                                expand_macros, format_formula, free_variables,
-                                parse_formula, rename_bound_apart, substitute)
+                                VarTable, _has_call, _map_vars, build_var_table,
+                                desugar, expand_macros, format_formula,
+                                free_variables, parse_formula,
+                                rename_bound_apart, substitute)
 
+import oracle
 from conftest import fixture_text
 
 
@@ -202,6 +207,69 @@ def test_substitute_capture_avoidance():
     assert isinstance(g, Exists1)
     assert g.var != "z"
     assert g.body == Atom("prec", (g.var, "z"))
+
+
+def _logged(log, fn):
+    def wrapped(name):
+        log.append(name)
+        return fn(name)
+    return wrapped
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MacroError as exc:
+        return type(exc), str(exc)
+
+
+def _fresh_names():
+    counter = itertools.count(1)
+    return lambda v: f"{v}_{next(counter)}"
+
+
+def _check_walks_match(f, macros, rng):
+    assert free_variables(f) == oracle.ref_free_variables(f)
+    bound = frozenset(rng.sample(["x", "z", "z_1", "X", "Y_1"], 2))
+    assert free_variables(f, bound) == oracle.ref_free_variables(f, bound)
+    assert _has_call(f) == oracle.ref_has_call(f)
+    assert desugar(f) == oracle.ref_desugar(f)
+    avoid = frozenset(rng.sample(["x", "y", "z", "z_1", "z_2", "X", "Y"], 3))
+    assert rename_bound_apart(f) == oracle.ref_rename_bound_apart(f)
+    assert rename_bound_apart(f, avoid) == oracle.ref_rename_bound_apart(f, avoid)
+    names = {"x": "z", "y": "y_1", "X": "Y"}
+    new_log, ref_log = [], []
+    assert _map_vars(f, _logged(new_log, lambda a: names.get(a, a))) == \
+        oracle.ref_map_vars(f, _logged(ref_log, lambda a: names.get(a, a)))
+    assert new_log == ref_log
+    mapping = {"x": rng.choice(["z", "z_1", "y"]), "z": "x",
+               rng.choice(["X", "Y"]): rng.choice(["Y", "Y_1"])}
+    assert substitute(f, mapping) == oracle.ref_substitute(f, mapping)
+    new_log, ref_log = [], []
+    assert substitute(f, mapping, _logged(new_log, _fresh_names())) == \
+        oracle.ref_substitute(f, mapping, _logged(ref_log, _fresh_names()))
+    assert new_log == ref_log
+    expanded = _outcome(expand_macros, f, macros)
+    assert expanded == _outcome(oracle.ref_expand_macros, f, macros)
+    return expanded
+
+
+def test_walks_match_per_kind_walks_randomized():
+    # The shared-dispatch walks must give the old per-kind walks' results
+    # and invent the same fresh names in the same order.
+    rng = random.Random(7)
+    for _ in range(400):
+        macros = oracle.random_macros(rng)
+        f = oracle.random_formula(rng, 5, macros)
+        expanded = _check_walks_match(f, macros, rng)
+        if not isinstance(expanded, tuple):
+            _check_walks_match(expanded, [], rng)
+    for name in ("ac_com.mso", "local_c_command.mso", "chain8.mso",
+                 "union_negation_ex1.mso"):
+        formula, defs = parse_formula(fixture_text(name))
+        _check_walks_match(expand_macros(formula, defs), [], rng)
+        for macro in defs:
+            _check_walks_match(macro.body, defs, rng)
 
 
 # ----------------------------------------------------------------------

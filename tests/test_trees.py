@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from treelogic.trees import (Node, addresses, assignment_from_tree,
                              format_tree, node_count, parse_tree,
-                             tree_sort_key, validate_tree)
+                             preorder_labels, tree_sort_key, validate_tree)
 
 
 def trees(width: int):
@@ -37,6 +37,29 @@ def test_parse_errors():
         parse_tree("(0 () ()) ()")
     with pytest.raises(ValueError):
         parse_tree("(0 (11 () ()) ())")  # inconsistent widths
+
+
+def test_parse_reports_truncated_text():
+    for text in ("(", "(0 () (", "(0 (1 () ()) ()"):
+        with pytest.raises(ValueError):
+            parse_tree(text)
+
+
+def test_walks_finish_on_deep_chain():
+    depth = 10 ** 5
+    labels = ["01"[i % 2] for i in range(depth)]
+    text = "".join(f"({label} " for label in labels) + "()" + " ())" * depth
+    tree = parse_tree(text)
+    assert node_count(tree) == depth
+    assert preorder_labels(tree) == tuple(labels)
+    assert validate_tree(tree) == 1
+    spine, node = 0, tree
+    while node is not None:
+        assert node.right is None
+        spine, node = spine + 1, node.left
+    assert spine == depth
+    with pytest.raises(ValueError, match="bad label '11', expected 1 bits"):
+        parse_tree(text.replace("()", "(11 () ())", 1))
 
 
 def test_validate_reports_first_bad_label_in_preorder():
