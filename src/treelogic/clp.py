@@ -34,13 +34,13 @@ from dataclasses import dataclass, field
 
 from .automata import TreeAutomaton
 from .compiler import CompilationContext, compile_formula
-from .formulas import (FIRST, SECOND, Formula, FormulaError, Token, TrueF,
-                       VarTable, free_variables, parse_formula_fragment,
+from .formulas import (FIRST, SECOND, Formula, FormulaError, TrueF, VarTable,
+                       _Parser, free_variables, parse_formula_fragment,
                        sort_of_name, substitute, tokenize)
 from .trees import Tree, assignment_from_tree
 
 
-class ProgramError(ValueError):
+class ProgramError(FormulaError):
     pass
 
 
@@ -101,77 +101,36 @@ class Solution:
 # parsing
 
 
-class _ProgramParser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ProgramError("unexpected end of program text")
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ProgramError(f"expected {text!r}, found {tok.text!r} "
-                               f"(line {tok.line}, column {tok.column})")
-        return tok
-
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
+class _ProgramParser(_Parser):
+    error = ProgramError
 
     def parse_name(self, what: str) -> str:
         tok = self.next()
         if not tok.text[0].isalpha():
-            raise ProgramError(f"expected {what}, found {tok.text!r} "
-                               f"(line {tok.line}, column {tok.column})")
+            self.fail(f"expected {what}, found {tok.text!r}", tok)
         return tok.text
 
     def parse_atom(self) -> GoalAtom:
         tok = self.next()
         name = tok.text
         if not name[0].islower():
-            raise ProgramError(f"predicate names are lowercase, found {name!r} "
-                               f"(line {tok.line}, column {tok.column})")
+            self.fail(f"predicate names are lowercase, found {name!r}", tok)
         args: list[str] = []
         if self.at("("):
             self.next()
-            if not self.at(")"):
-                args.append(self.parse_name("a variable"))
-                while self.at(","):
-                    self.next()
-                    args.append(self.parse_name("a variable"))
+            args = self.parse_list(lambda: self.parse_name("a variable"))
             self.expect(")")
         return GoalAtom(name, tuple(args))
 
     def parse_constraint_block(self) -> Formula:
         self.expect("{")
-        start = self.pos
-        depth = 0
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise ProgramError("unterminated '{' constraint")
-            if tok.text == "{":
-                depth += 1
-            elif tok.text == "}":
-                if depth == 0:
-                    break
-                depth -= 1
-            self.pos += 1
-        inner = self.tokens[start:self.pos]
-        self.expect("}")
         try:
-            return parse_formula_fragment(inner)
+            constraint, self.pos = parse_formula_fragment(self.tokens, self.pos)
         except FormulaError as exc:
-            raise ProgramError(f"in constraint: {exc}") from None
+            raise ProgramError(f"in constraint: {exc.message}",
+                               exc.line, exc.column) from None
+        self.expect("}")
+        return constraint
 
     def parse_body(self) -> tuple[Formula, tuple[GoalAtom, ...]]:
         constraint: Formula = TrueF()
@@ -180,7 +139,7 @@ class _ProgramParser:
         while True:
             if self.at("{"):
                 if not first:
-                    raise ProgramError("the constraint must be the first body item")
+                    self.fail("the constraint must be the first body item")
                 constraint = self.parse_constraint_block()
             else:
                 goals.append(self.parse_atom())
@@ -192,9 +151,10 @@ class _ProgramParser:
         return constraint, tuple(goals)
 
     def parse_clause(self) -> Clause:
+        head_tok = self.peek()
         head = self.parse_atom()
         if len(set(head.args)) != len(head.args):
-            raise ProgramError(f"duplicate parameter in clause head {head}")
+            self.fail(f"duplicate parameter in clause head {head}", head_tok)
         if self.at("."):
             self.next()
             return Clause(head.name, head.args, TrueF(), ())
@@ -215,8 +175,7 @@ class _ProgramParser:
         constraint, goals = self.parse_body()
         self.expect(".")
         if self.peek() is not None:
-            tok = self.peek()
-            raise ProgramError(f"trailing input {tok.text!r} after query")
+            self.fail(f"trailing input {self.peek().text!r} after query")
         return Query(constraint, goals)
 
 

@@ -47,11 +47,10 @@ KEYWORDS = {"def", "ex1", "ex2", "all1", "all2", "true", "false"}
 
 class FormulaError(ValueError):
     def __init__(self, message, line=None, column=None):
+        self.message, self.line, self.column = message, line, column
         if line is not None:
             message = f"{message} (line {line}, column {column})"
         super().__init__(message)
-        self.line = line
-        self.column = column
 
 
 class SortError(FormulaError):
@@ -156,6 +155,8 @@ class MacroDef:
     body: Formula
 
 
+# binary operators, weakest first
+_BINARY_OPS = (("<->", Iff), ("->", Implies), ("|", Or), ("&", And))
 _QUANT = {
     "ex1": Exists1, "ex2": Exists2, "all1": Forall1, "all2": Forall2,
 }
@@ -207,6 +208,8 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
+    error = FormulaError  # the class ``fail`` raises unless told otherwise
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
@@ -217,28 +220,25 @@ class _Parser:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
+        if self.pos >= len(self.tokens):
             self.fail("unexpected end of input")
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def expect(self, text: str) -> Token:
         tok = self.next()
         if tok.text != text:
-            raise FormulaError(f"expected {text!r}, found {tok.text!r}",
-                               tok.line, tok.column)
+            self.fail(f"expected {text!r}, found {tok.text!r}", tok)
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
+        return self.pos < len(self.tokens) and self.tokens[self.pos].text == text
 
     def fail(self, message: str, tok: Token | None = None,
-             cls: type = FormulaError):
+             cls: type | None = None):
         tok = tok or self.peek() or (self.tokens[-1] if self.tokens
                                      else Token("", 1, 1))
-        raise cls(message, tok.line, tok.column)
+        raise (cls or self.error)(message, tok.line, tok.column)
 
     # ---- entry points
 
@@ -259,12 +259,7 @@ class _Parser:
         if name in self.defs:
             self.fail(f"duplicate macro {name!r}", name_tok, MacroError)
         self.expect("(")
-        params: list[str] = []
-        if not self.at(")"):
-            params.append(self.parse_var())
-            while self.at(","):
-                self.next()
-                params.append(self.parse_var())
+        params = self.parse_list(self.parse_var)
         if len(set(params)) != len(params):
             self.fail(f"duplicate parameter in macro {name!r}", name_tok, MacroError)
         self.expect(")")
@@ -285,37 +280,29 @@ class _Parser:
             self.fail(f"expected a variable, found {tok.text!r}", tok)
         return tok.text
 
+    def parse_list(self, item) -> list[str]:
+        """Comma-separated ``item()`` results, none when at ``)``."""
+        items = [] if self.at(")") else [item()]
+        while items and self.at(","):
+            self.next()
+            items.append(item())
+        return items
+
     # ---- precedence climbing
 
-    def parse_formula(self) -> Formula:
-        return self.parse_iff()
-
-    def parse_iff(self) -> Formula:
-        left = self.parse_implies()
-        if self.at("<->"):
+    def parse_formula(self, level: int = 0) -> Formula:
+        """The formula whose binary operators bind no weaker than
+        ``_BINARY_OPS[level]``; ``->`` and ``<->`` group right, ``|`` and
+        ``&`` left."""
+        if level == len(_BINARY_OPS):
+            return self.parse_unary()
+        op, ctor = _BINARY_OPS[level]
+        left = self.parse_formula(level + 1)
+        while self.at(op):
             self.next()
-            return Iff(left, self.parse_iff())
-        return left
-
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        if self.at("->"):
-            self.next()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        while self.at("|"):
-            self.next()
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Formula:
-        left = self.parse_unary()
-        while self.at("&"):
-            self.next()
-            left = And(left, self.parse_unary())
+            if ctor in (Iff, Implies):
+                return ctor(left, self.parse_formula(level))
+            left = ctor(left, self.parse_formula(level + 1))
         return left
 
     def parse_unary(self) -> Formula:
@@ -364,12 +351,7 @@ class _Parser:
             self.fail(f"expected a formula: variable {name!r} is not a formula "
                       "(missing relation symbol?)", tok, SortError)
         self.next()
-        args: list[str] = []
-        if not self.at(")"):
-            args.append(self.parse_var())
-            while self.at(","):
-                self.next()
-                args.append(self.parse_var())
+        args = self.parse_list(self.parse_var)
         self.expect(")")
         if name in ATOM_SORTS:
             expected = ATOM_SORTS[name]
@@ -402,13 +384,12 @@ def parse_formula(text: str) -> tuple[Formula, list[MacroDef]]:
     return _Parser(tokenize(text)).parse_file()
 
 
-def parse_formula_fragment(tokens: list[Token]) -> Formula:
-    """Parse a bare formula from an already-tokenized slice (no macros)."""
+def parse_formula_fragment(tokens: list[Token], pos: int) -> tuple[Formula, int]:
+    """Parse a bare formula (no macros) from ``tokens[pos]`` on; return it
+    with the position of the first token after it."""
     parser = _Parser(tokens)
-    formula = parser.parse_formula()
-    if parser.peek() is not None:
-        parser.fail(f"trailing input {parser.peek().text!r} after formula")
-    return formula
+    parser.pos = pos
+    return parser.parse_formula(), parser.pos
 
 
 # ----------------------------------------------------------------------

@@ -27,12 +27,23 @@ class Node:
     def __eq__(self, other):
         if not isinstance(other, Node):
             return NotImplemented
-        return (self.label == other.label
-                and self.left == other.left
-                and self.right == other.right)
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if a is b:
+                continue
+            if a is None or b is None or a.label != b.label:
+                return False
+            pending += [(a.right, b.right), (a.left, b.left)]
+        return True
 
     def __hash__(self):
-        return hash((self.label, self.left, self.right))
+        # reversed preorder lists every node after its children
+        hashes: dict[int, int] = {}
+        for node in reversed(preorder(self)):
+            hashes[id(node)] = hash((node.label, hashes.get(id(node.left)),
+                                     hashes.get(id(node.right))))
+        return hashes[id(self)]
 
     def __repr__(self):
         return f"Node({self.label!r}, {self.left!r}, {self.right!r})"
@@ -73,12 +84,14 @@ def validate_tree(tree: Tree, width: int | None = None) -> int | None:
 
 
 def addresses(tree: Tree, prefix: str = "") -> dict[str, str]:
-    """Map from node address to label."""
+    """Map from node address to label, in preorder."""
     out: dict[str, str] = {}
-    if tree is not None:
-        out[prefix] = tree.label
-        out.update(addresses(tree.left, prefix + "0"))
-        out.update(addresses(tree.right, prefix + "1"))
+    pending = [(tree, prefix)]
+    while pending:
+        node, address = pending.pop()
+        if node is not None:
+            out[address] = node.label
+            pending += [(node.right, address + "1"), (node.left, address + "0")]
     return out
 
 
@@ -96,11 +109,27 @@ def preorder_labels(tree: Tree) -> tuple[str, ...]:
     return tuple([node.label for node in preorder(tree)])
 
 
+def _flatten(tree: Tree, empty: str, opening, separator: str) -> str:
+    """``tree`` written out without recursion: ``empty`` for the empty tree,
+    ``opening(node)``, left subtree, ``separator``, right subtree and ``)``
+    for a node."""
+    parts = []
+    pending = [tree]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item is None:
+            parts.append(empty)
+        else:
+            parts.append(opening(item))
+            pending += [")", item.right, separator, item.left]
+    return "".join(parts)
+
+
 def shape_string(tree: Tree) -> str:
     """Shape-only serialization; equal node counts give equal lengths."""
-    if tree is None:
-        return "-"
-    return "(" + shape_string(tree.left) + shape_string(tree.right) + ")"
+    return _flatten(tree, "-", lambda node: "(", "")
 
 
 def tree_sort_key(tree: Tree) -> tuple[int, tuple[str, ...], str]:
@@ -109,10 +138,7 @@ def tree_sort_key(tree: Tree) -> tuple[int, tuple[str, ...], str]:
 
 
 def format_tree(tree: Tree) -> str:
-    if tree is None:
-        return "()"
-    label = tree.label if tree.label else "-"
-    return f"({label} {format_tree(tree.left)} {format_tree(tree.right)})"
+    return _flatten(tree, "()", lambda node: f"({node.label or '-'} ", " ")
 
 
 def parse_tree(text: str) -> Tree:

@@ -20,7 +20,7 @@ from typing import Iterable
 from treelogic.formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Call,
                                 Exists1, Exists2, FalseF, Forall1, Forall2,
                                 Formula, Iff, Implies, MacroDef, MacroError,
-                                Not, Or, TrueF, sort_of_name)
+                                Not, Or, TrueF, _Parser, sort_of_name)
 from treelogic.automata import TreeAutomaton
 from treelogic.guards import matches, subsumes, subtract
 from treelogic.trees import Node, addresses, format_tree
@@ -413,6 +413,80 @@ def ref_has_call(f: Formula) -> bool:
 
 
 # ----------------------------------------------------------------------
+# tree walks: the recursive walks that trees.format_tree, shape_string,
+# addresses and Node.__eq__ must agree with
+
+
+def recursive_format_tree(tree) -> str:
+    if tree is None:
+        return "()"
+    label = tree.label if tree.label else "-"
+    return f"({label} {recursive_format_tree(tree.left)} {recursive_format_tree(tree.right)})"
+
+
+def recursive_shape_string(tree) -> str:
+    if tree is None:
+        return "-"
+    return "(" + recursive_shape_string(tree.left) + recursive_shape_string(tree.right) + ")"
+
+
+def recursive_addresses(tree, prefix: str = "") -> dict[str, str]:
+    out: dict[str, str] = {}
+    if tree is not None:
+        out[prefix] = tree.label
+        out.update(recursive_addresses(tree.left, prefix + "0"))
+        out.update(recursive_addresses(tree.right, prefix + "1"))
+    return out
+
+
+def recursive_tree_eq(a, b) -> bool:
+    """``Node.__eq__`` with the children compared by this function."""
+    if a is None or b is None:
+        return a is b
+    return (a.label == b.label
+            and recursive_tree_eq(a.left, b.left)
+            and recursive_tree_eq(a.right, b.right))
+
+
+# ----------------------------------------------------------------------
+# formula parsing: the one-method-per-level precedence climbing that
+# formulas._Parser.parse_formula must agree with, in trees and in errors
+
+
+class PerLevelParser(_Parser):
+    def parse_formula(self) -> Formula:
+        return self.parse_iff()
+
+    def parse_iff(self) -> Formula:
+        left = self.parse_implies()
+        if self.at("<->"):
+            self.next()
+            return Iff(left, self.parse_iff())
+        return left
+
+    def parse_implies(self) -> Formula:
+        left = self.parse_or()
+        if self.at("->"):
+            self.next()
+            return Implies(left, self.parse_implies())
+        return left
+
+    def parse_or(self) -> Formula:
+        left = self.parse_and()
+        while self.at("|"):
+            self.next()
+            left = Or(left, self.parse_and())
+        return left
+
+    def parse_and(self) -> Formula:
+        left = self.parse_unary()
+        while self.at("&"):
+            self.next()
+            left = And(left, self.parse_unary())
+        return left
+
+
+# ----------------------------------------------------------------------
 # guard merging: the restart-after-every-merge greedy that
 # guards.merge_patterns must agree with
 
@@ -580,6 +654,49 @@ def random_formula(rng: random.Random, depth: int,
     ctor = rng.choice([Exists1, Exists2, Forall1, Forall2])
     sort = FIRST if ctor in (Exists1, Forall1) else SECOND
     return ctor(name(sort), random_formula(rng, depth - 1, macros))
+
+
+_TOKEN_ATOMS = ["sing(X)", "prec(x, y)", "in(x, X)", "pdom(y, x)", "true",
+                "false"]
+_TOKEN_CORRUPTIONS = ["(", ")", "~", "&", "|", "->", "<->", ".", ",", "x",
+                      "X", "ex1", "all2", "}"]
+
+
+def random_formula_text(rng: random.Random, depth: int = 3) -> str:
+    """Formula text built from tokens: unparenthesised chains of all four
+    binary operators over negations, quantifiers, atoms and parenthesised
+    chains.  About one text in five then has a token dropped, swapped or
+    inserted, so the parsers' errors get compared too."""
+
+    def item(depth: int) -> list[str]:
+        roll = rng.randrange(6 if depth > 0 else 1)
+        if roll <= 1:
+            return [rng.choice(_TOKEN_ATOMS)]
+        if roll == 2:
+            return ["~"] + item(depth - 1)
+        if roll == 3:
+            word = rng.choice(["ex1", "all1", "ex2", "all2"])
+            names = ["x", "y"] if word.endswith("1") else ["X", "Y"]
+            return [word, ", ".join(names[:rng.randint(1, 2)]), "."] + chain(depth - 1)
+        return ["("] + chain(depth - 1) + [")"]
+
+    def chain(depth: int) -> list[str]:
+        tokens = item(depth)
+        for _ in range(rng.randrange(5)):
+            tokens += [rng.choice(["&", "|", "->", "<->"])] + item(depth)
+        return tokens
+
+    tokens = chain(depth)
+    if rng.random() < 0.2:
+        i = rng.randrange(len(tokens) + 1)
+        roll = rng.randrange(3)
+        if roll == 0 and i < len(tokens):
+            del tokens[i]
+        elif roll == 1 and i + 1 < len(tokens):
+            tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+        else:
+            tokens.insert(i, rng.choice(_TOKEN_CORRUPTIONS))
+    return " ".join(tokens)
 
 
 def random_macros(rng: random.Random, count: int = 3) -> list[MacroDef]:

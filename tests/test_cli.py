@@ -164,6 +164,39 @@ def test_truncated_input_is_one_error_line(capsys, tmp_path, fixtures_dir,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("program, query, message", [
+    ("p(x).\n\nq(x).\n\nr(x) <- { } & p(x).\n", "?- r(x).",
+     "in constraint: expected a formula, found '}' (line 5, column 11)"),
+    ("p(x) <- { sing(X) .\n", "?- p(x).",
+     "expected '}', found '.' (line 1, column 19)"),
+    ("p(x) <- { true\n", "?- p(x).",
+     "unexpected end of input (line 1, column 11)"),
+    ("p(x) <- { sing(X) q } & q(x).\nq(x).\n", "?- p(x).",
+     "expected '}', found 'q' (line 1, column 19)"),
+    ("p(x) <- { { true } }.\n", "?- p(x).",
+     "in constraint: expected a formula, found '{' (line 1, column 11)"),
+    ("p(x).\nq(x) <- p(x)\n", "?- q(x).",
+     "unexpected end of input (line 2, column 12)"),
+    ("p(x).\nQ(x) <- p(x).\n", "?- p(x).",
+     "predicate names are lowercase, found 'Q' (line 2, column 1)"),
+    ("p(x).\nq(x, x) <- p(x).\n", "?- p(x).",
+     "duplicate parameter in clause head q(x, x) (line 2, column 1)"),
+    ("p(x).\nq(x) <- p(x) & { true }.\n", "?- q(x).",
+     "the constraint must be the first body item (line 2, column 16)"),
+    ("p(x).\n", "?- p(x). p",
+     "trailing input 'p' after query (line 1, column 10)"),
+], ids=["empty-block-on-line-5", "unterminated-block", "unterminated-block-at-end",
+        "trailing-token-in-block", "nested-block", "missing-final-dot",
+        "uppercase-predicate", "duplicate-head-parameter", "constraint-not-first",
+        "trailing-input-after-query"])
+def test_malformed_clause_input_points_at_its_token(capsys, tmp_path, program,
+                                                    query, message):
+    path = tmp_path / "program.clp"
+    path.write_text(program)
+    code, out, err = run_cli(capsys, "solve", str(path), query)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_equiv_compiled_against_transcribed(capsys, tmp_path, fixtures_dir,
                                             ac_com_path):
     compiled = tmp_path / "compiled.aut"

@@ -2,7 +2,7 @@ import pytest
 
 from treelogic.clp import (ProgramError, Solver, SolveError, entails,
                            initial_store, load_program, parse_query, solve)
-from treelogic.formulas import parse_formula
+from treelogic.formulas import FormulaError, parse_formula
 from treelogic.trees import addresses
 
 from conftest import fixture_text
@@ -51,6 +51,16 @@ def test_load_errors():
         load_program("p(x) <- q(x) & { true }.")
     with pytest.raises(ProgramError):
         load_program("p(x) <- { pdom(X, y) }.")
+
+
+def test_load_errors_are_formula_errors_with_positions():
+    with pytest.raises(FormulaError) as err:
+        load_program("p(x).\n\nq(x) <- { pdom(X, y) }.")
+    assert isinstance(err.value, ProgramError)
+    assert (err.value.line, err.value.column) == (3, 11)
+    with pytest.raises(ProgramError) as err:
+        parse_query("?- p(x).\n  q")
+    assert (err.value.line, err.value.column) == (2, 3)
 
 
 def test_recursion_warning_on_second_order():

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from treelogic.formulas import (And, Atom, Call, Exists1, Forall1, FormulaError,
                                 Iff, Implies, MacroError, Not, Or, SortError,
-                                VarTable, _has_call, _map_vars, build_var_table,
-                                desugar, expand_macros, format_formula,
-                                free_variables, parse_formula,
-                                rename_bound_apart, substitute)
+                                VarTable, _has_call, _map_vars, _Parser,
+                                build_var_table, desugar, expand_macros,
+                                format_formula, free_variables, parse_formula,
+                                rename_bound_apart, substitute, tokenize)
 
 import oracle
 from conftest import fixture_text
@@ -87,6 +87,26 @@ def test_parse_errors_carry_position():
     with pytest.raises(FormulaError) as err:
         parse_formula("prec(x,\n  %comment\n  )")
     assert err.value.line == 3
+
+
+def _parse_outcome(parser):
+    try:
+        return parser.parse_file()[0]
+    except FormulaError as exc:
+        return type(exc), str(exc)
+
+
+def test_precedence_table_matches_per_level_parser_randomized():
+    # One precedence function over a table must give the per-level
+    # methods' trees, and their errors where the text is malformed.
+    rng = random.Random(23)
+    errors = 0
+    for _ in range(3000):
+        tokens = tokenize(oracle.random_formula_text(rng))
+        expected = _parse_outcome(oracle.PerLevelParser(tokens))
+        assert _parse_outcome(_Parser(tokens)) == expected
+        errors += isinstance(expected, tuple)
+    assert 100 < errors < 2900
 
 
 def test_parse_unknown_relation():

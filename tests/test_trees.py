@@ -1,10 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from treelogic.trees import (Node, addresses, assignment_from_tree,
                              format_tree, node_count, parse_tree,
-                             preorder_labels, tree_sort_key, validate_tree)
+                             preorder_labels, shape_string, tree_sort_key,
+                             validate_tree)
+
+import oracle
 
 
 def trees(width: int):
@@ -60,6 +65,62 @@ def test_walks_finish_on_deep_chain():
     assert spine == depth
     with pytest.raises(ValueError, match="bad label '11', expected 1 bits"):
         parse_tree(text.replace("()", "(11 () ())", 1))
+
+
+def _zigzag_chain(depth: int) -> Node:
+    """A chain of ``depth`` nodes whose child is on the left at even depths
+    and on the right at odd ones."""
+    tree = None
+    for i in reversed(range(depth)):
+        label = "01"[i % 3 == 0]
+        tree = Node(label, tree, None) if i % 2 == 0 else Node(label, None, tree)
+    return tree
+
+
+def test_printing_and_comparing_finish_on_deep_chain():
+    depth = 10 ** 5
+    tree, twin = _zigzag_chain(depth), _zigzag_chain(depth)
+    text = format_tree(tree)
+    assert len(text) == depth * len("(0  ())") + len("()")
+    assert text.startswith("(1 (0 () (0 (1 () ") and text.endswith(" ())")
+    assert parse_tree(text) == tree
+    shape = shape_string(tree)
+    assert len(shape) == 3 * depth + 1 and shape.startswith("((-(")
+    assert tree == twin and hash(tree) == hash(twin)
+    node = twin
+    while node.left is not None or node.right is not None:
+        node = node.left or node.right
+    node.label = "1" if node.label == "0" else "0"
+    assert tree != twin
+
+
+def test_addresses_finish_on_deep_chain():
+    depth = 5000
+    tree = _zigzag_chain(depth)
+    table = addresses(tree)
+    assert len(table) == depth
+    assert list(table) == ["01" * (i // 2) + "0" * (i % 2) for i in range(depth)]
+    assert assignment_from_tree(tree, 1)[0] == frozenset(
+        address for address, label in table.items() if label == "1")
+
+
+def test_walks_match_recursive_walks_randomized():
+    rng = random.Random(11)
+    for _ in range(300):
+        size = rng.randrange(40)
+        width = rng.randrange(3)
+        tree = oracle.random_tree(rng, size, width)
+        other = rng.choice([tree, oracle.random_tree(rng, size, width),
+                            parse_tree(format_tree(tree))])
+        assert format_tree(tree) == oracle.recursive_format_tree(tree)
+        assert shape_string(tree) == oracle.recursive_shape_string(tree)
+        assert list(addresses(tree).items()) == \
+            list(oracle.recursive_addresses(tree).items())
+        assert addresses(tree, "1") == oracle.recursive_addresses(tree, "1")
+        if tree is not None and other is not None:
+            assert (tree == other) == oracle.recursive_tree_eq(tree, other)
+            if tree == other:
+                assert hash(tree) == hash(other)
 
 
 def test_validate_reports_first_bad_label_in_preorder():
