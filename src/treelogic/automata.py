@@ -250,7 +250,6 @@ class TreeAutomaton:
         """
         reached = {self.initial}
         passes = 0
-        sink_pending = self.sink is not None
         coverage: dict[PairKey, bool] = {}
 
         def covered(pair: PairKey) -> bool:
@@ -266,15 +265,9 @@ class TreeAutomaton:
                 if left in reached and right in reached:
                     for _, targets in pair_entries:
                         new.update(targets)
-            if sink_pending:
-                for left in reached:
-                    for right in reached:
-                        if not covered((left, right)):
-                            new.add(self.sink)
-                            sink_pending = False
-                            break
-                    if not sink_pending:
-                        break
+            if self.sink is not None and self.sink not in reached and not all(
+                    covered((left, right)) for left in reached for right in reached):
+                new.add(self.sink)
             if stop_on_final and (new | reached) & self.finals:
                 return frozenset(reached | new), passes
             if new <= reached:

@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .automata import AutomatonError, TreeAutomaton
-from .clp import ProgramError, Solver, SolveError, load_program, parse_query
-from .compiler import (CompilationContext, CompileError, WidthOverflowError,
-                       compile_formula, stats_lines)
-from .formulas import FormulaError, build_var_table, expand_macros, parse_formula
-from .trees import assignment_from_tree, format_tree, parse_tree
+from .automata import TreeAutomaton
+from .clp import Solver, assignment, load_program, parse_query
+from .compiler import (CompilationContext, WidthOverflowError, compile_formula,
+                       stats_lines)
+from .formulas import build_var_table, expand_macros, parse_formula
+from .trees import format_tree, parse_tree
 
 
 def _read(path: str) -> str:
@@ -38,10 +38,10 @@ def _format_address(addr: str) -> str:
     return addr if addr else "e"
 
 
-def _assignment_lines(table, assignment) -> list[str]:
+def _assignment_lines(table, sets) -> list[str]:
     lines = []
     for name, _ in table.entries:
-        addrs = " ".join(_format_address(a) for a in assignment[name])
+        addrs = " ".join(_format_address(a) for a in sets[name])
         lines.append(f"{name} = {addrs}".rstrip())
     return lines
 
@@ -76,11 +76,8 @@ def cmd_witness(args) -> int:
         print("UNSAT")
         return 3
     tree = automaton.witness()
-    sets = assignment_from_tree(tree, table.width)
     print(f"witness {format_tree(tree)}")
-    assignment = {name: tuple(sorted(sets[table.position(name)]))
-                  for name, _ in table.entries}
-    for line in _assignment_lines(table, assignment):
+    for line in _assignment_lines(table, assignment(tree, table)):
         print(line)
     return 0
 
@@ -214,8 +211,7 @@ def main(argv=None) -> int:
     except RecursionError as exc:
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return 2
-    except (FormulaError, CompileError, AutomatonError, ProgramError,
-            SolveError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

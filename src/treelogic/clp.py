@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 from .automata import TreeAutomaton
 from .compiler import CompilationContext, compile_formula
 from .formulas import (FIRST, SECOND, Formula, FormulaError, TrueF, VarTable,
-                       _Parser, free_variables, parse_formula_fragment,
-                       sort_of_name, substitute, tokenize)
+                       _Parser, build_var_table, free_variables,
+                       parse_formula_fragment, sort_of_name, substitute, tokenize)
 from .trees import Tree, assignment_from_tree
 
 
@@ -260,42 +260,52 @@ class Solver:
             self.on_event(kind, detail)
 
     def solve(self, query: Query):
+        """Plain search is one round at the depth bound; iterative deepening
+        runs rounds at bounds 1, 2, 4, ... up to it while a round cuts a
+        branch, each yielding the solutions deeper than the bound before."""
         store = self._constrain(initial_store(), query.constraint)
         if store is None:
             return
-        if not self.iterative_deepening:
-            for _, solution in self._derive(list(query.goals), store, 0,
-                                            self.depth_bound, ()):
-                yield solution
-            return
-        seen: set[tuple] = set()
-        bound = 1
+        bound = (min(1, self.depth_bound) if self.iterative_deepening
+                 else self.depth_bound)
+        shallower = -1  # a round at bound B finds every solution at most B deep
         while True:
-            bound = min(bound, self.depth_bound)
             truncated_before = self.truncated_branches
-            for path, solution in self._derive(list(query.goals), store, 0,
-                                               bound, ()):
-                if path not in seen:
-                    seen.add(path)
+            for depth, solution in self._derive(tuple(query.goals), store, bound):
+                if depth > shallower:
                     yield solution
             if (self.truncated_branches == truncated_before
                     or bound >= self.depth_bound):
                 return
-            bound *= 2
+            shallower, bound = bound, min(2 * bound, self.depth_bound)
 
-    def _derive(self, goals, store, depth, bound, path):
-        if not goals:
-            yield path, self._solution(store)
-            return
-        if depth >= bound:
-            self.truncated_branches += 1
-            self._event("depth", depth=depth, goal=str(goals[0]))
-            return
+    def _derive(self, goals, store, bound):
+        """(depth, solution) pairs, depth first; ``branches`` holds one lazy
+        generator of reductions per level instead of a recursion."""
+        branches = [iter([(goals, store)])]
+        while branches:
+            node = next(branches[-1], None)
+            if node is None:
+                branches.pop()
+                continue
+            goals, store = node
+            depth = len(branches) - 1
+            if not goals:
+                yield depth, self._solution(store)
+            elif depth >= bound:
+                self.truncated_branches += 1
+                self._event("depth", depth=depth, goal=str(goals[0]))
+            else:
+                branches.append(self._reductions(goals, store))
+
+    def _reductions(self, goals, store):
+        """Each clause application to the first goal that leaves the store
+        satisfiable, as the new goal list and store."""
         goal = goals[0]
         clauses = self.program.matching(goal.name, len(goal.args))
         if not clauses:
             raise SolveError(f"unknown predicate {goal.name}/{len(goal.args)}")
-        for i, clause in enumerate(clauses):
+        for i, clause in enumerate(clauses, 1):
             if any(sort_of_name(p) != sort_of_name(a)
                    for p, a in zip(clause.params, goal.args)):
                 continue
@@ -308,7 +318,7 @@ class Solver:
                 if sort_of_name(local) == FIRST:
                     mapping[local] = f"{local}#{next(self._fresh)}"
             constraint = substitute(clause.constraint, mapping)
-            self._event("reduce", goal=str(goal), clause=i + 1,
+            self._event("reduce", goal=str(goal), clause=i,
                         predicate=clause.name)
             new_store = self._constrain(store, constraint)
             if new_store is None:
@@ -317,16 +327,13 @@ class Solver:
             self._event("constrain", goal=str(goal), satisfiable=True,
                         states=len(new_store.automaton.states),
                         width=new_store.table.width)
-            body = [GoalAtom(g.name, tuple(mapping.get(a, a) for a in g.args))
-                    for g in clause.body]
-            yield from self._derive(body + goals[1:], new_store,
-                                    depth + 1, bound, path + (i,))
+            body = tuple(GoalAtom(g.name, tuple(mapping.get(a, a) for a in g.args))
+                         for g in clause.body)
+            yield body + goals[1:], new_store
 
     def _constrain(self, store: ConstraintStore, formula: Formula
                    ) -> ConstraintStore | None:
-        table = store.table
-        for name, sort in free_variables(formula):
-            table = table.extended(name, sort)
+        table = build_var_table(formula, store.table)
         automaton = store.automaton
         for pos in range(store.table.width, table.width):
             automaton = automaton.cylindrify(pos)
@@ -341,12 +348,14 @@ class Solver:
         # The store is never empty on a live branch, so a None witness is the
         # empty tree, not a missing one.
         tree = store.automaton.witness()
-        sets = assignment_from_tree(tree, store.table.width)
-        assignment = {
-            name: tuple(sorted(sets[store.table.position(name)]))
-            for name, _ in store.table.entries
-        }
-        return Solution(store, tree, assignment)
+        return Solution(store, tree, assignment(tree, store.table))
+
+
+def assignment(tree: Tree, table: VarTable) -> dict[str, tuple[str, ...]]:
+    """Each table variable's sorted addresses in ``tree``, in table order."""
+    sets = assignment_from_tree(tree, table.width)
+    return {name: tuple(sorted(sets[pos]))
+            for pos, (name, _) in enumerate(table.entries)}
 
 
 def solve(program: Program, query: Query, depth: int = 64,

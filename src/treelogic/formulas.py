@@ -95,51 +95,47 @@ class Not(Formula):
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class _Binary(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    pass
+
+
+class Or(_Binary):
+    pass
+
+
+class Implies(_Binary):
+    pass
+
+
+class Iff(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Exists1(Formula):
+class _Binder(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
-class Exists2(Formula):
-    var: str
-    body: Formula
+class Exists1(_Binder):
+    pass
 
 
-@dataclass(frozen=True)
-class Forall1(Formula):
-    var: str
-    body: Formula
+class Exists2(_Binder):
+    pass
 
 
-@dataclass(frozen=True)
-class Forall2(Formula):
-    var: str
-    body: Formula
+class Forall1(_Binder):
+    pass
+
+
+class Forall2(_Binder):
+    pass
 
 
 @dataclass(frozen=True)
@@ -157,10 +153,9 @@ class MacroDef:
 
 # binary operators, weakest first
 _BINARY_OPS = (("<->", Iff), ("->", Implies), ("|", Or), ("&", And))
-_QUANT = {
-    "ex1": Exists1, "ex2": Exists2, "all1": Forall1, "all2": Forall2,
-}
-_QUANT_SORT = {"ex1": FIRST, "ex2": SECOND, "all1": FIRST, "all2": SECOND}
+# quantifier word -> (binder, sort of the bound variable)
+_QUANT = {"ex1": (Exists1, FIRST), "ex2": (Exists2, SECOND),
+          "all1": (Forall1, FIRST), "all2": (Forall2, SECOND)}
 
 
 # ----------------------------------------------------------------------
@@ -318,8 +313,7 @@ class _Parser:
 
     def parse_quantifier(self) -> Formula:
         tok = self.next()
-        ctor = _QUANT[tok.text]
-        want = _QUANT_SORT[tok.text]
+        ctor, want = _QUANT[tok.text]
         names: list[tuple[str, Token]] = []
         names.append((self.parse_var(), self.tokens[self.pos - 1]))
         while self.at(","):
@@ -396,15 +390,11 @@ def parse_formula_fragment(tokens: list[Token], pos: int) -> tuple[Formula, int]
 # traversals
 
 
-_BINARY = (And, Or, Implies, Iff)
-_BINDERS = (Exists1, Exists2, Forall1, Forall2)
-
-
 def _parts(f: Formula) -> tuple[Formula, ...]:
     """The immediate subformulas, left to right."""
-    if isinstance(f, _BINARY):
+    if isinstance(f, _Binary):
         return f.left, f.right
-    if isinstance(f, Not) or isinstance(f, _BINDERS):
+    if isinstance(f, (Not, _Binder)):
         return f.body,
     return ()
 
@@ -412,11 +402,11 @@ def _parts(f: Formula) -> tuple[Formula, ...]:
 def _map_parts(f: Formula, fn, *args) -> Formula:
     """``f`` rebuilt with ``fn(part, *args)`` in place of each immediate
     subformula, left to right; leaves come back unchanged."""
-    if isinstance(f, _BINARY):
+    if isinstance(f, _Binary):
         return type(f)(fn(f.left, *args), fn(f.right, *args))
     if isinstance(f, Not):
         return Not(fn(f.body, *args))
-    if isinstance(f, _BINDERS):
+    if isinstance(f, _Binder):
         return type(f)(f.var, fn(f.body, *args))
     return f
 
@@ -431,7 +421,7 @@ def free_variables(formula: Formula, bound: frozenset[str] = frozenset()
             for a in f.args:
                 if a not in bound and a not in seen:
                     seen[a] = sort_of_name(a)
-        elif isinstance(f, _BINDERS):
+        elif isinstance(f, _Binder):
             walk(f.body, bound | {f.var})
         else:
             for part in _parts(f):
@@ -447,7 +437,7 @@ def _map_vars(f: Formula, rename) -> Formula:
         return Atom(f.kind, tuple(rename(a) for a in f.args))
     if isinstance(f, Call):
         return Call(f.name, tuple(rename(a) for a in f.args))
-    if isinstance(f, _BINDERS):
+    if isinstance(f, _Binder):
         shadowed = lambda a: a if a == f.var else rename(a)
         return type(f)(f.var, _map_vars(f.body, shadowed))
     return _map_parts(f, _map_vars, rename)
@@ -461,7 +451,7 @@ def substitute(f: Formula, mapping: dict[str, str],
         fresh = lambda v: f"{v}_{next(counter)}"
     if isinstance(f, (Atom, Call)):
         return _map_vars(f, lambda a: mapping.get(a, a))
-    if isinstance(f, _BINDERS):
+    if isinstance(f, _Binder):
         inner = {k: v for k, v in mapping.items() if k != f.var}
         if not inner:
             return f
@@ -534,7 +524,7 @@ def rename_bound_apart(f: Formula, avoid: frozenset[str] = frozenset()) -> Formu
     def walk(f: Formula, env: dict[str, str]) -> Formula:
         if isinstance(f, (Atom, Call)):
             return _map_vars(f, lambda a: env.get(a, a))
-        if isinstance(f, _BINDERS):
+        if isinstance(f, _Binder):
             new = pick(f.var)
             return type(f)(new, walk(f.body, {**env, f.var: new}))
         return _map_parts(f, walk, env)
@@ -546,10 +536,10 @@ def rename_bound_apart(f: Formula, avoid: frozenset[str] = frozenset()) -> Formu
 # printing
 
 
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4}
-
-
 def format_formula(f: Formula) -> str:
+    binary = {ctor: (op, prec) for prec, (op, ctor) in enumerate(_BINARY_OPS, 1)}
+    words = {ctor: word for word, (ctor, _) in _QUANT.items()}
+
     def fmt(f: Formula, level: int) -> str:
         if isinstance(f, TrueF):
             return "true"
@@ -560,14 +550,11 @@ def format_formula(f: Formula) -> str:
         if isinstance(f, Call):
             return f"{f.name}({', '.join(f.args)})"
         if isinstance(f, Not):
-            return "~" + fmt(f.body, 5)
-        if isinstance(f, (Exists1, Exists2, Forall1, Forall2)):
-            word = {Exists1: "ex1", Exists2: "ex2",
-                    Forall1: "all1", Forall2: "all2"}[type(f)]
-            text = f"{word} {f.var}. {fmt(f.body, 0)}"
+            return "~" + fmt(f.body, len(binary) + 1)
+        if isinstance(f, _Binder):
+            text = f"{words[type(f)]} {f.var}. {fmt(f.body, 0)}"
             return f"({text})" if level > 0 else text
-        prec = _PREC[type(f)]
-        op = {Iff: "<->", Implies: "->", Or: "|", And: "&"}[type(f)]
+        op, prec = binary[type(f)]
         right_level = prec - 1 if type(f) in (Implies, Iff) else prec
         text = f"{fmt(f.left, prec)} {op} {fmt(f.right, right_level)}"
         return f"({text})" if level >= prec else text

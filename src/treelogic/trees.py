@@ -46,7 +46,7 @@ class Node:
         return hashes[id(self)]
 
     def __repr__(self):
-        return f"Node({self.label!r}, {self.left!r}, {self.right!r})"
+        return _flatten(self, "None", lambda node: f"Node({node.label!r}, ", ", ")
 
 
 Tree = Node | None

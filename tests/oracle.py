@@ -20,9 +20,12 @@ from typing import Iterable
 from treelogic.formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Call,
                                 Exists1, Exists2, FalseF, Forall1, Forall2,
                                 Formula, Iff, Implies, MacroDef, MacroError,
-                                Not, Or, TrueF, _Parser, sort_of_name)
+                                Not, Or, TrueF, _Parser, sort_of_name,
+                                substitute)
 from treelogic.automata import TreeAutomaton
-from treelogic.guards import matches, subsumes, subtract
+from treelogic.clp import (GoalAtom, Solver, SolveError, _clause_variables,
+                           initial_store)
+from treelogic.guards import covers_all, matches, subsumes, subtract
 from treelogic.trees import Node, addresses, format_tree
 
 
@@ -242,6 +245,48 @@ def recursive_accepts(aut: TreeAutomaton, tree) -> bool:
 
 
 # ----------------------------------------------------------------------
+# reachability: the sink-pending scan that
+# TreeAutomaton.reachable_states_detailed must agree with, in reached sets
+# and in pass counts
+
+
+def ref_reachable_states_detailed(aut: TreeAutomaton, stop_on_final: bool = False
+                                  ) -> tuple[frozenset[str], int]:
+    reached = {aut.initial}
+    passes = 0
+    sink_pending = aut.sink is not None
+    coverage: dict[tuple[str, str], bool] = {}
+
+    def covered(pair: tuple[str, str]) -> bool:
+        if pair not in coverage:
+            pats = [g for g, _ in aut.transitions.get(pair, ())]
+            coverage[pair] = covers_all(pats, aut.width)
+        return coverage[pair]
+
+    while True:
+        passes += 1
+        new: set[str] = set()
+        for (left, right), pair_entries in aut.transitions.items():
+            if left in reached and right in reached:
+                for _, targets in pair_entries:
+                    new.update(targets)
+        if sink_pending:
+            for left in reached:
+                for right in reached:
+                    if not covered((left, right)):
+                        new.add(aut.sink)
+                        sink_pending = False
+                        break
+                if not sink_pending:
+                    break
+        if stop_on_final and (new | reached) & aut.finals:
+            return frozenset(reached | new), passes
+        if new <= reached:
+            return frozenset(reached), passes
+        reached |= new
+
+
+# ----------------------------------------------------------------------
 # formula walks: the per-kind walks that formulas' free_variables, _map_vars,
 # substitute, expand_macros, desugar, rename_bound_apart and _has_call must
 # agree with, in results and in the order they invent fresh names
@@ -448,6 +493,13 @@ def recursive_tree_eq(a, b) -> bool:
             and recursive_tree_eq(a.right, b.right))
 
 
+def recursive_repr(tree) -> str:
+    """``Node.__repr__`` with the children written by this function."""
+    if tree is None:
+        return "None"
+    return f"Node({tree.label!r}, {recursive_repr(tree.left)}, {recursive_repr(tree.right)})"
+
+
 # ----------------------------------------------------------------------
 # formula parsing: the one-method-per-level precedence climbing that
 # formulas._Parser.parse_formula must agree with, in trees and in errors
@@ -484,6 +536,107 @@ class PerLevelParser(_Parser):
             self.next()
             left = And(left, self.parse_unary())
         return left
+
+
+# ----------------------------------------------------------------------
+# formula printing: the printer with its own operator and quantifier tables
+# that formulas.format_formula must agree with
+
+
+_REF_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4}
+
+
+def ref_format_formula(f: Formula) -> str:
+    def fmt(f: Formula, level: int) -> str:
+        if isinstance(f, TrueF):
+            return "true"
+        if isinstance(f, FalseF):
+            return "false"
+        if isinstance(f, Atom):
+            return f"{f.kind}({', '.join(f.args)})"
+        if isinstance(f, Call):
+            return f"{f.name}({', '.join(f.args)})"
+        if isinstance(f, Not):
+            return "~" + fmt(f.body, 5)
+        if isinstance(f, (Exists1, Exists2, Forall1, Forall2)):
+            word = {Exists1: "ex1", Exists2: "ex2",
+                    Forall1: "all1", Forall2: "all2"}[type(f)]
+            text = f"{word} {f.var}. {fmt(f.body, 0)}"
+            return f"({text})" if level > 0 else text
+        prec = _REF_PREC[type(f)]
+        op = {Iff: "<->", Implies: "->", Or: "|", And: "&"}[type(f)]
+        right_level = prec - 1 if type(f) in (Implies, Iff) else prec
+        text = f"{fmt(f.left, prec)} {op} {fmt(f.right, right_level)}"
+        return f"({text})" if level >= prec else text
+
+    return fmt(f, 0)
+
+
+# ----------------------------------------------------------------------
+# clause solving: the two search loops, recursive derivations and
+# clause-index paths that clp.Solver must agree with, in solutions, events,
+# fresh names and cut branches
+
+
+class RecursiveSolver(Solver):
+    def solve(self, query):
+        store = self._constrain(initial_store(), query.constraint)
+        if store is None:
+            return
+        if not self.iterative_deepening:
+            for _, solution in self._derive(list(query.goals), store, 0,
+                                            self.depth_bound, ()):
+                yield solution
+            return
+        seen: set[tuple] = set()
+        bound = 1
+        while True:
+            bound = min(bound, self.depth_bound)
+            truncated_before = self.truncated_branches
+            for path, solution in self._derive(list(query.goals), store, 0,
+                                               bound, ()):
+                if path not in seen:
+                    seen.add(path)
+                    yield solution
+            if (self.truncated_branches == truncated_before
+                    or bound >= self.depth_bound):
+                return
+            bound *= 2
+
+    def _derive(self, goals, store, depth, bound, path):
+        if not goals:
+            yield path, self._solution(store)
+            return
+        if depth >= bound:
+            self.truncated_branches += 1
+            self._event("depth", depth=depth, goal=str(goals[0]))
+            return
+        goal = goals[0]
+        clauses = self.program.matching(goal.name, len(goal.args))
+        if not clauses:
+            raise SolveError(f"unknown predicate {goal.name}/{len(goal.args)}")
+        for i, clause in enumerate(clauses):
+            if any(sort_of_name(p) != sort_of_name(a)
+                   for p, a in zip(clause.params, goal.args)):
+                continue
+            mapping = dict(zip(clause.params, goal.args))
+            for local in sorted(_clause_variables(clause) - set(clause.params)):
+                if sort_of_name(local) == FIRST:
+                    mapping[local] = f"{local}#{next(self._fresh)}"
+            constraint = substitute(clause.constraint, mapping)
+            self._event("reduce", goal=str(goal), clause=i + 1,
+                        predicate=clause.name)
+            new_store = self._constrain(store, constraint)
+            if new_store is None:
+                self._event("constrain", goal=str(goal), satisfiable=False)
+                continue
+            self._event("constrain", goal=str(goal), satisfiable=True,
+                        states=len(new_store.automaton.states),
+                        width=new_store.table.width)
+            body = [GoalAtom(g.name, tuple(mapping.get(a, a) for a in g.args))
+                    for g in clause.body]
+            yield from self._derive(body + goals[1:], new_store,
+                                    depth + 1, bound, path + (i,))
 
 
 # ----------------------------------------------------------------------

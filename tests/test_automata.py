@@ -11,7 +11,7 @@ from treelogic.trees import Node, node_count, parse_tree, validate_tree
 from oracle import (iter_trees, language_sample, random_deterministic,
                     random_label_deterministic, random_nondeterministic,
                     random_tree, recursive_accepts, recursive_run,
-                    recursive_run_set)
+                    recursive_run_set, ref_reachable_states_detailed)
 
 T_ACCEPT = Node("00", Node("10"), Node("00", Node("01"), None))
 T_SIBLINGS = Node("00", Node("10"), Node("01"))
@@ -166,6 +166,21 @@ def test_reachable_pass_bound():
         aut = random_deterministic(rng, width=1, max_states=6)
         _, passes = aut.reachable_states_detailed()
         assert passes <= max(1, len(aut.states))
+
+
+def test_reachable_matches_sink_pending_scan_randomized():
+    # criterion 4's automata, then each with a named sink, minimized and
+    # with its sink materialized
+    rng = random.Random(2024)
+    for _ in range(40):
+        aut = random_deterministic(rng, width=rng.randint(0, 2), max_states=50)
+        named = TreeAutomaton(aut.width, aut.states, aut.initial, aut.finals,
+                              aut.transitions, sink=rng.choice(sorted(aut.states)),
+                              validate=False)
+        for variant in (aut, named, aut.minimize(), aut.with_materialized_sink()):
+            for stop_on_final in (False, True):
+                assert variant.reachable_states_detailed(stop_on_final) == \
+                    ref_reachable_states_detailed(variant, stop_on_final)
 
 
 def test_is_empty(ac_com_automaton):

@@ -248,6 +248,15 @@ def test_solve_trace(capsys, fixtures_dir):
     assert "trace: store satisfiable" in err
 
 
+def test_solve_deep_derivation_exits_3_with_depth_note(capsys, tmp_path):
+    program = tmp_path / "loop.clp"
+    program.write_text("loop(x) <- { eq1(x, x) } & loop(x).\n")
+    code, out, err = run_cli(capsys, "solve", str(program), "?- loop(x).",
+                             "--depth", "2000")
+    assert (code, out, err) == (3, "no solutions\n",
+                                "note: 1 branch(es) cut at depth 2000\n")
+
+
 def test_usage_error(capsys):
     assert run_cli(capsys, "nonsense")[0] == 1
 

@@ -3,10 +3,10 @@ import pytest
 from treelogic.clp import (ProgramError, Solver, SolveError, entails,
                            initial_store, load_program, parse_query, solve)
 from treelogic.formulas import FormulaError, parse_formula
-from treelogic.trees import addresses
+from treelogic.trees import addresses, format_tree
 
 from conftest import fixture_text
-from oracle import evaluate, is_prec
+from oracle import RecursiveSolver, evaluate, is_prec
 
 
 def fml(text):
@@ -175,11 +175,21 @@ def test_depth_bound_terminates_and_reports():
     assert solver.truncated_branches == 1
 
 
+LOOP = "loop(x) <- { eq1(x, x) } & loop(x)."
+STEP = """
+    step(x) <- { in(x, Done) }.
+    step(x) <- { eq1(x, x) } & step(x).
+"""
+
+
+def test_deep_derivation_is_cut_without_recursion_error():
+    solver = Solver(load_program(LOOP), depth=2000)
+    assert list(solver.solve(parse_query("?- loop(x)."))) == []
+    assert solver.truncated_branches == 1
+
+
 def test_iterative_deepening_finds_solutions_once():
-    program = load_program("""
-        step(x) <- { in(x, Done) }.
-        step(x) <- { eq1(x, x) } & step(x).
-    """)
+    program = load_program(STEP)
     solver = Solver(program, depth=8, iterative_deepening=True)
     solutions = list(solver.solve(parse_query("?- step(x).")))
     assert len(solutions) == 8  # one per unrolling depth, no duplicates
@@ -252,3 +262,40 @@ def test_entails_true_and_reflexive():
     assert entails(solution.store, fml("in(x, A)"))
     with pytest.raises(SolveError):
         entails(solution.store, fml("in(y, A)"))
+
+
+# ----------------------------------------------------------------------
+# one search loop: the same solutions, events, fresh names and cut
+# branches as the plain and iterative-deepening loops it replaced
+
+
+def _search(solver_class, program, query, **options):
+    events = []
+    solver = solver_class(program, **options,
+                          on_event=lambda kind, detail: events.append((kind, detail)))
+    solutions = [(format_tree(s.tree), s.assignment,
+                  s.store.automaton.renumbered().to_text())
+                 for s in solver.solve(parse_query(query))]
+    return solutions, events, solver.truncated_branches
+
+
+def _parity_cases():
+    lexicon = fixture_text("lexicon.clp")
+    pipeline = fixture_text("parse_pipeline.clp")
+    yield lexicon, "?- lexicon(x).", {}
+    yield lexicon, "?- { sing(Q) } & lexicon(x) & lexicon(y).", {}
+    yield pipeline, GOOD_INPUT, {}
+    yield pipeline, BAD_INPUT, {}
+    for depth in range(10):
+        yield STEP, "?- step(x).", {"depth": depth, "iterative_deepening": True}
+        yield STEP, "?- step(x).", {"depth": depth}
+    for depth in range(6):
+        yield LOOP, "?- loop(x).", {"depth": depth, "iterative_deepening": True}
+        yield LOOP, "?- loop(x).", {"depth": depth}
+
+
+def test_search_matches_recursive_search():
+    for text, query, options in _parity_cases():
+        program = load_program(text)
+        assert _search(Solver, program, query, **options) == \
+            _search(RecursiveSolver, program, query, **options), (query, options)

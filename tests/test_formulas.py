@@ -320,6 +320,13 @@ def _formulas():
     return st.recursive(atoms, extend, max_leaves=8)
 
 
+def test_printer_matches_printer_with_own_tables_randomized():
+    rng = random.Random(5)
+    for _ in range(400):
+        f = oracle.random_formula(rng, 5, oracle.random_macros(rng))
+        assert format_formula(f) == oracle.ref_format_formula(f)
+
+
 @given(_formulas())
 def test_print_parse_roundtrip(f):
     text = format_formula(f)

@@ -87,6 +87,8 @@ def test_printing_and_comparing_finish_on_deep_chain():
     shape = shape_string(tree)
     assert len(shape) == 3 * depth + 1 and shape.startswith("((-(")
     assert tree == twin and hash(tree) == hash(twin)
+    assert repr(tree).startswith("Node('1', Node('0', None, Node('0', Node('1', None, ")
+    assert len(repr(tree)) == depth * len("Node('0', None, )") + len("None")
     node = twin
     while node.left is not None or node.right is not None:
         node = node.left or node.right
@@ -113,6 +115,7 @@ def test_walks_match_recursive_walks_randomized():
         other = rng.choice([tree, oracle.random_tree(rng, size, width),
                             parse_tree(format_tree(tree))])
         assert format_tree(tree) == oracle.recursive_format_tree(tree)
+        assert repr(tree) == oracle.recursive_repr(tree)
         assert shape_string(tree) == oracle.recursive_shape_string(tree)
         assert list(addresses(tree).items()) == \
             list(oracle.recursive_addresses(tree).items())
