@@ -19,6 +19,8 @@ Conventions:
   fill the first time they meet a (left, right, label) step.  An entry is a
   function of its key and never changes once written, so two threads that
   fill the same key store the same value and sharing stays safe.
+* ``_explore`` is the one bottom-up worklist: the constructions,
+  ``renumbered`` and reachability all run on it.
 * Runs (``run``, ``run_set``, ``accepts``) fold the tree bottom-up over an
   explicit stack, so their depth is not bounded by the recursion limit.
 * State identity is meaningless across automata: compare languages with
@@ -51,12 +53,13 @@ empty bit string) are written ``-``.
 
 from __future__ import annotations
 
+import heapq
 import operator
 from collections import deque
 from typing import Callable, Iterator
 
 from . import guards as gp
-from .trees import Node, Tree, preorder, validate_tree
+from .trees import Node, Tree, preorder, tree_sort_key, validate_tree
 
 PairKey = tuple[str, str]
 Entry = tuple[str, frozenset[str]]
@@ -239,46 +242,33 @@ class TreeAutomaton:
         reached, _ = self.reachable_states_detailed()
         return reached
 
-    def reachable_states_detailed(self, stop_on_final: bool = False
-                                  ) -> tuple[frozenset[str], int]:
+    def reachable_states_detailed(self) -> tuple[frozenset[str], int]:
         """Least fixpoint of bottom-up reachability plus the pass count.
 
-        Each pass sweeps the whole transition table once; the fixpoint is
-        reached after at most ``len(states)`` passes.  A designated sink
-        becomes reachable as soon as some reachable state pair leaves part
-        of the symbol space uncovered.
+        A state's height is the sweep pass that first reaches it: 0 for the
+        initial state, else 1 + the higher child height of a pair leading
+        to it.  A designated sink is led to by any pair that leaves symbols
+        uncovered.  ``_explore`` expands pairs in nondecreasing height, so
+        the first height recorded is the least.
         """
-        reached = {self.initial}
-        passes = 0
-        coverage: dict[PairKey, bool] = {}
+        height = {self.initial: 0}
 
-        def covered(pair: PairKey) -> bool:
-            if pair not in coverage:
-                pats = [g for g, _ in self.transitions.get(pair, ())]
-                coverage[pair] = gp.covers_all(pats, self.width)
-            return coverage[pair]
+        def step(left: str, right: str) -> Iterator[tuple[str, str]]:
+            entries = self.transitions.get((left, right), ())
+            targets = [t for _, ts in entries for t in ts]
+            if self.sink is not None and self.sink not in height and \
+                    not gp.covers_all([g for g, _ in entries], self.width):
+                targets.append(self.sink)
+            for target in targets:
+                height.setdefault(target, 1 + max(height[left], height[right]))
+                yield "", target
 
-        while True:
-            passes += 1
-            new: set[str] = set()
-            for (left, right), pair_entries in self.transitions.items():
-                if left in reached and right in reached:
-                    for _, targets in pair_entries:
-                        new.update(targets)
-            if self.sink is not None and self.sink not in reached and not all(
-                    covered((left, right)) for left in reached for right in reached):
-                new.add(self.sink)
-            if stop_on_final and (new | reached) & self.finals:
-                return frozenset(reached | new), passes
-            if new <= reached:
-                return frozenset(reached), passes
-            reached |= new
+        _explore(self.initial, step)
+        return frozenset(height), 1 + max(height.values())
 
     def is_empty(self) -> bool:
-        if self.initial in self.finals:
-            return False
-        reached, _ = self.reachable_states_detailed(stop_on_final=True)
-        return not reached & self.finals
+        return self.initial not in self.finals and \
+            not self.reachable_states() & self.finals
 
     # ------------------------------------------------------------------
     # totality
@@ -553,37 +543,31 @@ class TreeAutomaton:
         return self._product(other, operator.ne).is_empty()
 
     def witness(self) -> Tree:
-        """A size-minimal accepted tree, or None for the empty language.
+        """The least accepted tree under ``tree_sort_key`` (don't-care bits
+        resolve to 0), or None for the empty language.
 
-        Ties are broken by preorder label sequence (don't-care bits resolve
-        to 0) and finally by tree shape, so the result is reproducible.
+        Lightest-derivation search (Knuth 1977): a tree's key exceeds its
+        subtrees' and grows with theirs, so the first tree popped for a
+        state is its least.  Equal keys mean equal trees, so the heap never
+        has to order two ``Node``s.
         """
-        reps: dict[str, tuple[int, tuple[str, ...], str, Tree]] = {
-            self.initial: (0, (), "-", None)
-        }
-        changed = True
-        while changed:
-            changed = False
-            for (left, right) in sorted(self.transitions):
-                if left not in reps or right not in reps:
-                    continue
-                ls, ll, lsh, lt = reps[left]
-                rs, rl, rsh, rt = reps[right]
-                for guard, targets in self.transitions[(left, right)]:
-                    sym = gp.least_symbol(guard)
-                    cand = (1 + ls + rs, (sym,) + ll + rl, f"({lsh}{rsh})")
-                    for target in sorted(targets):
-                        cur = reps.get(target)
-                        if cur is None or cand < cur[:3]:
-                            reps[target] = cand + (Node(sym, lt, rt),)
-                            changed = True
-        best = None
-        for final in sorted(self.finals):
-            if final in reps:
-                entry = reps[final]
-                if best is None or entry[:3] < best[:3]:
-                    best = entry
-        return best[3] if best else None
+        best: dict[str, Tree] = {}
+        heap = [(tree_sort_key(None), self.initial, None)]
+        while heap:
+            _, state, tree = heapq.heappop(heap)
+            if state in best:
+                continue
+            if state in self.finals:
+                return tree
+            best[state] = tree
+            for other in best:
+                for left, right in {(state, other), (other, state)}:
+                    for guard, targets in self.transitions.get((left, right), ()):
+                        node = Node(gp.least_symbol(guard), best[left], best[right])
+                        for target in targets:
+                            if target not in best:
+                                heapq.heappush(heap, (tree_sort_key(node), target, node))
+        return None
 
     # ------------------------------------------------------------------
     # canonical renaming and the text format

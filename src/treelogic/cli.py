@@ -143,6 +143,13 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def depth_bound(text: str) -> int:
+    bound = int(text)
+    if bound < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {bound}")
+    return bound
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treelogic",
@@ -188,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     p.add_argument("query")
     p.add_argument("--all", action="store_true", help="enumerate all solutions")
-    p.add_argument("--depth", type=int, default=64,
+    p.add_argument("--depth", type=depth_bound, default=64,
                    help="per-branch derivation depth bound (default 64)")
     p.add_argument("--trace", action="store_true",
                    help="log goal reductions and store sizes to stderr")

@@ -25,7 +25,8 @@ from treelogic.formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Call,
 from treelogic.automata import TreeAutomaton
 from treelogic.clp import (GoalAtom, Solver, SolveError, _clause_variables,
                            initial_store)
-from treelogic.guards import covers_all, matches, subsumes, subtract
+from treelogic.guards import (covers_all, least_symbol, matches, subsumes,
+                              subtract)
 from treelogic.trees import Node, addresses, format_tree
 
 
@@ -284,6 +285,40 @@ def ref_reachable_states_detailed(aut: TreeAutomaton, stop_on_final: bool = Fals
         if new <= reached:
             return frozenset(reached), passes
         reached |= new
+
+
+# ----------------------------------------------------------------------
+# witnesses: the sweep to a fixpoint over the whole transition table that
+# TreeAutomaton.witness must agree with, tree for tree
+
+
+def ref_witness(aut: TreeAutomaton):
+    reps: dict[str, tuple[int, tuple[str, ...], str, object]] = {
+        aut.initial: (0, (), "-", None)
+    }
+    changed = True
+    while changed:
+        changed = False
+        for (left, right) in sorted(aut.transitions):
+            if left not in reps or right not in reps:
+                continue
+            ls, ll, lsh, lt = reps[left]
+            rs, rl, rsh, rt = reps[right]
+            for guard, targets in aut.transitions[(left, right)]:
+                sym = least_symbol(guard)
+                cand = (1 + ls + rs, (sym,) + ll + rl, f"({lsh}{rsh})")
+                for target in sorted(targets):
+                    cur = reps.get(target)
+                    if cur is None or cand < cur[:3]:
+                        reps[target] = cand + (Node(sym, lt, rt),)
+                        changed = True
+    best = None
+    for final in sorted(aut.finals):
+        if final in reps:
+            entry = reps[final]
+            if best is None or entry[:3] < best[:3]:
+                best = entry
+    return best[3] if best else None
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,19 @@ import pytest
 
 from treelogic import AutomatonError, TreeAutomaton
 from treelogic.compiler import zero_pad_closure
-from treelogic.trees import Node, node_count, parse_tree, validate_tree
+from treelogic.trees import (Node, node_count, parse_tree, tree_sort_key,
+                             validate_tree)
 
+from conftest import FIXTURES, fixture_text
 from oracle import (iter_trees, language_sample, random_deterministic,
                     random_label_deterministic, random_nondeterministic,
                     random_tree, recursive_accepts, recursive_run,
-                    recursive_run_set, ref_reachable_states_detailed)
+                    recursive_run_set, ref_reachable_states_detailed,
+                    ref_witness)
+from test_acceptance import CONTRADICTIONS, ORACLE_SUITE, compiled
+
+sys.path.append(str(FIXTURES.parent.parent / "benchmarks"))
+from workloads import chain_text  # noqa: E402
 
 T_ACCEPT = Node("00", Node("10"), Node("00", Node("01"), None))
 T_SIBLINGS = Node("00", Node("10"), Node("01"))
@@ -168,6 +175,24 @@ def test_reachable_pass_bound():
         assert passes <= max(1, len(aut.states))
 
 
+_GENERATORS = (random_deterministic, random_label_deterministic,
+               random_nondeterministic)
+
+
+def _random_automata(rng, count, widths, max_states):
+    """``count`` automata, taking the three generators in turn."""
+    return [_GENERATORS[i % 3](rng, rng.randint(*widths), max_states)
+            for i in range(count)]
+
+
+def _variants(aut):
+    """``aut`` and what the automaton operations make of it."""
+    out = [aut, aut.determinize()]
+    if aut.deterministic:
+        out += [aut.minimize(), aut.with_materialized_sink(), aut.complement()]
+    return out
+
+
 def test_reachable_matches_sink_pending_scan_randomized():
     # criterion 4's automata, then each with a named sink, minimized and
     # with its sink materialized
@@ -178,9 +203,20 @@ def test_reachable_matches_sink_pending_scan_randomized():
                               aut.transitions, sink=rng.choice(sorted(aut.states)),
                               validate=False)
         for variant in (aut, named, aut.minimize(), aut.with_materialized_sink()):
-            for stop_on_final in (False, True):
-                assert variant.reachable_states_detailed(stop_on_final) == \
-                    ref_reachable_states_detailed(variant, stop_on_final)
+            _assert_reachable_matches_scan(variant)
+    # every generator, and the complement and subset construction too
+    for aut in _random_automata(random.Random(2025), 60, (0, 3), 6):
+        for variant in _variants(aut):
+            _assert_reachable_matches_scan(variant)
+
+
+def _assert_reachable_matches_scan(aut):
+    """Reached set and passes as the scan's; emptiness as the scan that
+    stops at the first final."""
+    assert aut.reachable_states_detailed() == ref_reachable_states_detailed(aut)
+    reached, _ = ref_reachable_states_detailed(aut, stop_on_final=True)
+    assert aut.is_empty() == (aut.initial not in aut.finals
+                              and not reached & aut.finals)
 
 
 def test_is_empty(ac_com_automaton):
@@ -537,16 +573,38 @@ def test_witness_reference(ac_com_automaton):
 
 def test_witness_is_minimal_randomized():
     rng = random.Random(23)
-    for _ in range(20):
-        aut = random_deterministic(rng, width=1)
+    cases = [random_deterministic(rng, width=1) for _ in range(20)]
+    # every generator at widths 1-2; ties on size are common at this size.
+    # Only these skip the search for witnesses over 5 nodes.
+    cases += _random_automata(random.Random(24), 300, (1, 2), 4)
+    for i, aut in enumerate(cases):
         tree = aut.witness()
         if aut.is_empty():
             assert tree is None and not aut.accepts(None)
             continue
         assert aut.accepts(tree)
-        best = min((t for t in iter_trees(node_count(tree), 1)
-                    if aut.accepts(t)), key=node_count)
-        assert node_count(tree) == node_count(best)
+        if i >= 20 and node_count(tree) > 5:
+            continue
+        best = min((t for t in iter_trees(node_count(tree), aut.width)
+                    if aut.accepts(t)), key=tree_sort_key)
+        assert tree == best
+
+
+def test_witness_matches_sweep():
+    # oracle.ref_witness sweeps the whole table to a fixpoint: equal trees,
+    # None included
+    automata = []
+    for aut in _random_automata(random.Random(31), 300, (0, 3), 6):
+        automata += _variants(aut)
+    texts = [fixture_text(path.name) for path in sorted(FIXTURES.glob("*.mso"))]
+    texts += [chain_text(width, "v", "S") for width in range(8, 17, 2)]
+    texts += CONTRADICTIONS + [text for text, _, _ in ORACLE_SUITE]
+    for text in texts:
+        aut = compiled(text)[0]
+        automata += [aut, aut.complement()]
+    assert len(texts) == 4 + 5 + 10 + len(ORACLE_SUITE)
+    for aut in automata:
+        assert aut.witness() == ref_witness(aut)
 
 
 # ----------------------------------------------------------------------

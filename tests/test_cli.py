@@ -257,6 +257,15 @@ def test_solve_deep_derivation_exits_3_with_depth_note(capsys, tmp_path):
                                 "note: 1 branch(es) cut at depth 2000\n")
 
 
+def test_solve_rejects_negative_depth(capsys, fixtures_dir):
+    code, out, err = run_cli(capsys, "solve", str(fixtures_dir / "lexicon.clp"),
+                             "?- lexicon(x).", "--depth", "-5")
+    assert (code, out) == (1, "")
+    assert "argument --depth: must be non-negative, got -5" in err
+    assert run_cli(capsys, "solve", str(fixtures_dir / "lexicon.clp"),
+                   "?- lexicon(x).", "--depth", "0")[0] == 3
+
+
 def test_usage_error(capsys):
     assert run_cli(capsys, "nonsense")[0] == 1
 
@@ -291,6 +300,11 @@ def test_outputs_are_deterministic(tmp_path, fixtures_dir):
       "?- { in(a, John) & in(b, Sees) & in(c, Mary) & prec(a, b) "
       "& prec(b, c) } & parse(a, b, c)."],
      "golden_solve_all_parse_pipeline.txt"),
+    (["witness", "ac_com.mso"], "golden_witness_ac_com.txt"),
+    (["witness", "local_c_command.mso"], "golden_witness_local_c_command.txt"),
+    (["witness", "chain8.mso"], "golden_witness_chain8.txt"),
+    (["witness", "union_negation_ex1.mso"],
+     "golden_witness_union_negation_ex1.txt"),
 ])
 def test_outputs_match_golden_files(capsys, fixtures_dir, argv, golden):
     # Identical inputs give byte-identical outputs across versions; the
