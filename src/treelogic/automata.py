@@ -54,6 +54,7 @@ empty bit string) are written ``-``.
 from __future__ import annotations
 
 import heapq
+import itertools
 import operator
 from collections import deque
 from typing import Callable, Iterator
@@ -280,18 +281,14 @@ class TreeAutomaton:
             raise AutomatonError("cannot materialize the sink of a nondeterministic automaton")
         sink = self.sink if self.sink is not None else fresh_name("dead", self.states)
         states = self.states | {sink}
-        transitions: dict[PairKey, list[tuple[str, str]]] = {}
-        for left in sorted(states):
-            for right in sorted(states):
-                pair = (left, right)
-                listed = list(self.transitions.get(pair, ()))
-                new = [(g, next(iter(ts))) for g, ts in listed]
-                for cube in gp.uncovered([g for g, _ in listed], self.width):
-                    new.append((cube, sink))
-                transitions[pair] = new
+        transitions: dict[PairKey, list] = {}
+        for pair in itertools.product(states, repeat=2):
+            listed = list(self.transitions.get(pair, ()))
+            transitions[pair] = listed + [
+                (cube, sink) for cube in gp.uncovered([g for g, _ in listed], self.width)]
         return TreeAutomaton(self.width, states, self.initial, self.finals,
-                             {p: e for p, e in transitions.items()},
-                             deterministic=True, sink=sink, validate=False)
+                             transitions, deterministic=True, sink=sink,
+                             validate=False)
 
     # ------------------------------------------------------------------
     # boolean operations
@@ -380,13 +377,12 @@ class TreeAutomaton:
         nondeterministic since transitions differing only at ``pos`` merge."""
         if not 0 <= pos < self.width:
             raise AutomatonError(f"position {pos} out of range for width {self.width}")
-        merged: dict[PairKey, dict[str, set[str]]] = {}
-        for (left, right), pair_entries in self.transitions.items():
-            bucket = merged.setdefault((left, right), {})
-            for guard, targets in pair_entries:
-                bucket.setdefault(gp.drop_position(guard, pos), set()).update(targets)
+        transitions = {
+            pair: [(gp.drop_position(g, pos), ts) for g, ts in pair_entries]
+            for pair, pair_entries in self.transitions.items()
+        }
         return TreeAutomaton(self.width - 1, self.states, self.initial,
-                             self.finals, merged,
+                             self.finals, transitions,
                              deterministic=False, sink=None, validate=False)
 
     def cylindrify(self, pos: int) -> "TreeAutomaton":
@@ -411,7 +407,9 @@ class TreeAutomaton:
         The result is the minimal total deterministic automaton of the
         language, unique up to state renaming.  Transitions into the dead
         class are stripped and the class is designated as the sink, so empty
-        languages come out as a single non-final initial state.
+        languages come out as a single non-final initial state.  Every state
+        of the result is reachable, so its language is empty exactly when it
+        has no final state.
 
         The implicit dead state (``sink``, or a fresh name) is an ordinary
         state that every uncovered symbol goes to.  Each reachable pair's
@@ -572,7 +570,7 @@ class TreeAutomaton:
     # ------------------------------------------------------------------
     # canonical renaming and the text format
 
-    def renumbered(self, prefix: str = "q") -> "TreeAutomaton":
+    def renumbered(self) -> "TreeAutomaton":
         """Rename states q0..qN in a canonical discovery order, independent
         of the current names (for reachable automata)."""
         def step(left: str, right: str) -> Iterator[tuple[str, str]]:
@@ -586,7 +584,7 @@ class TreeAutomaton:
                 order.append(leftover)
         if self.sink is not None and self.sink not in order:
             order.append(self.sink)
-        names = {s: f"{prefix}{i}" for i, s in enumerate(order)}
+        names = {s: f"q{i}" for i, s in enumerate(order)}
         transitions = {
             (names[l], names[r]): [(g, {names[t] for t in ts}) for g, ts in entries]
             for (l, r), entries in self.transitions.items()

@@ -34,14 +34,10 @@ def _compile_file(path: str, max_width: int, minimize_steps: bool):
     return automaton, table, ctx
 
 
-def _format_address(addr: str) -> str:
-    return addr if addr else "e"
-
-
 def _assignment_lines(table, sets) -> list[str]:
     lines = []
     for name, _ in table.entries:
-        addrs = " ".join(_format_address(a) for a in sets[name])
+        addrs = " ".join(a or "e" for a in sets[name])
         lines.append(f"{name} = {addrs}".rstrip())
     return lines
 
@@ -143,11 +139,11 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def depth_bound(text: str) -> int:
-    bound = int(text)
-    if bound < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {bound}")
-    return bound
+def non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_width(p):
-        p.add_argument("--max-width", type=int, default=16,
+        p.add_argument("--max-width", type=non_negative, default=16,
                        help="maximum number of tracked variables (default 16)")
 
     p = sub.add_parser("compile", help="compile a formula file to an automaton")
@@ -195,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     p.add_argument("query")
     p.add_argument("--all", action="store_true", help="enumerate all solutions")
-    p.add_argument("--depth", type=depth_bound, default=64,
+    p.add_argument("--depth", type=non_negative, default=64,
                    help="per-branch derivation depth bound (default 64)")
     p.add_argument("--trace", action="store_true",
                    help="log goal reductions and store sizes to stderr")

@@ -340,7 +340,7 @@ class Solver:
         ctx = CompilationContext(table=table, max_width=self.max_width)
         compiled = compile_formula(formula, ctx)
         joint = automaton.intersect(compiled).minimize()
-        if joint.is_empty():
+        if not joint.finals:  # minimal, so every state is reachable
             return None
         return ConstraintStore(table, joint)
 

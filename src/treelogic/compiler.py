@@ -13,24 +13,25 @@ at its quantifier and for each free one at the top level.
 
 Finite labeled trees stand in for labelings of the infinite binary tree, so
 a compiled language is kept closed under growing and pruning all-zero
-frontier nodes (``zero_pad_closure``).  The closure is applied before
-projecting a quantified bit (a satisfying choice for the quantified variable
-may need nodes outside the labeled region) and again after determinizing the
-projection (the erase image is closed under growth but not under pruning).
-The first closure stays nondeterministic, since its projection is
-nondeterministic anyway, so a quantifier costs two subset constructions (of
-the projection and of the second closure) and one minimization.
+frontier nodes (``zero_pad_closure``).  Atoms are closed, and complement,
+product and union keep closedness, so only a quantifier has to restore it:
+projecting a closed language keeps it closed under growing but not under
+pruning, since a satisfying choice for the quantified variable may need
+nodes that are all-zero once its bit is erased.  A quantifier is therefore
+one projection, one closure of the projection and one subset construction,
+then a minimization.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import guards as gp
 from .automata import TreeAutomaton, _explore, fresh_name
-from .formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Call, Exists1,
-                       Exists2, FalseF, Formula, Not, Or, TrueF, VarTable,
-                       _has_call, build_var_table, desugar, free_variables,
+from .formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Exists1, Exists2,
+                       FalseF, Formula, Not, Or, TrueF, VarTable, _has_call,
+                       build_var_table, desugar, free_variables,
                        rename_bound_apart)
 
 
@@ -188,13 +189,15 @@ def zero_pad_closure(aut: TreeAutomaton) -> TreeAutomaton:
     """Nondeterministic automaton of the smallest language containing T(aut)
     that is closed under adding and pruning all-zero-labeled frontier nodes.
 
-    Takes any automaton.  The result runs it with one extra state standing
-    for "this subtree is all-zero": such a subtree may resolve to the state
-    of any run on any all-zero tree (the tree can be swapped for a different
-    all-zero tree, including the empty one, without changing the encoded
-    assignment).  Callers determinize the result.
+    Takes any automaton; the compiler passes it a quantifier's projection,
+    which is closed under adding such nodes but not under pruning them.  The
+    result runs it with one extra state standing for "this subtree is
+    all-zero": such a subtree may resolve to the state of any run on any
+    all-zero tree (the tree can be swapped for a different all-zero tree,
+    including the empty one, without changing the encoded assignment).
+    Callers determinize the result.
     """
-    zero = gp.zero_symbol(aut.width)
+    zero = "0" * aut.width
 
     def zero_step(left: str, right: str):
         for guard, targets in aut.transitions.get((left, right), ()):
@@ -205,22 +208,15 @@ def zero_pad_closure(aut: TreeAutomaton) -> TreeAutomaton:
     zstar = set(_explore(aut.initial, zero_step)[0])
     zbar = fresh_name("z", aut.states)
 
-    transitions: dict[tuple[str, str], dict[str, set[str]]] = {}
-
-    def add(left: str, right: str, guard: str, targets) -> None:
-        bucket = transitions.setdefault((left, right), {})
-        bucket.setdefault(guard, set()).update(targets)
-
-    add(zbar, zbar, zero, {zbar})
+    # A child in zstar may also be read as zbar, so its pair's entries are
+    # copied to the pairs with zbar in its place; the constructor merges
+    # guards that collide.
+    transitions: dict[tuple[str, str], list] = {(zbar, zbar): [(zero, zbar)]}
     for (left, right), entries in aut.transitions.items():
-        for guard, targets in entries:
-            add(left, right, guard, targets)
-            if left in zstar:
-                add(zbar, right, guard, targets)
-            if right in zstar:
-                add(left, zbar, guard, targets)
-            if left in zstar and right in zstar:
-                add(zbar, zbar, guard, targets)
+        lefts = [left, zbar] if left in zstar else [left]
+        rights = [right, zbar] if right in zstar else [right]
+        for pair in itertools.product(lefts, rights):
+            transitions.setdefault(pair, []).extend(entries)
 
     finals = set(aut.finals)
     if zstar & aut.finals:
@@ -313,15 +309,13 @@ def _compile(f: Formula, ctx: CompilationContext, table: VarTable) -> TreeAutoma
         if sort == FIRST:
             sing = base_automaton("sing", (pos,), inner_table.width)
             body = _step(ctx, f"sing:{f.var}", body.intersect(sing))
-        closed = _record(ctx, "close", len(body.states), zero_pad_closure(body))
-        projected = closed.project(pos).determinize()
-        result = zero_pad_closure(projected).determinize()
+        closed = _record(ctx, "close", len(body.states),
+                         zero_pad_closure(body.project(pos)))
+        result = closed.determinize()
         if ctx.minimize_steps:
             result = result.minimize()
         return _record(ctx, "exists1" if sort == FIRST else "exists2",
                        len(closed.states), result)
-    if isinstance(f, Call):
-        raise CompileError("expand macros before compiling")
     raise CompileError(f"cannot compile {type(f).__name__} "
                        "(desugar connectives first)")
 

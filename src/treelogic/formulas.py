@@ -537,29 +537,42 @@ def rename_bound_apart(f: Formula, avoid: frozenset[str] = frozenset()) -> Formu
 
 
 def format_formula(f: Formula) -> str:
+    """``f`` written out over a stack of text and (subformula, level) pairs,
+    without recursion; a subformula binding no tighter than ``level`` is
+    parenthesised."""
     binary = {ctor: (op, prec) for prec, (op, ctor) in enumerate(_BINARY_OPS, 1)}
     words = {ctor: word for word, (ctor, _) in _QUANT.items()}
-
-    def fmt(f: Formula, level: int) -> str:
+    parts: list[str] = []
+    pending: list = [(f, 0)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        f, level = item
         if isinstance(f, TrueF):
-            return "true"
-        if isinstance(f, FalseF):
-            return "false"
-        if isinstance(f, Atom):
-            return f"{f.kind}({', '.join(f.args)})"
-        if isinstance(f, Call):
-            return f"{f.name}({', '.join(f.args)})"
-        if isinstance(f, Not):
-            return "~" + fmt(f.body, len(binary) + 1)
-        if isinstance(f, _Binder):
-            text = f"{words[type(f)]} {f.var}. {fmt(f.body, 0)}"
-            return f"({text})" if level > 0 else text
-        op, prec = binary[type(f)]
-        right_level = prec - 1 if type(f) in (Implies, Iff) else prec
-        text = f"{fmt(f.left, prec)} {op} {fmt(f.right, right_level)}"
-        return f"({text})" if level >= prec else text
-
-    return fmt(f, 0)
+            parts.append("true")
+        elif isinstance(f, FalseF):
+            parts.append("false")
+        elif isinstance(f, Atom):
+            parts.append(f"{f.kind}({', '.join(f.args)})")
+        elif isinstance(f, Call):
+            parts.append(f"{f.name}({', '.join(f.args)})")
+        elif isinstance(f, Not):
+            parts.append("~")
+            pending.append((f.body, len(binary) + 1))
+        elif isinstance(f, _Binder):
+            paren = level > 0
+            parts.append("(" * paren + f"{words[type(f)]} {f.var}. ")
+            pending += [")" * paren, (f.body, 0)]
+        else:
+            op, prec = binary[type(f)]
+            right_level = prec - 1 if type(f) in (Implies, Iff) else prec
+            paren = level >= prec
+            parts.append("(" * paren)
+            pending += [")" * paren, (f.right, right_level), f" {op} ",
+                        (f.left, prec)]
+    return "".join(parts)
 
 
 # ----------------------------------------------------------------------

@@ -28,10 +28,6 @@ def all_star(width: int) -> str:
     return "*" * width
 
 
-def zero_symbol(width: int) -> str:
-    return "0" * width
-
-
 def matches(pattern: str, symbol: str) -> bool:
     """Does the concrete symbol fall into the set the guard denotes?"""
     if len(pattern) != len(symbol):

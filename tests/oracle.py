@@ -22,6 +22,7 @@ from treelogic.formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Call,
                                 Formula, Iff, Implies, MacroDef, MacroError,
                                 Not, Or, TrueF, _Parser, sort_of_name,
                                 substitute)
+from treelogic import compiler
 from treelogic.automata import TreeAutomaton
 from treelogic.clp import (GoalAtom, Solver, SolveError, _clause_variables,
                            initial_store)
@@ -319,6 +320,46 @@ def ref_witness(aut: TreeAutomaton):
             if best is None or entry[:3] < best[:3]:
                 best = entry
     return best[3] if best else None
+
+
+# ----------------------------------------------------------------------
+# quantifiers: the closure, projection, subset construction, second closure
+# and second subset construction that compiler._compile's one closure of the
+# projection must agree with, in languages always and byte for byte once
+# minimized
+
+
+_compile = compiler._compile
+
+
+def ref_compile(f: Formula, ctx: compiler.CompilationContext, table
+                ) -> TreeAutomaton:
+    """``compiler._compile`` with the two-closure quantifier step.  Install
+    it as ``compiler._compile``, so that the compiler's recursive calls, and
+    this step's own call on the body, come back here."""
+    if not isinstance(f, (Exists1, Exists2)):
+        return _compile(f, ctx, table)
+    sort = FIRST if isinstance(f, Exists1) else SECOND
+    if table.has(f.var):
+        raise compiler.CompileError(f"quantified variable {f.var!r} shadows an "
+                                    "existing table entry")
+    inner_table = table.extended(f.var, sort)
+    if inner_table.width > ctx.max_width:
+        raise compiler.WidthOverflowError(
+            f"width {inner_table.width} exceeds maximum {ctx.max_width}")
+    pos = inner_table.width - 1
+    body = compiler._compile(f.body, ctx, inner_table)
+    if sort == FIRST:
+        sing = compiler.base_automaton("sing", (pos,), inner_table.width)
+        body = compiler._step(ctx, f"sing:{f.var}", body.intersect(sing))
+    closed = compiler._record(ctx, "close", len(body.states),
+                              compiler.zero_pad_closure(body))
+    projected = closed.project(pos).determinize()
+    result = compiler.zero_pad_closure(projected).determinize()
+    if ctx.minimize_steps:
+        result = result.minimize()
+    return compiler._record(ctx, "exists1" if sort == FIRST else "exists2",
+                            len(closed.states), result)
 
 
 # ----------------------------------------------------------------------

@@ -266,6 +266,16 @@ def test_solve_rejects_negative_depth(capsys, fixtures_dir):
                    "?- lexicon(x).", "--depth", "0")[0] == 3
 
 
+def test_rejects_negative_max_width(capsys, fixtures_dir):
+    code, out, err = run_cli(capsys, "sat", str(fixtures_dir / "chain8.mso"),
+                             "--max-width", "-1")
+    assert (code, out) == (1, "")
+    assert "argument --max-width: must be non-negative, got -1" in err
+    code, _, err = run_cli(capsys, "sat", str(fixtures_dir / "chain8.mso"),
+                           "--max-width", "0")
+    assert (code, err) == (2, "error: table width 8 exceeds maximum 0\n")
+
+
 def test_usage_error(capsys):
     assert run_cli(capsys, "nonsense")[0] == 1
 

@@ -2,17 +2,19 @@ import random
 
 import pytest
 
-from treelogic import TreeAutomaton
+from treelogic import TreeAutomaton, compiler
 from treelogic.compiler import (CompilationContext, CompileError,
                                 WidthOverflowError, base_automaton,
                                 compile_formula, is_satisfiable, stats_lines,
                                 zero_pad_closure)
-from treelogic.formulas import (VarTable, build_var_table, expand_macros,
-                                parse_formula)
+from treelogic.formulas import (ATOM_SORTS, VarTable, build_var_table,
+                                expand_macros, parse_formula)
 from treelogic.trees import Node, node_count
 
 from conftest import fixture_text
-from oracle import evaluate, iter_trees, language_sample
+from oracle import (evaluate, iter_trees, language_sample, random_formula,
+                    ref_compile)
+from test_acceptance import ORACLE_SUITE
 
 T_SIBLINGS = Node("00", Node("10"), Node("01"))
 
@@ -119,25 +121,75 @@ def _strip_zero_frontier(tree):
     return Node(tree.label, left, right)
 
 
-def test_quantifier_runs_two_subset_constructions(monkeypatch):
-    calls = []
+def test_quantifier_runs_one_closure_and_one_subset_construction(monkeypatch):
+    determinized, closed = [], []
     determinize = TreeAutomaton.determinize
 
-    def counted(self):
-        calls.append(self)
+    def counted_determinize(self):
+        determinized.append(self)
         return determinize(self)
 
-    monkeypatch.setattr(TreeAutomaton, "determinize", counted)
+    def counted_closure(aut):
+        closed.append(aut)
+        return zero_pad_closure(aut)
+
+    monkeypatch.setattr(TreeAutomaton, "determinize", counted_determinize)
+    monkeypatch.setattr(compiler, "zero_pad_closure", counted_closure)
     aut, _, ctx = compiled("ex1 z. idom(z, x)")
-    assert len(calls) == 2
+    assert (len(determinized), len(closed)) == (1, 1)
     assert [s.op for s in ctx.stats] == ["atom:idom", "sing:z", "close",
                                          "exists1", "sing:x"]
-    # The close record reports the body and its (nondeterministic) closure,
-    # which has one extra state.
+    # The close record reports the body and the (nondeterministic) closure of
+    # its projection, which keeps the body's states and adds one.
     close = ctx.stats[2]
     assert close.states_in == ctx.stats[1].states_out
     assert close.states_out == close.states_in + 1
     assert ctx.stats[3].states_in == close.states_out
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_atoms_are_closed_under_zero_padding(width):
+    # The induction base of the one closure per quantifier: the body of a
+    # quantifier needs no closure because every atom's language is closed.
+    for kind, sorts in sorted(ATOM_SORTS.items()):
+        for positions in {p[:len(sorts)] for p in [(0, 1), (1, 0), (0, 0)]}:
+            aut = base_automaton(kind, positions, width)
+            assert zero_pad_closure(aut).determinize().equivalent(aut), \
+                (kind, positions, width)
+
+
+def _quantifier_parity_formulas():
+    fixtures = ["ac_com.mso", "chain8.mso", "local_c_command.mso",
+                "union_negation_ex1.mso"]
+    for text in ([fixture_text(name) for name in fixtures]
+                 + [text for text, _, _ in ORACLE_SUITE]):
+        formula, defs = parse_formula(text)
+        yield expand_macros(formula, defs)
+    rng = random.Random(12)
+    for _ in range(150):
+        yield random_formula(rng, 2)
+
+
+def test_quantifier_step_matches_two_closure_step(monkeypatch):
+    formulas = list(_quantifier_parity_formulas())
+
+    def compile_all(minimize_steps):
+        out = []
+        for formula in formulas:
+            ctx = CompilationContext(table=build_var_table(formula),
+                                     minimize_steps=minimize_steps)
+            out.append((compile_formula(formula, ctx), stats_lines(ctx.stats)))
+        return out
+
+    new, new_unminimized = compile_all(True), compile_all(False)
+    monkeypatch.setattr(compiler, "_compile", ref_compile)
+    ref, ref_unminimized = compile_all(True), compile_all(False)
+    for formula, (a, a_stats), (b, b_stats) in zip(formulas, new, ref):
+        assert a.renumbered().to_text() == b.renumbered().to_text(), formula
+        assert a_stats == b_stats, formula
+    for formula, (a, _), (b, _) in zip(formulas, new_unminimized,
+                                       ref_unminimized):
+        assert a.equivalent(b), formula
 
 
 @pytest.mark.parametrize("text, minimizations", [

@@ -327,6 +327,19 @@ def test_printer_matches_printer_with_own_tables_randomized():
         assert format_formula(f) == oracle.ref_format_formula(f)
 
 
+def test_printer_takes_deep_formulas():
+    negated = Atom("sing", ("X",))
+    for _ in range(10 ** 5):
+        negated = Not(negated)
+    assert format_formula(negated) == "~" * 10 ** 5 + "sing(X)"
+    chain = Atom("sing", ("X",))
+    for _ in range(10 ** 5 - 1):
+        chain = And(chain, Atom("sing", ("X",)))
+    # A left operand of ``&`` is parenthesised, so 10**5 - 2 groups open.
+    assert format_formula(chain) == ("(" * (10 ** 5 - 2) + "sing(X) & sing(X)"
+                                     + ") & sing(X)" * (10 ** 5 - 2))
+
+
 @given(_formulas())
 def test_print_parse_roundtrip(f):
     text = format_formula(f)
