@@ -19,8 +19,13 @@ Conventions:
   fill the first time they meet a (left, right, label) step.  An entry is a
   function of its key and never changes once written, so two threads that
   fill the same key store the same value and sharing stays safe.
-* ``_explore`` is the one bottom-up worklist: the constructions,
-  ``renumbered`` and reachability all run on it.
+* Two bottom-up loops stay, because they answer different questions.
+  ``_explore`` discovers new states: the constructions (product, subset
+  construction) and ``renumbered`` compute each pair's entries on the fly,
+  so every pair of discovered states must be tried, and the discovery order
+  names the states.  ``reachable_states_detailed`` only reads a table that
+  already exists, so it visits the listed pairs alone; ``is_empty`` and
+  ``minimize`` run on it.
 * Runs (``run``, ``run_set``, ``accepts``) fold the tree bottom-up over an
   explicit stack, so their depth is not bounded by the recursion limit.
 * State identity is meaningless across automata: compare languages with
@@ -31,10 +36,11 @@ Conventions:
   supplied by the caller or read by ``from_text`` survive an operation;
   ``renumbered`` and ``minimize`` give their own canonical names.
 * ``minimize`` treats the implicit dead state as one ordinary state.  It
-  builds each reachable state pair's symbol->target map once, as a reduced
-  ordered decision diagram whose split nodes are keyed by bit position and
-  shared across pairs (as in MONA), and each Moore round only relabels the
-  diagrams' leaves by block.
+  builds the symbol->target map of each listed pair of reachable states
+  once, as a reduced ordered decision diagram whose split nodes are keyed
+  by bit position and shared across pairs (as in MONA); an unlisted pair's
+  map is the dead leaf.  Each Moore round only relabels the diagrams'
+  leaves by block and compares sparse rows and columns.
 
 Text format (one construct per line, ``#`` starts a comment)::
 
@@ -249,22 +255,45 @@ class TreeAutomaton:
         A state's height is the sweep pass that first reaches it: 0 for the
         initial state, else 1 + the higher child height of a pair leading
         to it.  A designated sink is led to by any pair that leaves symbols
-        uncovered.  ``_explore`` expands pairs in nondecreasing height, so
-        the first height recorded is the least.
+        uncovered, and an unlisted pair leaves them all uncovered.
+
+        Only listed pairs are read.  States are settled first in, first
+        out, and a listed pair is expanded when the later of its two
+        children is settled, so states settle in nondecreasing height and
+        the first height recorded is the least.  Settling the k-th state
+        completes 2k - 1 pairs; when fewer of them are listed with every
+        symbol covered, one leads to the sink.
         """
+        by_child: dict[str, list[PairKey]] = {}
+        for pair in self.transitions:
+            for child in set(pair):
+                by_child.setdefault(child, []).append(pair)
         height = {self.initial: 0}
+        queue = deque([self.initial])
+        settled: set[str] = set()
 
-        def step(left: str, right: str) -> Iterator[tuple[str, str]]:
-            entries = self.transitions.get((left, right), ())
-            targets = [t for _, ts in entries for t in ts]
-            if self.sink is not None and self.sink not in height and \
-                    not gp.covers_all([g for g, _ in entries], self.width):
-                targets.append(self.sink)
-            for target in targets:
-                height.setdefault(target, 1 + max(height[left], height[right]))
-                yield "", target
+        def reach(target: str, at: int) -> None:
+            if target not in height:
+                height[target] = at
+                queue.append(target)
 
-        _explore(self.initial, step)
+        while queue:
+            state = queue.popleft()
+            settled.add(state)
+            up = 1 + height[state]
+            sink_pending = self.sink is not None and self.sink not in height
+            covered = 0
+            for pair in by_child.get(state, ()):
+                if not settled.issuperset(pair):
+                    continue
+                entries = self.transitions[pair]
+                for _, targets in entries:
+                    for target in targets:
+                        reach(target, up)
+                if sink_pending and gp.covers_all([g for g, _ in entries], self.width):
+                    covered += 1
+            if sink_pending and covered < 2 * len(settled) - 1:
+                reach(self.sink, up)
         return frozenset(height), 1 + max(height.values())
 
     def is_empty(self) -> bool:
@@ -412,23 +441,25 @@ class TreeAutomaton:
         has no final state.
 
         The implicit dead state (``sink``, or a fresh name) is an ordinary
-        state that every uncovered symbol goes to.  Each reachable pair's
-        symbol->target map is built once, as a reduced ordered decision
-        diagram over bit positions whose nodes are shared across pairs and
-        whose split nodes carry their position.  Moore refinement then only
-        relabels the diagrams' leaves by block and reduces them again, and
-        two states stay together while their rows and columns of relabelled
-        diagrams agree.  The dead state is refined even when unreachable, so
-        its block is the dead class.
+        state that every uncovered symbol goes to.  Each listed pair of
+        reachable states has its symbol->target map built once, as a reduced
+        ordered decision diagram over bit positions whose nodes are shared
+        across pairs and whose split nodes carry their position; an unlisted
+        pair's map is the dead leaf.  Moore refinement then only relabels
+        the diagrams' leaves by block and reduces them again, and two states
+        stay together while their rows and columns of relabelled diagrams
+        agree.  Rows and columns are kept sparse: they list (partner, label)
+        only where the label is not the dead leaf's.  The dead state is
+        refined even when unreachable, so its block is the dead class.
         """
         if not self.deterministic:
             raise AutomatonError("minimize requires a deterministic automaton")
         dead = self.sink if self.sink is not None else fresh_name("dead", self.states)
+        reached = self.reachable_states()
         # Diagram nodes are (target,) leaves or (pos, lo, hi) splits,
         # hash-consed, each listed after its children.
         nodes: list[tuple] = []
         ids: dict[tuple, int] = {}
-        diagram: dict[PairKey, int] = {}
 
         def node(key: tuple) -> int:
             if key not in ids:
@@ -436,36 +467,53 @@ class TreeAutomaton:
                 nodes.append(key)
             return ids[key]
 
-        def step(left: str, right: str) -> Iterator[tuple[str, str]]:
-            entries = [(g, next(iter(ts)))
-                       for g, ts in self.transitions.get((left, right), ())]
+        dead_leaf = node((dead,))
+        # A state's row and column: (partner, diagram) for each listed pair
+        # of reached states, in partner order (``transitions`` is sorted).
+        rows: dict[str, list[tuple[str, int]]] = {s: [] for s in reached | {dead}}
+        cols: dict[str, list[tuple[str, int]]] = {s: [] for s in reached | {dead}}
+        listed = 0
+        gap = False  # whether a listed diagram has the dead leaf
+        for (left, right), pair_entries in self.transitions.items():
+            if left not in reached or right not in reached:
+                continue
+            listed += 1
+            targets = [next(iter(ts)) for _, ts in pair_entries]
+            coded = [gp.masks(g) for g, _ in pair_entries]
+            ones = [one for one, _ in coded]
+            zeros = [zero for _, zero in coded]
             memo: dict[tuple[int, tuple[int, ...]], int] = {}
-            leaves: set[str] = set()
 
             def build(pos: int, live: tuple[int, ...]) -> int:
-                if pos == self.width or not live:
-                    target = entries[live[0]][1] if live else dead
-                    leaves.add(target)
-                    return node((target,))
+                nonlocal gap
+                # Skip to the next position some live guard constrains;
+                # at any position before it, both branches would agree.
+                care = 0
+                for i in live:
+                    care |= ones[i] | zeros[i]
+                care >>= pos
+                if not care:
+                    if live:
+                        return node((targets[live[0]],))
+                    gap = True
+                    return dead_leaf
+                pos += (care & -care).bit_length() - 1
                 if (pos, live) not in memo:
-                    lo = build(pos + 1, tuple(i for i in live if entries[i][0][pos] != "1"))
-                    hi = build(pos + 1, tuple(i for i in live if entries[i][0][pos] != "0"))
+                    bit = 1 << pos
+                    lo = build(pos + 1, tuple(i for i in live if not ones[i] & bit))
+                    hi = build(pos + 1, tuple(i for i in live if not zeros[i] & bit))
                     memo[pos, live] = lo if lo == hi else node((pos, lo, hi))
                 return memo[pos, live]
 
-            diagram[left, right] = build(0, tuple(range(len(entries))))
-            # Only the targets matter: _explore serves as reachability here.
-            for target in sorted(leaves):
-                yield "", target
-
-        order, _ = _explore(self.initial, step)
-        # The dead state always takes part, after the reachable states, so
-        # every state equivalent to it lands in its block; an unreachable one
-        # has no diagrams, and its rows and columns are the dead leaf.
-        states = sorted(order)
-        if dead not in order:
-            states.append(dead)
-        dead_leaf = node((dead,))
+            diagram = build(0, tuple(range(len(pair_entries))))
+            rows[left].append((right, diagram))
+            cols[right].append((left, diagram))
+        # The dead state is reached when a reached pair is unlisted or sends
+        # a symbol to the dead leaf.  It always takes part, after the
+        # reachable states when unreached, so every state equivalent to it
+        # lands in its block; an unreached one has no diagrams.
+        dead_reached = dead in reached or gap or listed < len(reached) ** 2
+        states = sorted(reached | {dead}) if dead_reached else [*sorted(reached), dead]
 
         # Moore refinement; a pair's signature is its diagram with the
         # leaves relabelled by block and reduced again.
@@ -483,11 +531,12 @@ class TreeAutomaton:
                     key = (key[0], label[key[1]], label[key[2]])
                 label.append(interned.setdefault(key, len(interned)))
 
+            void = label[dead_leaf]
             groups: dict[tuple, list[str]] = {}
             for s in states:
                 signature = (block[s],
-                             tuple(label[diagram.get((s, t), dead_leaf)] for t in states),
-                             tuple(label[diagram.get((t, s), dead_leaf)] for t in states))
+                             tuple((t, lab) for t, n in rows[s] if (lab := label[n]) != void),
+                             tuple((t, lab) for t, n in cols[s] if (lab := label[n]) != void))
                 groups.setdefault(signature, []).append(s)
             new_block: dict[str, int] = {}
             for i, members in enumerate(groups.values()):
@@ -502,7 +551,7 @@ class TreeAutomaton:
             rep.setdefault(block[s], s)
         # The dead class is the sink; transitions into it are stripped.
         sink: int | None = block[dead]
-        if dead not in order and list(block.values()).count(sink) == 1:
+        if not dead_reached and list(block.values()).count(sink) == 1:
             del rep[sink]
             sink = None
 

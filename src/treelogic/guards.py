@@ -52,9 +52,16 @@ def disjoint(a: str, b: str) -> bool:
     return meet(a, b) is None
 
 
-def subsumes(a: str, b: str) -> bool:
-    """True when every symbol matching b also matches a."""
-    return all(x == "*" or x == y for x, y in zip(a, b))
+_ONES = str.maketrans("01*", "010")
+_ZEROS = str.maketrans("01*", "100")
+
+
+def masks(pattern: str) -> tuple[int, int]:
+    """The guard as two ints: bit ``i`` of the first is set where
+    ``pattern[i]`` is ``1``, of the second where it is ``0``."""
+    mirrored = pattern[::-1]
+    return (int("0" + mirrored.translate(_ONES), 2),
+            int("0" + mirrored.translate(_ZEROS), 2))
 
 
 def drop_position(pattern: str, pos: int) -> str:
@@ -130,6 +137,7 @@ def merge_patterns(patterns: Iterable[str]) -> list[str]:
     rescan.  After a merge, the merged cube and those of its flip-neighbours
     that sort below it are pushed, and stale entries are skipped when popped.
     The result is that of restarting the all-pairs scan after every merge.
+    The final subsumption filter compares the cubes as ``masks`` ints.
     """
     pats = set(patterns)
     if len(pats) < 2:
@@ -155,5 +163,19 @@ def merge_patterns(patterns: Iterable[str]) -> list[str]:
         for j, c in enumerate(merged):
             if c == "1" and flip(merged, j, "0") in pats:
                 heapq.heappush(heap, flip(merged, j, "0"))
-    return [p for p in sorted(pats)
-            if not any(q != p and subsumes(q, p) for q in pats)]
+    # Drop subsumed cubes.  A cube q != p subsumes p when q's concrete
+    # positions are a proper subset of p's and p agrees with q on them, so
+    # p is looked up once per distinct set of concrete positions, not
+    # compared with every cube.
+    coded = {p: masks(p) for p in pats}
+    by_care: dict[int, set[int]] = {}
+    for ones, zeros in coded.values():
+        by_care.setdefault(ones | zeros, set()).add(ones)
+
+    def subsumed(p: str) -> bool:
+        ones, zeros = coded[p]
+        own = ones | zeros
+        return any(care != own and care & own == care and ones & care in values
+                   for care, values in by_care.items())
+
+    return [p for p in sorted(pats) if not subsumed(p)]

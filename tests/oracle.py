@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from treelogic.formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Call,
                                 Exists1, Exists2, FalseF, Forall1, Forall2,
@@ -23,11 +23,12 @@ from treelogic.formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Call,
                                 Not, Or, TrueF, _Parser, sort_of_name,
                                 substitute)
 from treelogic import compiler
-from treelogic.automata import TreeAutomaton
+from treelogic import guards as gp
+from treelogic.automata import (AutomatonError, PairKey, TreeAutomaton,
+                                _explore, fresh_name)
 from treelogic.clp import (GoalAtom, Solver, SolveError, _clause_variables,
                            initial_store)
-from treelogic.guards import (covers_all, least_symbol, matches, subsumes,
-                              subtract)
+from treelogic.guards import covers_all, least_symbol, matches, subtract
 from treelogic.trees import Node, addresses, format_tree
 
 
@@ -286,6 +287,127 @@ def ref_reachable_states_detailed(aut: TreeAutomaton, stop_on_final: bool = Fals
         if new <= reached:
             return frozenset(reached), passes
         reached |= new
+
+
+# ----------------------------------------------------------------------
+# minimization: the dense Moore refinement over every pair of reachable
+# states that TreeAutomaton.minimize must agree with, field for field
+
+
+def ref_minimize(aut: TreeAutomaton) -> TreeAutomaton:
+    """The dense ``minimize``: a diagram for every pair of reachable
+    states, listed or not, and signatures over every state."""
+    if not aut.deterministic:
+        raise AutomatonError("minimize requires a deterministic automaton")
+    dead = aut.sink if aut.sink is not None else fresh_name("dead", aut.states)
+    # Diagram nodes are (target,) leaves or (pos, lo, hi) splits,
+    # hash-consed, each listed after its children.
+    nodes: list[tuple] = []
+    ids: dict[tuple, int] = {}
+    diagram: dict[PairKey, int] = {}
+
+    def node(key: tuple) -> int:
+        if key not in ids:
+            ids[key] = len(nodes)
+            nodes.append(key)
+        return ids[key]
+
+    def step(left: str, right: str) -> Iterator[tuple[str, str]]:
+        entries = [(g, next(iter(ts)))
+                   for g, ts in aut.transitions.get((left, right), ())]
+        memo: dict[tuple[int, tuple[int, ...]], int] = {}
+        leaves: set[str] = set()
+
+        def build(pos: int, live: tuple[int, ...]) -> int:
+            if pos == aut.width or not live:
+                target = entries[live[0]][1] if live else dead
+                leaves.add(target)
+                return node((target,))
+            if (pos, live) not in memo:
+                lo = build(pos + 1, tuple(i for i in live if entries[i][0][pos] != "1"))
+                hi = build(pos + 1, tuple(i for i in live if entries[i][0][pos] != "0"))
+                memo[pos, live] = lo if lo == hi else node((pos, lo, hi))
+            return memo[pos, live]
+
+        diagram[left, right] = build(0, tuple(range(len(entries))))
+        # Only the targets matter: _explore serves as reachability here.
+        for target in sorted(leaves):
+            yield "", target
+
+    order, _ = _explore(aut.initial, step)
+    # The dead state always takes part, after the reachable states, so
+    # every state equivalent to it lands in its block; an unreachable one
+    # has no diagrams, and its rows and columns are the dead leaf.
+    states = sorted(order)
+    if dead not in order:
+        states.append(dead)
+    dead_leaf = node((dead,))
+
+    # Moore refinement; a pair's signature is its diagram with the
+    # leaves relabelled by block and reduced again.
+    block: dict[str, int] = {s: (1 if s in aut.finals else 0) for s in states}
+    while True:
+        label: list[int] = []
+        interned: dict[tuple, int] = {}
+        for key in nodes:
+            if len(key) == 1:
+                key = (block[key[0]],)
+            elif label[key[1]] == label[key[2]]:
+                label.append(label[key[1]])
+                continue
+            else:
+                key = (key[0], label[key[1]], label[key[2]])
+            label.append(interned.setdefault(key, len(interned)))
+
+        groups: dict[tuple, list[str]] = {}
+        for s in states:
+            signature = (block[s],
+                         tuple(label[diagram.get((s, t), dead_leaf)] for t in states),
+                         tuple(label[diagram.get((t, s), dead_leaf)] for t in states))
+            groups.setdefault(signature, []).append(s)
+        new_block: dict[str, int] = {}
+        for i, members in enumerate(groups.values()):
+            for s in members:
+                new_block[s] = i
+        if new_block == block:
+            break
+        block = new_block
+
+    rep: dict[int, str] = {}
+    for s in states:
+        rep.setdefault(block[s], s)
+    # The dead class is the sink; transitions into it are stripped.
+    sink: int | None = block[dead]
+    if dead not in order and list(block.values()).count(sink) == 1:
+        del rep[sink]
+        sink = None
+
+    def bname(b: int) -> str:
+        return f"m{b}"
+
+    quotient: dict[PairKey, list[tuple[str, str]]] = {}
+    for bl in rep:
+        for br in rep:
+            if sink in (bl, br):
+                continue
+            merged: dict[str, list[str]] = {}
+            for guard, targets in aut.transitions.get((rep[bl], rep[br]), ()):
+                b = block[next(iter(targets))]
+                if b != sink:
+                    merged.setdefault(bname(b), []).append(guard)
+            out = []
+            for target, pats in sorted(merged.items()):
+                for pattern in gp.merge_patterns(pats):
+                    out.append((pattern, target))
+            if out:
+                quotient[(bname(bl), bname(br))] = out
+
+    return TreeAutomaton(aut.width, {bname(b) for b in rep},
+                         bname(block[aut.initial]),
+                         {bname(block[s]) for s in states if s in aut.finals},
+                         quotient, deterministic=True,
+                         sink=None if sink is None else bname(sink),
+                         validate=False)
 
 
 # ----------------------------------------------------------------------
@@ -732,6 +854,11 @@ def _merge_two(a: str, b: str) -> str | None:
     if diff < 0:
         return a
     return a[:diff] + "*" + a[diff + 1:]
+
+
+def subsumes(a: str, b: str) -> bool:
+    """True when every symbol matching b also matches a."""
+    return all(x == "*" or x == y for x, y in zip(a, b))
 
 
 def greedy_merge_patterns(patterns: Iterable[str]) -> list[str]:

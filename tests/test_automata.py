@@ -13,8 +13,8 @@ from conftest import FIXTURES, fixture_text
 from oracle import (iter_trees, language_sample, random_deterministic,
                     random_label_deterministic, random_nondeterministic,
                     random_tree, recursive_accepts, recursive_run,
-                    recursive_run_set, ref_reachable_states_detailed,
-                    ref_witness)
+                    recursive_run_set, ref_minimize,
+                    ref_reachable_states_detailed, ref_witness)
 from test_acceptance import CONTRADICTIONS, ORACLE_SUITE, compiled
 
 sys.path.append(str(FIXTURES.parent.parent / "benchmarks"))
@@ -432,6 +432,66 @@ def test_minimize_finds_undeclared_absorbing_class_randomized():
         assert twice.sink is None
         assert (twice.minimize().renumbered().to_text()
                 == a.minimize().renumbered().to_text())
+
+
+_FIELDS = ("width", "states", "initial", "finals", "transitions", "sink",
+           "deterministic")
+
+
+def _assert_minimize_matches_dense(aut):
+    got, want = aut.minimize(), ref_minimize(aut)
+    for name in _FIELDS:
+        assert getattr(got, name) == getattr(want, name), (name, aut.to_text())
+
+
+def _minimize_inputs(monkeypatch, texts):
+    """Every automaton the compiler minimizes while compiling ``texts``."""
+    seen = []
+    minimize = TreeAutomaton.minimize
+
+    def recorded(self):
+        seen.append(self)
+        return minimize(self)
+
+    monkeypatch.setattr(TreeAutomaton, "minimize", recorded)
+    for text in texts:
+        compiled(text)
+    monkeypatch.undo()
+    return seen
+
+
+def test_minimize_matches_dense_minimize(monkeypatch):
+    rng = random.Random(2031)
+    cases = []
+    for aut in _random_automata(rng, 360, (0, 3), 6):
+        for variant in _variants(aut):
+            if not variant.deterministic:
+                continue
+            # an added absorbing sink, and a listed state designated the sink
+            named = TreeAutomaton(variant.width, variant.states | {"sink"},
+                                  variant.initial, variant.finals,
+                                  variant.transitions, sink="sink")
+            renamed = TreeAutomaton(variant.width, variant.states, variant.initial,
+                                    variant.finals - {max(variant.states)},
+                                    variant.transitions, sink=max(variant.states),
+                                    validate=False)
+            cases += [variant, named, renamed]
+    assert len(cases) >= 300
+    # unreachable states, and a state literally named after the fresh sink
+    cases.append(TreeAutomaton(1, {"a", "b", "c", "u"}, "a", {"b", "u"},
+                               {("a", "a"): {"1": "b"}, ("u", "a"): {"*": "c"},
+                                ("b", "u"): {"0": "u"}}))
+    cases.append(TreeAutomaton(1, {"a", "dead", "dead1"}, "a", {"dead1"},
+                               {("a", "a"): {"0": "dead"},
+                                ("dead", "a"): {"1": "dead1"}}))
+    for aut in cases:
+        _assert_minimize_matches_dense(aut)
+    fixtures = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.mso"))]
+    chains = [chain_text(width, "v", "S") for width in range(8, 17, 2)]
+    steps = _minimize_inputs(monkeypatch, fixtures + chains)
+    assert len(steps) > len(fixtures + chains)
+    for aut in steps:
+        _assert_minimize_matches_dense(aut)
 
 
 def test_minimize_requires_deterministic():
