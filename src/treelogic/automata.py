@@ -418,11 +418,34 @@ class TreeAutomaton:
         """Insert a don't-care bit position; inverse image of projection."""
         if not 0 <= pos <= self.width:
             raise AutomatonError(f"position {pos} out of range for width {self.width}")
+        return self.remap([i + (i >= pos) for i in range(self.width)],
+                          self.width + 1)
+
+    def remap(self, positions, width: int) -> "TreeAutomaton":
+        """Move bit ``i`` to ``positions[i]`` in a ``width``-bit alphabet,
+        every other bit don't-care.  ``positions`` is strictly increasing,
+        so every guard gets its ``*`` columns in the same places and guards
+        keep their sort order: an operation on remapped automata makes the
+        same choices as on the originals."""
+        positions = list(positions)
+        if len(positions) != self.width:
+            raise AutomatonError(
+                f"{len(positions)} position(s) for width {self.width}")
+        bounds = [-1, *positions, width]
+        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise AutomatonError(
+                f"positions {positions} not increasing within width {width}")
+        gaps = ["*" * (b - a - 1) for a, b in zip(bounds, bounds[1:])]
+        last = gaps.pop()
+
+        def spread(guard: str) -> str:
+            return "".join(gap + bit for gap, bit in zip(gaps, guard)) + last
+
         transitions = {
-            pair: [(gp.insert_position(g, pos), ts) for g, ts in pair_entries]
+            pair: [(spread(g), ts) for g, ts in pair_entries]
             for pair, pair_entries in self.transitions.items()
         }
-        return TreeAutomaton(self.width + 1, self.states, self.initial,
+        return TreeAutomaton(width, self.states, self.initial,
                              self.finals, transitions,
                              deterministic=self.deterministic,
                              sink=self.sink, validate=False)

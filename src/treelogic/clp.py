@@ -18,9 +18,21 @@ across clauses and queries without being threaded through every head.
 The interpreter is a standard left-to-right, depth-first resolution loop.
 The constraint store is a minimized deterministic tree automaton over a
 growing global variable table; each applied clause's constraint is compiled
-on the fly and intersected with the store, and the branch dies as soon as
-the store becomes empty.  Stores are immutable, so backtracking simply
-returns to the previous value.
+and intersected with the store, and the branch dies as soon as the store
+becomes empty.  Stores are immutable, so backtracking simply returns to the
+previous value.
+
+A clause's constraint is the same formula at every application up to the
+names of its variables, so a ``Solver`` (which serves one query) compiles
+each quantifier-free constraint once: its free variables are renamed by
+their order in the table (``v0``, ``V1``, ...), the renamed formula is
+compiled over just those variables, and each application remaps the stored
+automaton to the variables' table positions.  The remapped automaton is the
+one a compile over the whole table gives, field for field.  A constraint
+with a quantifier is compiled over the whole table every time: its
+zero-padding closure reads the all-zero symbol over every column, so its
+automaton depends on columns the formula does not mention (the result is
+equivalent but not the same automaton, and the store's text would change).
 
 Recursion through second-order variables makes derivations only
 semi-decidable; the loader flags such predicates with a warning and the
@@ -35,7 +47,7 @@ from dataclasses import dataclass, field
 from .automata import TreeAutomaton
 from .compiler import CompilationContext, compile_formula
 from .formulas import (FIRST, SECOND, Formula, FormulaError, TrueF, VarTable,
-                       _Parser, build_var_table, free_variables,
+                       _has_binder, _Parser, build_var_table, free_variables,
                        parse_formula_fragment, sort_of_name, substitute, tokenize)
 from .trees import Tree, assignment_from_tree
 
@@ -241,8 +253,10 @@ class Solver:
     """Depth-first, left-to-right resolution with automaton constraint solving.
 
     ``on_event`` (when given) receives (kind, detail) pairs for goal
-    reductions, constraint-store updates and depth-bound truncations.
-    ``truncated_branches`` counts branches cut by the depth bound.
+    reductions, constraint-store updates and depth-bound truncations; a
+    store update's ``cached`` says whether its constraint was already
+    compiled.  ``truncated_branches`` counts branches cut by the depth
+    bound, ``cache_hits`` the constraints found compiled.
     """
 
     def __init__(self, program: Program, depth: int = 64, max_width: int = 16,
@@ -253,7 +267,13 @@ class Solver:
         self.on_event = on_event
         self.iterative_deepening = iterative_deepening
         self.truncated_branches = 0
+        self.cache_hits = 0
         self._fresh = itertools.count(1)
+        # (name, arity) -> each matching clause with its first-order locals
+        self._clauses: dict[tuple[str, int], list[tuple[Clause, list[str]]]] = {}
+        # quantifier-free constraint over canonical names -> its automaton
+        # over exactly those names
+        self._compiled: dict[Formula, TreeAutomaton] = {}
 
     def _event(self, kind: str, **detail) -> None:
         if self.on_event is not None:
@@ -302,47 +322,80 @@ class Solver:
         """Each clause application to the first goal that leaves the store
         satisfiable, as the new goal list and store."""
         goal = goals[0]
-        clauses = self.program.matching(goal.name, len(goal.args))
+        clauses = self._matching(goal.name, len(goal.args))
         if not clauses:
             raise SolveError(f"unknown predicate {goal.name}/{len(goal.args)}")
-        for i, clause in enumerate(clauses, 1):
+        for i, (clause, locals_) in enumerate(clauses, 1):
             if any(sort_of_name(p) != sort_of_name(a)
                    for p, a in zip(clause.params, goal.args)):
                 continue
             mapping = dict(zip(clause.params, goal.args))
-            # Lowercase non-parameters are clause-local and renamed fresh per
-            # application; uppercase ones name shared sets in the global
-            # table (a lexicon's word and category sets, for example) and
-            # keep their names across clauses and queries.
-            for local in sorted(_clause_variables(clause) - set(clause.params)):
-                if sort_of_name(local) == FIRST:
-                    mapping[local] = f"{local}#{next(self._fresh)}"
+            for local in locals_:
+                mapping[local] = f"{local}#{next(self._fresh)}"
             constraint = substitute(clause.constraint, mapping)
             self._event("reduce", goal=str(goal), clause=i,
                         predicate=clause.name)
+            hits = self.cache_hits
             new_store = self._constrain(store, constraint)
+            cached = self.cache_hits > hits
             if new_store is None:
-                self._event("constrain", goal=str(goal), satisfiable=False)
+                self._event("constrain", goal=str(goal), satisfiable=False,
+                            cached=cached)
                 continue
             self._event("constrain", goal=str(goal), satisfiable=True,
                         states=len(new_store.automaton.states),
-                        width=new_store.table.width)
+                        width=new_store.table.width, cached=cached)
             body = tuple(GoalAtom(g.name, tuple(mapping.get(a, a) for a in g.args))
                          for g in clause.body)
             yield body + goals[1:], new_store
+
+    def _matching(self, name: str, arity: int) -> list[tuple[Clause, list[str]]]:
+        """The program's clauses for the predicate, each with its sorted
+        first-order locals.  Lowercase non-parameters are clause-local and
+        renamed fresh per application; uppercase ones name shared sets in
+        the global table (a lexicon's word and category sets, for example)
+        and keep their names across clauses and queries."""
+        key = (name, arity)
+        if key not in self._clauses:
+            self._clauses[key] = [
+                (clause, sorted(local for local in
+                                _clause_variables(clause) - set(clause.params)
+                                if sort_of_name(local) == FIRST))
+                for clause in self.program.matching(name, arity)]
+        return self._clauses[key]
 
     def _constrain(self, store: ConstraintStore, formula: Formula
                    ) -> ConstraintStore | None:
         table = build_var_table(formula, store.table)
         automaton = store.automaton
-        for pos in range(store.table.width, table.width):
-            automaton = automaton.cylindrify(pos)
-        ctx = CompilationContext(table=table, max_width=self.max_width)
-        compiled = compile_formula(formula, ctx)
-        joint = automaton.intersect(compiled).minimize()
+        if table.width > store.table.width:
+            automaton = automaton.remap(range(store.table.width), table.width)
+        joint = automaton.intersect(self._compile(formula, table)).minimize()
         if not joint.finals:  # minimal, so every state is reachable
             return None
         return ConstraintStore(table, joint)
+
+    def _compile(self, formula: Formula, table: VarTable) -> TreeAutomaton:
+        """The formula's automaton over the table; a quantifier-free one is
+        compiled once per renaming of its free variables into table order
+        (see the module docstring) and remapped to their positions."""
+        if _has_binder(formula) or table.width > self.max_width:
+            return compile_formula(formula, CompilationContext(
+                table=table, max_width=self.max_width))
+        free = sorted(free_variables(formula),
+                      key=lambda entry: table.position(entry[0]))
+        names = {name: f"{'v' if sort == FIRST else 'V'}{i}"
+                 for i, (name, sort) in enumerate(free)}
+        key = substitute(formula, names)
+        compiled = self._compiled.get(key)
+        if compiled is None:
+            compact = VarTable(tuple((names[name], sort) for name, sort in free))
+            compiled = self._compiled[key] = compile_formula(
+                key, CompilationContext(table=compact, max_width=self.max_width))
+        else:
+            self.cache_hits += 1
+        return compiled.remap([table.position(name) for name, _ in free],
+                              table.width)
 
     def _solution(self, store: ConstraintStore) -> Solution:
         # The store is never empty on a live branch, so a None witness is the

@@ -7,6 +7,12 @@ automaton of every subformula is minimized by default, which doubles as the
 satisfiability test: the minimal automaton of an unsatisfiable formula has a
 single non-final initial state.
 
+Atoms come from a table on the ``CompilationContext``: an atom over distinct
+positions is built once per relation and order of its positions, over just
+those positions, and remapped to where they are (``TreeAutomaton.remap``
+keeps the sort order of guards, so the result is ``base_automaton``'s at
+full width, field for field).  The table lives as long as its context.
+
 First-order variables denote single nodes but are tracked as set bits; the
 compiler conjoins a singleton constraint for each bound first-order variable
 at its quantifier and for each free one at the top level.
@@ -53,13 +59,30 @@ class CompileStep:
 
 @dataclass
 class CompilationContext:
-    """Carries the variable table, the per-step minimization policy, and the
-    accumulated statistics of one compilation run."""
+    """Carries the variable table, the per-step minimization policy, the
+    accumulated statistics of one compilation run and its atom table."""
 
     table: VarTable
     minimize_steps: bool = True
     max_width: int = 16
     stats: list[CompileStep] = field(default_factory=list)
+    # (kind, rank of each position among the atom's positions) -> the atom's
+    # automaton over just those positions; see ``atom``
+    atoms: dict[tuple, TreeAutomaton] = field(default_factory=dict,
+                                              init=False, repr=False)
+
+    def atom(self, kind: str, positions: tuple[int, ...], width: int
+             ) -> TreeAutomaton:
+        """``base_automaton(kind, positions, width)``, built once per shape:
+        the atom over its own positions in increasing order, remapped to
+        where they are.  Repeated positions are built directly."""
+        if len(set(positions)) < len(positions):
+            return base_automaton(kind, positions, width)
+        ordered = sorted(positions)
+        shape = (kind, tuple(ordered.index(p) for p in positions))
+        if shape not in self.atoms:
+            self.atoms[shape] = base_automaton(kind, shape[1], len(ordered))
+        return self.atoms[shape].remap(ordered, width)
 
 
 def stats_lines(stats: list[CompileStep]) -> list[str]:
@@ -259,7 +282,7 @@ def compile_formula(formula: Formula, ctx: CompilationContext | None = None
     for name, sort in free:
         if sort == FIRST:
             pos = ctx.table.position(name)
-            sing = base_automaton("sing", (pos,), ctx.table.width)
+            sing = ctx.atom("sing", (pos,), ctx.table.width)
             aut = _step(ctx, f"sing:{name}", aut.intersect(sing))
     return aut
 
@@ -283,7 +306,7 @@ def _compile(f: Formula, ctx: CompilationContext, table: VarTable) -> TreeAutoma
         return _step(ctx, "false", TreeAutomaton.empty_language(width))
     if isinstance(f, Atom):
         positions = tuple(table.position(a) for a in f.args)
-        aut = base_automaton(f.kind, positions, width)
+        aut = ctx.atom(f.kind, positions, width)
         return _record(ctx, f"atom:{f.kind}", len(aut.states), aut)
     if isinstance(f, And):
         left = _compile(f.left, ctx, table)
@@ -307,7 +330,7 @@ def _compile(f: Formula, ctx: CompilationContext, table: VarTable) -> TreeAutoma
         pos = inner_table.width - 1
         body = _compile(f.body, ctx, inner_table)
         if sort == FIRST:
-            sing = base_automaton("sing", (pos,), inner_table.width)
+            sing = ctx.atom("sing", (pos,), inner_table.width)
             body = _step(ctx, f"sing:{f.var}", body.intersect(sing))
         closed = _record(ctx, "close", len(body.states),
                          zero_pad_closure(body.project(pos)))

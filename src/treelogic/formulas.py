@@ -627,3 +627,7 @@ def build_var_table(formula: Formula, ambient: VarTable | None = None) -> VarTab
 
 def _has_call(f: Formula) -> bool:
     return isinstance(f, Call) or any(map(_has_call, _parts(f)))
+
+
+def _has_binder(f: Formula) -> bool:
+    return isinstance(f, _Binder) or any(map(_has_binder, _parts(f)))

@@ -68,10 +68,6 @@ def drop_position(pattern: str, pos: int) -> str:
     return pattern[:pos] + pattern[pos + 1:]
 
 
-def insert_position(pattern: str, pos: int, ch: str = "*") -> str:
-    return pattern[:pos] + ch + pattern[pos:]
-
-
 def least_symbol(pattern: str) -> str:
     """The lexicographically smallest concrete symbol matching the guard."""
     return pattern.replace("*", "0")

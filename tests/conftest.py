@@ -11,6 +11,12 @@ def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
+def automaton_fields(aut: TreeAutomaton) -> tuple:
+    """Everything that makes up an automaton, for field-for-field equality."""
+    return (aut.width, aut.states, aut.initial, aut.finals, aut.transitions,
+            aut.sink, aut.deterministic)
+
+
 @pytest.fixture(scope="session")
 def ac_com_automaton() -> TreeAutomaton:
     return TreeAutomaton.from_text(fixture_text("ac_com.aut"))

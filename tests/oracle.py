@@ -824,13 +824,16 @@ class RecursiveSolver(Solver):
             constraint = substitute(clause.constraint, mapping)
             self._event("reduce", goal=str(goal), clause=i + 1,
                         predicate=clause.name)
+            hits = self.cache_hits
             new_store = self._constrain(store, constraint)
+            cached = self.cache_hits > hits
             if new_store is None:
-                self._event("constrain", goal=str(goal), satisfiable=False)
+                self._event("constrain", goal=str(goal), satisfiable=False,
+                            cached=cached)
                 continue
             self._event("constrain", goal=str(goal), satisfiable=True,
                         states=len(new_store.automaton.states),
-                        width=new_store.table.width)
+                        width=new_store.table.width, cached=cached)
             body = [GoalAtom(g.name, tuple(mapping.get(a, a) for a in g.args))
                     for g in clause.body]
             yield from self._derive(body + goals[1:], new_store,

@@ -9,7 +9,7 @@ from treelogic.compiler import zero_pad_closure
 from treelogic.trees import (Node, node_count, parse_tree, tree_sort_key,
                              validate_tree)
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, automaton_fields, fixture_text
 from oracle import (iter_trees, language_sample, random_deterministic,
                     random_label_deterministic, random_nondeterministic,
                     random_tree, recursive_accepts, recursive_run,
@@ -555,6 +555,61 @@ def test_cylindrify_section_law(ac_com_automaton):
         assert cyl.width == 3
         back = cyl.project(pos).determinize()
         assert back.equivalent(ac_com_automaton)
+
+
+def _remap_cases(seed):
+    """Random automata, each with a wider width and increasing positions."""
+    rng = random.Random(seed)
+    for aut in _random_automata(rng, 60, (0, 3), 6):
+        width = aut.width + rng.randint(0, 3)
+        yield aut, sorted(rng.sample(range(width), aut.width)), width
+
+
+def test_remap_places_bits_and_keeps_guard_order():
+    for aut, positions, width in _remap_cases(1414):
+        remapped = aut.remap(positions, width)
+        assert remapped.width == width
+        assert (remapped.states, remapped.initial, remapped.finals,
+                remapped.sink, remapped.deterministic) == \
+            (aut.states, aut.initial, aut.finals, aut.sink, aut.deterministic)
+        assert list(remapped.transitions) == list(aut.transitions)
+        for pair, entries in aut.transitions.items():
+            # the remapped guards come out of the constructor's sort in
+            # the order of the guards they came from
+            expected = []
+            for guard, targets in entries:
+                chars = ["*"] * width
+                for bit, pos in zip(guard, positions):
+                    chars[pos] = bit
+                expected.append(("".join(chars), targets))
+            assert list(remapped.transitions[pair]) == expected
+
+
+def test_remap_commutes_with_the_operations():
+    # an operation on remapped automata gives the remapped result, field
+    # for field: the solver's compile cache and the compiler's atom table
+    # rest on this
+    cases = list(_remap_cases(1515))
+    for (a, positions, width), (b, _, _) in zip(cases, cases[1:]):
+        if b.width != a.width:
+            continue
+        ra, rb = a.remap(positions, width), b.remap(positions, width)
+        assert automaton_fields(ra.intersect(rb).minimize()) == \
+            automaton_fields(a.intersect(b).minimize().remap(positions, width))
+        assert automaton_fields(ra.union(rb).minimize()) == \
+            automaton_fields(a.union(b).minimize().remap(positions, width))
+        assert automaton_fields(ra.determinize().minimize().complement()) == \
+            automaton_fields(a.determinize().minimize().complement().remap(positions, width))
+
+
+def test_remap_rejects_positions_out_of_order(ac_com_automaton):
+    assert automaton_fields(ac_com_automaton.remap([0, 1], 2)) == automaton_fields(ac_com_automaton)
+    assert automaton_fields(ac_com_automaton.remap([0, 2], 3)) == \
+        automaton_fields(ac_com_automaton.cylindrify(1))
+    for positions, width in [([1, 0], 2), ([0, 0], 2), ([0, 2], 2),
+                             ([0], 2), ([-1, 0], 2), ([0, 1, 2], 3)]:
+        with pytest.raises(AutomatonError):
+            ac_com_automaton.remap(positions, width)
 
 
 def test_cylindrify_all_trees():

@@ -324,3 +324,19 @@ def test_outputs_match_golden_files(capsys, fixtures_dir, argv, golden):
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
     assert out == (fixtures_dir / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("program, query, golden", [
+    ("lexicon.clp", "?- lexicon(x).", "golden_solve_all_trace_lexicon.txt"),
+    ("parse_pipeline.clp",
+     "?- { in(a, John) & in(b, Sees) & in(c, Mary) & prec(a, b) "
+     "& prec(b, c) } & parse(a, b, c).",
+     "golden_solve_all_trace_parse_pipeline.txt"),
+])
+def test_solve_trace_matches_golden_files(capsys, fixtures_dir, program, query,
+                                          golden):
+    # stdout, then the trace on stderr, as an earlier version printed them
+    code, out, err = run_cli(capsys, "solve", str(fixtures_dir / program), query,
+                             "--all", "--trace")
+    assert code == 0
+    assert out + err == (fixtures_dir / golden).read_text(encoding="utf-8")

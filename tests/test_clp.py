@@ -1,12 +1,17 @@
+import random
+
 import pytest
 
-from treelogic.clp import (ProgramError, Solver, SolveError, entails,
+from treelogic.clp import (Clause, GoalAtom, Program, ProgramError, Query,
+                           Solver, SolveError, entails,
                            initial_store, load_program, parse_query, solve)
-from treelogic.formulas import FormulaError, parse_formula
+from treelogic.compiler import CompilationContext, compile_formula
+from treelogic.formulas import (FormulaError, VarTable, _has_binder,
+                                free_variables, parse_formula)
 from treelogic.trees import addresses, format_tree
 
-from conftest import fixture_text
-from oracle import RecursiveSolver, evaluate, is_prec
+from conftest import automaton_fields, fixture_text
+from oracle import RecursiveSolver, evaluate, is_prec, random_formula
 
 
 def fml(text):
@@ -299,3 +304,104 @@ def test_search_matches_recursive_search():
         program = load_program(text)
         assert _search(Solver, program, query, **options) == \
             _search(RecursiveSolver, program, query, **options), (query, options)
+
+
+# ----------------------------------------------------------------------
+# compiling once per query: a cached constraint, remapped, is the
+# automaton a compile over the whole table gives
+
+
+def _applications(program, query, **options):
+    """The solver after running the query to the end, each constraint it
+    compiled with its table and the automaton it intersected, and its
+    events."""
+    events = []
+    solver = Solver(program, **options,
+                    on_event=lambda kind, detail: events.append((kind, detail)))
+    applied = []
+    compile_ = solver._compile
+
+    def capture(formula, table):
+        automaton = compile_(formula, table)
+        applied.append((formula, table, automaton))
+        return automaton
+
+    solver._compile = capture
+    list(solver.solve(query))
+    return solver, applied, events
+
+
+THREE_WORDS = ("?- { prec(x, y) & prec(y, z) } "
+               "& lexicon(x) & lexicon(y) & lexicon(z).")
+UP = """
+    up(x) <- { idom(y, x) } & up(y).
+    up(x) <- { ~(ex1 z. idom(z, x)) }.
+"""
+
+
+def _random_clause_programs(count):
+    """Seeded programs whose constraints come from ``random_formula``:
+    ``?- { f0 } & p.`` against ``p <- { f1 } & q & q.``, ``q <- { f2 }.``
+    and ``q <- { f3 }.``  Lowercase variables of a clause are fresh at every
+    application and uppercase ones shared, so the two ``q`` goals meet the
+    same constraints over other columns."""
+    def formula(rng):
+        while True:
+            f = random_formula(rng, 1)
+            if len(free_variables(f)) <= 2:
+                return f
+
+    q = GoalAtom("q", ())
+    for seed in range(count):
+        rng = random.Random(seed)
+        f0, f1, f2, f3 = (formula(rng) for _ in range(4))
+        program = Program([Clause("p", (), f1, (q, q)), Clause("q", (), f2, ()),
+                           Clause("q", (), f3, ())])
+        yield program, Query(f0, (GoalAtom("p", ()),))
+
+
+def test_cached_constraints_equal_full_width_compiles(lexicon, pipeline):
+    cases = [(lexicon, parse_query("?- lexicon(x)."), {}),
+             (lexicon, parse_query(THREE_WORDS), {}),
+             (pipeline, parse_query(GOOD_INPUT), {}),
+             (pipeline, parse_query(BAD_INPUT), {}),
+             (load_program(UP), parse_query("?- up(x)."), {"depth": 8})]
+    cases += [(program, query, {}) for program, query in _random_clause_programs(60)]
+    compiles = hits = 0
+    for program, query, options in cases:
+        solver, applied, _ = _applications(program, query, **options)
+        for formula, table, automaton in applied:
+            full = compile_formula(formula, CompilationContext(table))
+            assert automaton_fields(automaton) == automaton_fields(full), (formula, table)
+        compiles += len(applied)
+        hits += solver.cache_hits
+    assert (compiles, hits) == (368, 122)
+
+
+def test_three_word_lexicon_query_hits_the_cache(lexicon):
+    solver, applied, events = _applications(lexicon, parse_query(THREE_WORDS))
+    cached = [detail["cached"] for kind, detail in events if kind == "constrain"]
+    # the query's constraint is compiled first and has no event
+    assert (len(applied), len(cached), solver.cache_hits) == (40, 39, 37)
+    assert cached.count(True) == 37
+    assert len(solver._compiled) == 3
+
+
+def test_quantified_constraints_bypass_the_cache(pipeline):
+    solver, applied, events = _applications(pipeline, parse_query(GOOD_INPUT))
+    [(formula, table, automaton)] = [a for a in applied if _has_binder(a[0])]
+    assert table.width == 6  # classes_ok's, over a, John, b, Sees, c, Mary
+    full = compile_formula(formula, CompilationContext(table))
+    assert automaton_fields(automaton) == automaton_fields(full)
+    # The closure reads the all-zero symbol over all six columns, so a
+    # compile over the constraint's own three columns, remapped, gives an
+    # equivalent automaton with other guards.
+    free = sorted(free_variables(formula), key=lambda e: table.position(e[0]))
+    compact = compile_formula(formula, CompilationContext(VarTable(tuple(free))))
+    remapped = compact.remap([table.position(name) for name, _ in free], 6)
+    assert remapped.equivalent(full)
+    assert remapped.to_text() != full.to_text()
+    assert not any(_has_binder(key) for key in solver._compiled)
+    constrains = [d for kind, d in events if kind == "constrain"]
+    assert [d["cached"] for d in constrains] == [False] * 4
+    assert solver.cache_hits == 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from treelogic.formulas import (ATOM_SORTS, VarTable, build_var_table,
                                 expand_macros, parse_formula)
 from treelogic.trees import Node, node_count
 
-from conftest import fixture_text
+from conftest import automaton_fields, fixture_text
 from oracle import (evaluate, iter_trees, language_sample, random_formula,
                     ref_compile)
 from test_acceptance import ORACLE_SUITE
@@ -73,6 +74,37 @@ def test_reflexive_instances():
     assert base_automaton("rdom", (1, 1), 2).equivalent(TreeAutomaton.all_trees(2))
     assert base_automaton("prec", (1, 1), 2).is_empty()
     assert base_automaton("idom", (0, 0), 1).is_empty()
+
+
+def test_atom_table_matches_base_automaton():
+    # one context per width, so later position tuples hit shapes that
+    # earlier ones stored
+    for width in range(1, 6):
+        ctx = CompilationContext(VarTable())
+        for kind, sorts in ATOM_SORTS.items():
+            for positions in itertools.product(range(width), repeat=len(sorts)):
+                assert automaton_fields(ctx.atom(kind, positions, width)) == \
+                    automaton_fields(base_automaton(kind, positions, width)), \
+                    (kind, positions, width)
+        # one entry per kind and order of distinct positions: sing, and
+        # from width 2 on each binary relation in both orders
+        assert len(ctx.atoms) == (1 if width == 1 else 1 + 2 * 8)
+    assert "atoms" not in repr(ctx)
+
+
+def test_atom_table_is_read_by_the_compiler(monkeypatch):
+    built = []
+    real = compiler.base_automaton
+    monkeypatch.setattr(compiler, "base_automaton",
+                        lambda *args: built.append(args) or real(*args))
+    aut, table, ctx = compiled("prec(x, y) & prec(y, z) & prec(z, x) & sub(X, X) "
+                               "& in(x, X) & in(y, X)")
+    # each shape once at its compact width: prec, in, the top-level
+    # singletons; sub(X, X) repeats a position and is built directly
+    assert sorted(built) == [("in", (0, 1), 2), ("prec", (0, 1), 2),
+                             ("prec", (1, 0), 2), ("sing", (0,), 1),
+                             ("sub", (3, 3), 4)]
+    assert aut.is_empty()
 
 
 def test_base_against_oracle_on_small_trees():

@@ -28,8 +28,6 @@ def test_meet_and_disjoint():
 
 def test_positions():
     assert gp.drop_position("1*0", 1) == "10"
-    assert gp.insert_position("10", 1, "*") == "1*0"
-    assert gp.insert_position("10", 2) == "10*"
     assert gp.constrained_positions(["*1*", "0**"]) == [0, 1]
 
 
