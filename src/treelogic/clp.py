@@ -31,8 +31,10 @@ automaton to the variables' table positions.  The remapped automaton is the
 one a compile over the whole table gives, field for field.  A constraint
 with a quantifier is compiled over the whole table every time: its
 zero-padding closure reads the all-zero symbol over every column, so its
-automaton depends on columns the formula does not mention (the result is
-equivalent but not the same automaton, and the store's text would change).
+automaton depends on columns the formula does not mention (``classes_ok``
+over its own columns has 3 cubes on ``m0 m0``, over the pipeline's table
+10).  The store could then print differently; on the two fixture queries and
+the five benchmark solve queries it does not.
 
 Recursion through second-order variables makes derivations only
 semi-decidable; the loader flags such predicates with a warning and the

@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import guards as gp
-from .automata import TreeAutomaton, _explore, fresh_name
+from .automata import TreeAutomaton, fresh_name
 from .formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Exists1, Exists2,
                        FalseF, Formula, Not, Or, TrueF, VarTable, _has_call,
                        build_var_table, desugar, free_variables,
@@ -221,14 +221,12 @@ def zero_pad_closure(aut: TreeAutomaton) -> TreeAutomaton:
     Callers determinize the result.
     """
     zero = "0" * aut.width
-
-    def zero_step(left: str, right: str):
-        for guard, targets in aut.transitions.get((left, right), ()):
-            if gp.matches(guard, zero):
-                for target in targets:
-                    yield guard, target
-
-    zstar = set(_explore(aut.initial, zero_step)[0])
+    # The states some all-zero tree reaches: those reachable on the entries
+    # that match the all-zero symbol.
+    zero_only = {pair: [(g, ts) for g, ts in entries if gp.matches(g, zero)]
+                 for pair, entries in aut.transitions.items()}
+    zstar = TreeAutomaton(aut.width, aut.states, aut.initial, (), zero_only,
+                          deterministic=False, validate=False).reachable_states()
     zbar = fresh_name("z", aut.states)
 
     # A child in zstar may also be read as zbar, so its pair's entries are

@@ -121,19 +121,19 @@ def covers_all(patterns: Iterable[str], width: int) -> bool:
 
 
 def merge_patterns(patterns: Iterable[str]) -> list[str]:
-    """Compact a set of guards by cube merging; result order is deterministic.
+    """Compact a set of pairwise-disjoint guards by cube merging.
 
-    Greedy, not minimal, but never changes the denoted symbol set as long as
-    the inputs are pairwise disjoint or nested.  Each step merges the least
+    Duplicates collapse.  The result is sorted, pairwise disjoint and denotes
+    the same symbols, because merging a cube with its one-bit flip gives
+    exactly their union.  Greedy, not minimal: each step merges the least
     cube ``a`` (in sorted order) that has a partner ``b > a`` differing in one
-    position where both are concrete with its least such partner; subsumed
-    cubes are dropped at the end.  The only partners ``b > a`` are the
-    flips of a ``0`` of ``a`` to ``1``, so finding them takes one set lookup
-    per position; a heap of candidate cubes yields the least ``a`` without a
-    rescan.  After a merge, the merged cube and those of its flip-neighbours
-    that sort below it are pushed, and stale entries are skipped when popped.
-    The result is that of restarting the all-pairs scan after every merge.
-    The final subsumption filter compares the cubes as ``masks`` ints.
+    position where both are concrete with its least such partner.  The only
+    partners ``b > a`` are the flips of a ``0`` of ``a`` to ``1``, so finding
+    them takes one set lookup per position; a heap of candidate cubes yields
+    the least ``a`` without a rescan.  After a merge, the merged cube and
+    those of its flip-neighbours that sort below it are pushed, and stale
+    entries are skipped when popped.  The result is that of restarting the
+    all-pairs scan after every merge.
     """
     pats = set(patterns)
     if len(pats) < 2:
@@ -159,19 +159,4 @@ def merge_patterns(patterns: Iterable[str]) -> list[str]:
         for j, c in enumerate(merged):
             if c == "1" and flip(merged, j, "0") in pats:
                 heapq.heappush(heap, flip(merged, j, "0"))
-    # Drop subsumed cubes.  A cube q != p subsumes p when q's concrete
-    # positions are a proper subset of p's and p agrees with q on them, so
-    # p is looked up once per distinct set of concrete positions, not
-    # compared with every cube.
-    coded = {p: masks(p) for p in pats}
-    by_care: dict[int, set[int]] = {}
-    for ones, zeros in coded.values():
-        by_care.setdefault(ones | zeros, set()).add(ones)
-
-    def subsumed(p: str) -> bool:
-        ones, zeros = coded[p]
-        own = ones | zeros
-        return any(care != own and care & own == care and ones & care in values
-                   for care, values in by_care.items())
-
-    return [p for p in sorted(pats) if not subsumed(p)]
+    return sorted(pats)

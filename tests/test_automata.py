@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import threading
@@ -5,6 +6,8 @@ import threading
 import pytest
 
 from treelogic import AutomatonError, TreeAutomaton
+from treelogic import guards as gp
+from treelogic.cli import main
 from treelogic.compiler import zero_pad_closure
 from treelogic.trees import (Node, node_count, parse_tree, tree_sort_key,
                              validate_tree)
@@ -500,6 +503,38 @@ def test_minimize_requires_deterministic():
         nd.minimize()
 
 
+def test_merge_patterns_traffic_is_pairwise_disjoint(monkeypatch, capsys):
+    # determinize and minimize pass merge_patterns pairwise-disjoint cubes,
+    # the only input it is specified for; its output is pairwise disjoint
+    calls = []
+    merge = gp.merge_patterns
+
+    def recording(patterns):
+        patterns = list(patterns)
+        out = merge(patterns)
+        calls.append((patterns, out))
+        return out
+
+    monkeypatch.setattr(gp, "merge_patterns", recording)
+    texts = [fixture_text(path.name) for path in sorted(FIXTURES.glob("*.mso"))]
+    texts.append(chain_text(16, "v", "S"))
+    texts += [text for text, _, _ in ORACLE_SUITE
+              if any(q in text for q in ("ex1", "ex2", "all1", "all2"))]
+    for text in texts:
+        compiled(text)
+    assert main(["solve", "--all", str(FIXTURES / "lexicon.clp"),
+                 "?- lexicon(x)."]) == 0
+    assert main(["solve", "--all", str(FIXTURES / "parse_pipeline.clp"),
+                 "?- { in(a, John) & in(b, Sees) & in(c, Mary) & prec(a, b) "
+                 "& prec(b, c) } & parse(a, b, c)."]) == 0
+    capsys.readouterr()
+    assert calls
+    for patterns, out in calls:
+        for cubes in (patterns, out):
+            assert all(gp.disjoint(a, b) for a, b in
+                       itertools.combinations(set(cubes), 2)), patterns
+
+
 # ----------------------------------------------------------------------
 # projection and cylindrification
 
@@ -728,7 +763,6 @@ def test_witness_matches_sweep():
 
 def test_deterministic_totality_exactly_one_transition():
     rng = random.Random(29)
-    from treelogic import guards as gp
     for _ in range(20):
         aut = random_deterministic(rng, width=2).with_materialized_sink()
         states = sorted(aut.states)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -44,31 +45,35 @@ def test_subtract_and_uncovered():
 def test_merge_patterns():
     assert gp.merge_patterns(["00", "01"]) == ["0*"]
     assert gp.merge_patterns(["00", "01", "10", "11"]) == ["**"]
-    assert gp.merge_patterns(["0*", "00"]) == ["0*"]
     assert gp.merge_patterns(["01", "10"]) == ["01", "10"]
+    assert gp.merge_patterns(["01", "01", "00"]) == ["0*"]
+    assert gp.merge_patterns(["0*", "10", "11"]) == ["**"]
+    assert gp.merge_patterns(["1*0", "000", "001"]) == ["00*", "1*0"]
+    assert gp.merge_patterns(["*1", "10"]) == ["*1", "10"]
 
 
 def _random_merge_input(rng: random.Random, width: int) -> list[str]:
-    count = rng.randint(0, 40)
     if rng.random() < 0.5:
         # concrete symbols only, as subset construction passes them
         return ["".join(rng.choice("01") for _ in range(width))
-                for _ in range(count)]
-    pats = [random_guard(rng, width) for _ in range(count)]
-    # nested cubes: fill some don't-care positions of earlier ones
-    for p in rng.sample(pats, min(len(pats), rng.randint(0, 10))):
-        pats.append("".join(rng.choice("01") if c == "*" and rng.random() < 0.5
-                            else c for c in p))
-    return pats
+                for _ in range(rng.randint(0, 40))]
+    # disjoint cubes, as minimize passes them: some of the pieces that
+    # random guards leave uncovered
+    pieces = gp.uncovered([random_guard(rng, width)
+                           for _ in range(rng.randint(0, 6))], width)
+    return rng.sample(pieces, rng.randint(0, len(pieces)))
 
 
 def test_merge_patterns_equals_greedy_randomized():
     rng = random.Random(20261018)
     for _ in range(6000):
         pats = _random_merge_input(rng, rng.randint(0, 6))
-        assert gp.merge_patterns(pats) == greedy_merge_patterns(pats), pats
+        merged = gp.merge_patterns(pats)
+        assert merged == greedy_merge_patterns(pats), pats
+        assert all(gp.disjoint(a, b)
+                   for a, b in itertools.combinations(merged, 2)), pats
     for pats in ([], [""], ["01"], ["01", "01"], ["00", "01"], ["01", "10"],
-                 ["0*", "00"], ["1*", "0*"], ["**", "1*"]):
+                 ["1*", "0*"], ["0*", "10", "11"], ["*0", "01", "11"]):
         assert gp.merge_patterns(pats) == greedy_merge_patterns(pats), pats
 
 
