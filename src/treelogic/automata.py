@@ -435,6 +435,8 @@ class TreeAutomaton:
         if any(a >= b for a, b in zip(bounds, bounds[1:])):
             raise AutomatonError(
                 f"positions {positions} not increasing within width {width}")
+        if width == self.width:  # so positions is range(width)
+            return self
         gaps = ["*" * (b - a - 1) for a, b in zip(bounds, bounds[1:])]
         last = gaps.pop()
 

@@ -23,18 +23,12 @@ becomes empty.  Stores are immutable, so backtracking simply returns to the
 previous value.
 
 A clause's constraint is the same formula at every application up to the
-names of its variables, so a ``Solver`` (which serves one query) compiles
-each quantifier-free constraint once: its free variables are renamed by
-their order in the table (``v0``, ``V1``, ...), the renamed formula is
-compiled over just those variables, and each application remaps the stored
-automaton to the variables' table positions.  The remapped automaton is the
-one a compile over the whole table gives, field for field.  A constraint
-with a quantifier is compiled over the whole table every time: its
-zero-padding closure reads the all-zero symbol over every column, so its
-automaton depends on columns the formula does not mention (``classes_ok``
-over its own columns has 3 cubes on ``m0 m0``, over the pipeline's table
-10).  The store could then print differently; on the two fixture queries and
-the five benchmark solve queries it does not.
+names of its variables, so a ``Solver`` (which serves one query) keeps one
+``CompilationContext``, whose cache compiles each constraint once over its
+own columns (see ``compiler``).  Only where a quantified constraint meets
+columns it does not mention can the store then print other, equivalent
+cubes than with compiles over the whole table; no fixture or benchmark
+query's store does.
 
 Recursion through second-order variables makes derivations only
 semi-decidable; the loader flags such predicates with a warning and the
@@ -49,7 +43,7 @@ from dataclasses import dataclass, field
 from .automata import TreeAutomaton
 from .compiler import CompilationContext, compile_formula
 from .formulas import (FIRST, SECOND, Formula, FormulaError, TrueF, VarTable,
-                       _has_binder, _Parser, build_var_table, free_variables,
+                       _Parser, build_var_table, free_variables,
                        parse_formula_fragment, sort_of_name, substitute, tokenize)
 from .trees import Tree, assignment_from_tree
 
@@ -265,7 +259,6 @@ class Solver:
                  on_event=None, iterative_deepening: bool = False):
         self.program = program
         self.depth_bound = depth
-        self.max_width = max_width
         self.on_event = on_event
         self.iterative_deepening = iterative_deepening
         self.truncated_branches = 0
@@ -273,9 +266,7 @@ class Solver:
         self._fresh = itertools.count(1)
         # (name, arity) -> each matching clause with its first-order locals
         self._clauses: dict[tuple[str, int], list[tuple[Clause, list[str]]]] = {}
-        # quantifier-free constraint over canonical names -> its automaton
-        # over exactly those names
-        self._compiled: dict[Formula, TreeAutomaton] = {}
+        self._context = CompilationContext(VarTable(), max_width=max_width)
 
     def _event(self, kind: str, **detail) -> None:
         if self.on_event is not None:
@@ -378,26 +369,14 @@ class Solver:
         return ConstraintStore(table, joint)
 
     def _compile(self, formula: Formula, table: VarTable) -> TreeAutomaton:
-        """The formula's automaton over the table; a quantifier-free one is
-        compiled once per renaming of its free variables into table order
-        (see the module docstring) and remapped to their positions."""
-        if _has_binder(formula) or table.width > self.max_width:
-            return compile_formula(formula, CompilationContext(
-                table=table, max_width=self.max_width))
-        free = sorted(free_variables(formula),
-                      key=lambda entry: table.position(entry[0]))
-        names = {name: f"{'v' if sort == FIRST else 'V'}{i}"
-                 for i, (name, sort) in enumerate(free)}
-        key = substitute(formula, names)
-        compiled = self._compiled.get(key)
-        if compiled is None:
-            compact = VarTable(tuple((names[name], sort) for name, sort in free))
-            compiled = self._compiled[key] = compile_formula(
-                key, CompilationContext(table=compact, max_width=self.max_width))
-        else:
-            self.cache_hits += 1
-        return compiled.remap([table.position(name) for name, _ in free],
-                              table.width)
+        """The formula's automaton over the table, from the query's compile
+        cache (see the module docstring)."""
+        ctx = self._context
+        ctx.table = table
+        ctx.stats.clear()
+        automaton = compile_formula(formula, ctx)
+        self.cache_hits += not ctx.stats  # a miss records construction steps
+        return automaton
 
     def _solution(self, store: ConstraintStore) -> Solution:
         # The store is never empty on a live branch, so a None witness is the

@@ -7,11 +7,14 @@ automaton of every subformula is minimized by default, which doubles as the
 satisfiability test: the minimal automaton of an unsatisfiable formula has a
 single non-final initial state.
 
-Atoms come from a table on the ``CompilationContext``: an atom over distinct
-positions is built once per relation and order of its positions, over just
-those positions, and remapped to where they are (``TreeAutomaton.remap``
-keeps the sort order of guards, so the result is ``base_automaton``'s at
-full width, field for field).  The table lives as long as its context.
+Atoms and whole formulas (``compile_formula``), but no subformula in
+between, come from one cache on the ``CompilationContext``: each is built
+once per renaming of its free variables by rank, over just those
+variables, and remapped to where they are (``TreeAutomaton.remap``).  An
+atom or quantifier-free formula is then its compile over the whole table,
+field for field.  A quantified one is equivalent, but may print other cubes
+where the table has columns it does not mention: the zero-padding closure
+reads the all-zero symbol over the columns it is given.
 
 First-order variables denote single nodes but are tracked as set bits; the
 compiler conjoins a singleton constraint for each bound first-order variable
@@ -36,9 +39,9 @@ from dataclasses import dataclass, field
 from . import guards as gp
 from .automata import TreeAutomaton, fresh_name
 from .formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Exists1, Exists2,
-                       FalseF, Formula, Not, Or, TrueF, VarTable, _has_call,
-                       build_var_table, desugar, free_variables,
-                       rename_bound_apart)
+                       FalseF, Formula, Not, Or, TrueF, VarTable, _binder_depth,
+                       _has_call, build_var_table, desugar, free_variables,
+                       rename_bound_apart, substitute)
 
 
 class CompileError(ValueError):
@@ -60,29 +63,16 @@ class CompileStep:
 @dataclass
 class CompilationContext:
     """Carries the variable table, the per-step minimization policy, the
-    accumulated statistics of one compilation run and its atom table."""
+    accumulated statistics of one compilation run and its compile cache."""
 
     table: VarTable
     minimize_steps: bool = True
     max_width: int = 16
     stats: list[CompileStep] = field(default_factory=list)
-    # (kind, rank of each position among the atom's positions) -> the atom's
-    # automaton over just those positions; see ``atom``
-    atoms: dict[tuple, TreeAutomaton] = field(default_factory=dict,
-                                              init=False, repr=False)
-
-    def atom(self, kind: str, positions: tuple[int, ...], width: int
-             ) -> TreeAutomaton:
-        """``base_automaton(kind, positions, width)``, built once per shape:
-        the atom over its own positions in increasing order, remapped to
-        where they are.  Repeated positions are built directly."""
-        if len(set(positions)) < len(positions):
-            return base_automaton(kind, positions, width)
-        ordered = sorted(positions)
-        shape = (kind, tuple(ordered.index(p) for p in positions))
-        if shape not in self.atoms:
-            self.atoms[shape] = base_automaton(kind, shape[1], len(ordered))
-        return self.atoms[shape].remap(ordered, width)
+    # (builder, formula with its free variables renamed by rank) -> its
+    # automaton over just those variables; see ``_compact``
+    compiled: dict[tuple, TreeAutomaton] = field(default_factory=dict,
+                                                 init=False, repr=False)
 
 
 def stats_lines(stats: list[CompileStep]) -> list[str]:
@@ -263,8 +253,7 @@ def compile_formula(formula: Formula, ctx: CompilationContext | None = None
         raise CompileError("expand macros before compiling")
     if ctx is None:
         ctx = CompilationContext(build_var_table(formula))
-    free = free_variables(formula)
-    for name, sort in free:
+    for name, sort in free_variables(formula):
         if not ctx.table.has(name):
             raise CompileError(f"unbound variable {name!r}")
         if ctx.table.sort_of(name) != sort:
@@ -273,16 +262,46 @@ def compile_formula(formula: Formula, ctx: CompilationContext | None = None
     if ctx.table.width > ctx.max_width:
         raise WidthOverflowError(
             f"table width {ctx.table.width} exceeds maximum {ctx.max_width}")
+    # Each quantifier adds a column.  Checked on the whole table, so that a
+    # compile over fewer columns fails where one over all of them would.
+    if ctx.table.width + _binder_depth(formula) > ctx.max_width:
+        raise WidthOverflowError(
+            f"width {ctx.max_width + 1} exceeds maximum {ctx.max_width}")
+    return _compact(ctx, _whole, formula, ctx.table)
 
-    prepared = rename_bound_apart(desugar(formula),
-                                  avoid=frozenset(ctx.table.names()))
-    aut = _compile(prepared, ctx, ctx.table)
-    for name, sort in free:
+
+def _compact(ctx: CompilationContext, build, f: Formula, table: VarTable
+             ) -> TreeAutomaton:
+    """``build(f, ctx, compact)`` over the table ``compact`` of just ``f``'s
+    free variables in table order, remapped to their positions in ``table``.
+    It is built once per context for each ``build`` and each ``f`` with its
+    free variables renamed by rank (``v0``, ``V1``, ...)."""
+    free = sorted(free_variables(f), key=lambda entry: table.position(entry[0]))
+    rank = {name: f"{'v' if sort == FIRST else 'V'}{i}"
+            for i, (name, sort) in enumerate(free)}
+    key = (build, substitute(f, rank))
+    compiled = ctx.compiled.get(key)
+    if compiled is None:
+        compiled = ctx.compiled[key] = build(f, ctx, VarTable(tuple(free)))
+    return compiled.remap([table.position(name) for name, _ in free],
+                          table.width)
+
+
+def _whole(f: Formula, ctx: CompilationContext, table: VarTable) -> TreeAutomaton:
+    """The formula's automaton over the table, with the singleton constraint
+    of each free first-order variable conjoined at the top."""
+    prepared = rename_bound_apart(desugar(f), avoid=frozenset(table.names()))
+    aut = _compile(prepared, ctx, table)
+    for name, sort in free_variables(f):
         if sort == FIRST:
-            pos = ctx.table.position(name)
-            sing = ctx.atom("sing", (pos,), ctx.table.width)
+            sing = _compact(ctx, _atom, Atom("sing", (name,)), table)
             aut = _step(ctx, f"sing:{name}", aut.intersect(sing))
     return aut
+
+
+def _atom(f: Atom, ctx: CompilationContext, table: VarTable) -> TreeAutomaton:
+    return base_automaton(f.kind, tuple(map(table.position, f.args)),
+                          table.width)
 
 
 def _step(ctx: CompilationContext, op: str, aut: TreeAutomaton) -> TreeAutomaton:
@@ -303,8 +322,7 @@ def _compile(f: Formula, ctx: CompilationContext, table: VarTable) -> TreeAutoma
     if isinstance(f, FalseF):
         return _step(ctx, "false", TreeAutomaton.empty_language(width))
     if isinstance(f, Atom):
-        positions = tuple(table.position(a) for a in f.args)
-        aut = ctx.atom(f.kind, positions, width)
+        aut = _compact(ctx, _atom, f, table)
         return _record(ctx, f"atom:{f.kind}", len(aut.states), aut)
     if isinstance(f, And):
         left = _compile(f.left, ctx, table)
@@ -322,13 +340,10 @@ def _compile(f: Formula, ctx: CompilationContext, table: VarTable) -> TreeAutoma
             raise CompileError(f"quantified variable {f.var!r} shadows an "
                                "existing table entry")
         inner_table = table.extended(f.var, sort)
-        if inner_table.width > ctx.max_width:
-            raise WidthOverflowError(
-                f"width {inner_table.width} exceeds maximum {ctx.max_width}")
         pos = inner_table.width - 1
         body = _compile(f.body, ctx, inner_table)
         if sort == FIRST:
-            sing = ctx.atom("sing", (pos,), inner_table.width)
+            sing = _compact(ctx, _atom, Atom("sing", (f.var,)), inner_table)
             body = _step(ctx, f"sing:{f.var}", body.intersect(sing))
         closed = _record(ctx, "close", len(body.states),
                          zero_pad_closure(body.project(pos)))

@@ -629,5 +629,6 @@ def _has_call(f: Formula) -> bool:
     return isinstance(f, Call) or any(map(_has_call, _parts(f)))
 
 
-def _has_binder(f: Formula) -> bool:
-    return isinstance(f, _Binder) or any(map(_has_binder, _parts(f)))
+def _binder_depth(f: Formula) -> int:
+    """The most binders on one path from the root to a leaf."""
+    return isinstance(f, _Binder) + max(map(_binder_depth, _parts(f)), default=0)

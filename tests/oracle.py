@@ -20,8 +20,9 @@ from typing import Iterable, Iterator
 from treelogic.formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Call,
                                 Exists1, Exists2, FalseF, Forall1, Forall2,
                                 Formula, Iff, Implies, MacroDef, MacroError,
-                                Not, Or, TrueF, _Parser, sort_of_name,
-                                substitute)
+                                Not, Or, TrueF, _Parser, desugar,
+                                free_variables, rename_bound_apart,
+                                sort_of_name, substitute)
 from treelogic import compiler
 from treelogic import guards as gp
 from treelogic.automata import (AutomatonError, PairKey, TreeAutomaton,
@@ -482,6 +483,29 @@ def ref_compile(f: Formula, ctx: compiler.CompilationContext, table
         result = result.minimize()
     return compiler._record(ctx, "exists1" if sort == FIRST else "exists2",
                             len(closed.states), result)
+
+
+# ----------------------------------------------------------------------
+# whole formulas: the compile over the whole table that compile_formula's
+# compile over the formula's own columns, remapped, must agree with, field
+# for field without quantifiers and in languages always
+
+
+def ref_compile_formula(formula: Formula, ctx: compiler.CompilationContext
+                        ) -> TreeAutomaton:
+    """``compiler.compile_formula`` without its checks and its cache: the
+    formula compiled over the context's whole table, then the singleton
+    constraint of each free first-order variable."""
+    table = ctx.table
+    prepared = rename_bound_apart(desugar(formula),
+                                  avoid=frozenset(table.names()))
+    aut = compiler._compile(prepared, ctx, table)
+    for name, sort in free_variables(formula):
+        if sort == FIRST:
+            sing = compiler.base_automaton("sing", (table.position(name),),
+                                           table.width)
+            aut = compiler._step(ctx, f"sing:{name}", aut.intersect(sing))
+    return aut
 
 
 # ----------------------------------------------------------------------

@@ -257,6 +257,16 @@ def test_solve_deep_derivation_exits_3_with_depth_note(capsys, tmp_path):
                                 "note: 1 branch(es) cut at depth 2000\n")
 
 
+def test_solve_stops_at_the_width_limit(capsys, fixtures_dir):
+    # Each up/1 step adds a column to the store; once it has 16, the first
+    # clause's quantified constraint needs a 17th for its bound variable.
+    code, out, err = run_cli(capsys, "solve", str(fixtures_dir / "up.clp"),
+                             "?- up(x).", "--all", "--depth", "20")
+    assert (code, err) == (2, "error: width 17 exceeds maximum 16\n")
+    golden = fixtures_dir / "golden_solve_all_depth20_up.txt"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_solve_rejects_negative_depth(capsys, fixtures_dir):
     code, out, err = run_cli(capsys, "solve", str(fixtures_dir / "lexicon.clp"),
                              "?- lexicon(x).", "--depth", "-5")

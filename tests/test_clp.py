@@ -5,13 +5,15 @@ import pytest
 from treelogic.clp import (Clause, GoalAtom, Program, ProgramError, Query,
                            Solver, SolveError, entails,
                            initial_store, load_program, parse_query, solve)
+from treelogic import compiler
 from treelogic.compiler import CompilationContext, compile_formula
-from treelogic.formulas import (FormulaError, VarTable, _has_binder,
-                                free_variables, parse_formula)
+from treelogic.formulas import (FormulaError, _binder_depth, free_variables,
+                                parse_formula)
 from treelogic.trees import addresses, format_tree
 
 from conftest import automaton_fields, fixture_text
-from oracle import RecursiveSolver, evaluate, is_prec, random_formula
+from oracle import (RecursiveSolver, evaluate, is_prec, random_formula,
+                    ref_compile_formula)
 
 
 def fml(text):
@@ -307,8 +309,9 @@ def test_search_matches_recursive_search():
 
 
 # ----------------------------------------------------------------------
-# compiling once per query: a cached constraint, remapped, is the
-# automaton a compile over the whole table gives
+# compiling once per query: an applied constraint is a fresh context's
+# compile, and a compile over the whole table gives the same automaton
+# (field for field) or, with a quantifier, an equivalent one
 
 
 def _applications(program, query, **options):
@@ -360,6 +363,17 @@ def _random_clause_programs(count):
         yield program, Query(f0, (GoalAtom("p", ()),))
 
 
+def _check_against_references(applied):
+    for formula, table, automaton in applied:
+        fresh = compile_formula(formula, CompilationContext(table))
+        assert automaton_fields(automaton) == automaton_fields(fresh), (formula, table)
+        full = ref_compile_formula(formula, CompilationContext(table))
+        if _binder_depth(formula):
+            assert automaton.equivalent(full), (formula, table)
+        else:
+            assert automaton_fields(automaton) == automaton_fields(full), (formula, table)
+
+
 def test_cached_constraints_equal_full_width_compiles(lexicon, pipeline):
     cases = [(lexicon, parse_query("?- lexicon(x)."), {}),
              (lexicon, parse_query(THREE_WORDS), {}),
@@ -370,12 +384,14 @@ def test_cached_constraints_equal_full_width_compiles(lexicon, pipeline):
     compiles = hits = 0
     for program, query, options in cases:
         solver, applied, _ = _applications(program, query, **options)
-        for formula, table, automaton in applied:
-            full = compile_formula(formula, CompilationContext(table))
-            assert automaton_fields(automaton) == automaton_fields(full), (formula, table)
+        _check_against_references(applied)
         compiles += len(applied)
         hits += solver.cache_hits
-    assert (compiles, hits) == (368, 122)
+    assert (compiles, hits) == (368, 159)
+
+
+def _whole_formulas(solver):
+    return [key for key in solver._context.compiled if key[0] is compiler._whole]
 
 
 def test_three_word_lexicon_query_hits_the_cache(lexicon):
@@ -384,24 +400,18 @@ def test_three_word_lexicon_query_hits_the_cache(lexicon):
     # the query's constraint is compiled first and has no event
     assert (len(applied), len(cached), solver.cache_hits) == (40, 39, 37)
     assert cached.count(True) == 37
-    assert len(solver._compiled) == 3
+    assert len(_whole_formulas(solver)) == 3
 
 
-def test_quantified_constraints_bypass_the_cache(pipeline):
-    solver, applied, events = _applications(pipeline, parse_query(GOOD_INPUT))
-    [(formula, table, automaton)] = [a for a in applied if _has_binder(a[0])]
-    assert table.width == 6  # classes_ok's, over a, John, b, Sees, c, Mary
-    full = compile_formula(formula, CompilationContext(table))
-    assert automaton_fields(automaton) == automaton_fields(full)
-    # The closure reads the all-zero symbol over all six columns, so a
-    # compile over the constraint's own three columns, remapped, gives an
-    # equivalent automaton with other guards.
-    free = sorted(free_variables(formula), key=lambda e: table.position(e[0]))
-    compact = compile_formula(formula, CompilationContext(VarTable(tuple(free))))
-    remapped = compact.remap([table.position(name) for name, _ in free], 6)
-    assert remapped.equivalent(full)
-    assert remapped.to_text() != full.to_text()
-    assert not any(_has_binder(key) for key in solver._compiled)
+def test_quantified_constraint_applied_twice_is_compiled_once(pipeline):
+    solver, applied, events = _applications(
+        pipeline, parse_query("?- classes_ok & classes_ok."))
     constrains = [d for kind, d in events if kind == "constrain"]
-    assert [d["cached"] for d in constrains] == [False] * 4
-    assert solver.cache_hits == 0
+    assert [d["cached"] for d in constrains] == [False, True]
+    assert solver.cache_hits == 1
+    # the query's ``true`` and classes_ok's quantified constraint
+    assert len(_whole_formulas(solver)) == 2
+    [_, first, second] = applied
+    assert first[0] == second[0] and _binder_depth(first[0]) == 1
+    assert automaton_fields(first[2]) == automaton_fields(second[2])
+    _check_against_references(applied)

@@ -8,13 +8,13 @@ from treelogic.compiler import (CompilationContext, CompileError,
                                 WidthOverflowError, base_automaton,
                                 compile_formula, is_satisfiable, stats_lines,
                                 zero_pad_closure)
-from treelogic.formulas import (ATOM_SORTS, VarTable, build_var_table,
-                                expand_macros, parse_formula)
+from treelogic.formulas import (ATOM_SORTS, FIRST, Atom, VarTable,
+                                build_var_table, expand_macros, parse_formula)
 from treelogic.trees import Node, node_count
 
 from conftest import automaton_fields, fixture_text
 from oracle import (evaluate, iter_trees, language_sample, random_formula,
-                    ref_compile)
+                    ref_compile, ref_compile_formula)
 from test_acceptance import ORACLE_SUITE
 
 T_SIBLINGS = Node("00", Node("10"), Node("01"))
@@ -81,15 +81,19 @@ def test_atom_table_matches_base_automaton():
     # earlier ones stored
     for width in range(1, 6):
         ctx = CompilationContext(VarTable())
+        table = VarTable(tuple((f"p{i}", FIRST) for i in range(width)))
         for kind, sorts in ATOM_SORTS.items():
             for positions in itertools.product(range(width), repeat=len(sorts)):
-                assert automaton_fields(ctx.atom(kind, positions, width)) == \
+                atom = Atom(kind, tuple(f"p{i}" for i in positions))
+                assert automaton_fields(compiler._compact(
+                    ctx, compiler._atom, atom, table)) == \
                     automaton_fields(base_automaton(kind, positions, width)), \
                     (kind, positions, width)
-        # one entry per kind and order of distinct positions: sing, and
-        # from width 2 on each binary relation in both orders
-        assert len(ctx.atoms) == (1 if width == 1 else 1 + 2 * 8)
-    assert "atoms" not in repr(ctx)
+        # one entry per kind and pattern of ranks: sing, and each binary
+        # relation on one position and, from width 2 on, on two in both
+        # orders
+        assert len(ctx.compiled) == 1 + 8 * (1 if width == 1 else 3)
+    assert "compiled" not in repr(ctx)
 
 
 def test_atom_table_is_read_by_the_compiler(monkeypatch):
@@ -99,11 +103,11 @@ def test_atom_table_is_read_by_the_compiler(monkeypatch):
                         lambda *args: built.append(args) or real(*args))
     aut, table, ctx = compiled("prec(x, y) & prec(y, z) & prec(z, x) & sub(X, X) "
                                "& in(x, X) & in(y, X)")
-    # each shape once at its compact width: prec, in, the top-level
-    # singletons; sub(X, X) repeats a position and is built directly
+    # each shape once at its compact width: prec, sub, in, the top-level
+    # singletons
     assert sorted(built) == [("in", (0, 1), 2), ("prec", (0, 1), 2),
                              ("prec", (1, 0), 2), ("sing", (0,), 1),
-                             ("sub", (3, 3), 4)]
+                             ("sub", (0, 0), 1)]
     assert aut.is_empty()
 
 
@@ -222,6 +226,21 @@ def test_quantifier_step_matches_two_closure_step(monkeypatch):
     for formula, (a, _), (b, _) in zip(formulas, new_unminimized,
                                        ref_unminimized):
         assert a.equivalent(b), formula
+
+
+def test_compile_matches_whole_table_reference():
+    # CLI-shaped: the table is the formula's own free variables, so the
+    # cached compile over its own columns prints what a compile over the
+    # whole table prints
+    rng = random.Random(16)
+    for _ in range(150):
+        formula = random_formula(rng, 3)
+        table = build_var_table(formula)
+        ctx, ref_ctx = CompilationContext(table), CompilationContext(table)
+        aut = compile_formula(formula, ctx)
+        ref = ref_compile_formula(formula, ref_ctx)
+        assert aut.renumbered().to_text() == ref.renumbered().to_text(), formula
+        assert stats_lines(ctx.stats) == stats_lines(ref_ctx.stats), formula
 
 
 @pytest.mark.parametrize("text, minimizations", [
