@@ -57,13 +57,15 @@ def cmd_compile(args) -> int:
     return 0
 
 
+def _verdict(holds: bool, yes: str, no: str) -> int:
+    """Print ``yes`` and return 0 when ``holds``, else ``no`` and 3."""
+    print(yes if holds else no)
+    return 0 if holds else 3
+
+
 def cmd_sat(args) -> int:
     automaton, _, _ = _compile_file(args.formula, args.max_width, True)
-    if automaton.is_empty():
-        print("UNSAT")
-        return 3
-    print("SAT")
-    return 0
+    return _verdict(not automaton.is_empty(), "SAT", "UNSAT")
 
 
 def cmd_witness(args) -> int:
@@ -81,21 +83,13 @@ def cmd_witness(args) -> int:
 def cmd_member(args) -> int:
     automaton = TreeAutomaton.from_text(_read(args.automaton))
     tree = parse_tree(_read(args.tree))
-    if automaton.accepts(tree):
-        print("ACCEPT")
-        return 0
-    print("REJECT")
-    return 3
+    return _verdict(automaton.accepts(tree), "ACCEPT", "REJECT")
 
 
 def cmd_equiv(args) -> int:
     a = TreeAutomaton.from_text(_read(args.first))
     b = TreeAutomaton.from_text(_read(args.second))
-    if a.equivalent(b):
-        print("EQUIVALENT")
-        return 0
-    print("INEQUIVALENT")
-    return 3
+    return _verdict(a.equivalent(b), "EQUIVALENT", "INEQUIVALENT")
 
 
 def cmd_solve(args) -> int:

@@ -203,19 +203,16 @@ def _check_recursion(program: Program) -> None:
         key = (clause.name, len(clause.params))
         calls.setdefault(key, set()).update(
             (g.name, len(g.args)) for g in clause.body)
-    reach: dict[tuple[str, int], set[tuple[str, int]]] = {
-        k: set(v) for k, v in calls.items()}
-    changed = True
-    while changed:
-        changed = False
-        for key, targets in reach.items():
-            extra = set()
-            for t in targets:
-                extra |= reach.get(t, set())
-            if not extra <= targets:
-                targets |= extra
-                changed = True
-    recursive = {k for k, targets in reach.items() if k in targets}
+    recursive = set()
+    for key, targets in calls.items():  # a search from key's callees
+        seen, stack = set(), list(targets)
+        while stack:
+            target = stack.pop()
+            if target not in seen:
+                seen.add(target)
+                stack.extend(calls.get(target, ()))
+        if key in seen:  # reached key again
+            recursive.add(key)
     for i, clause in enumerate(program.clauses, 1):
         key = (clause.name, len(clause.params))
         if key not in recursive:
@@ -359,24 +356,18 @@ class Solver:
 
     def _constrain(self, store: ConstraintStore, formula: Formula
                    ) -> ConstraintStore | None:
-        table = build_var_table(formula, store.table)
-        automaton = store.automaton
-        if table.width > store.table.width:
-            automaton = automaton.remap(range(store.table.width), table.width)
-        joint = automaton.intersect(self._compile(formula, table)).minimize()
+        """The store conjoined with the formula's automaton from the query's
+        compile cache (see the module docstring), or None when it is empty."""
+        ctx = self._context
+        ctx.table = table = build_var_table(formula, store.table)
+        ctx.stats.clear()
+        compiled = compile_formula(formula, ctx)
+        self.cache_hits += not ctx.stats  # a miss records construction steps
+        automaton = store.automaton.remap(range(store.table.width), table.width)
+        joint = automaton.intersect(compiled).minimize()
         if not joint.finals:  # minimal, so every state is reachable
             return None
         return ConstraintStore(table, joint)
-
-    def _compile(self, formula: Formula, table: VarTable) -> TreeAutomaton:
-        """The formula's automaton over the table, from the query's compile
-        cache (see the module docstring)."""
-        ctx = self._context
-        ctx.table = table
-        ctx.stats.clear()
-        automaton = compile_formula(formula, ctx)
-        self.cache_hits += not ctx.stats  # a miss records construction steps
-        return automaton
 
     def _solution(self, store: ConstraintStore) -> Solution:
         # The store is never empty on a live branch, so a None witness is the

@@ -171,7 +171,7 @@ def base_automaton(kind: str, positions, width: int) -> TreeAutomaton:
                 ("n", "d"): {zero: "d"},
             },
             sink="s")
-    elif kind == "prec":
+    else:  # prec
         i, j = positions
         zero = _pat(width, {i: "0", j: "0"})
         aut = TreeAutomaton(
@@ -189,8 +189,6 @@ def base_automaton(kind: str, positions, width: int) -> TreeAutomaton:
                 ("n", "d"): {zero: "d"},
             },
             sink="s")
-    else:  # pragma: no cover
-        raise CompileError(f"unhandled relation {kind!r}")
     return aut.minimize()
 
 
@@ -290,7 +288,7 @@ def _compact(ctx: CompilationContext, build, f: Formula, table: VarTable
 def _whole(f: Formula, ctx: CompilationContext, table: VarTable) -> TreeAutomaton:
     """The formula's automaton over the table, with the singleton constraint
     of each free first-order variable conjoined at the top."""
-    prepared = rename_bound_apart(desugar(f), avoid=frozenset(table.names()))
+    prepared = rename_bound_apart(desugar(f))
     aut = _compile(prepared, ctx, table)
     for name, sort in free_variables(f):
         if sort == FIRST:

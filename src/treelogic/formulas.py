@@ -283,6 +283,18 @@ class _Parser:
             items.append(item())
         return items
 
+    def check_args(self, what: str, args: list[str], sorts, tok: Token,
+                   cls: type | None = None) -> None:
+        """Fail at ``tok`` unless the arguments of ``what`` (a relation or
+        ``macro M``) match ``sorts`` in number (else ``cls``) and in sort."""
+        if len(args) != len(sorts):
+            self.fail(f"{what} takes {len(sorts)} argument(s), got {len(args)}",
+                      tok, cls)
+        for arg, want in zip(args, sorts):
+            if sort_of_name(arg) != want:
+                self.fail(f"argument {arg!r} of {what} must be {want}-order",
+                          tok, SortError)
+
     # ---- precedence climbing
 
     def parse_formula(self, level: int = 0) -> Formula:
@@ -348,28 +360,15 @@ class _Parser:
         args = self.parse_list(self.parse_var)
         self.expect(")")
         if name in ATOM_SORTS:
-            expected = ATOM_SORTS[name]
-            if len(args) != len(expected):
-                self.fail(f"{name} takes {len(expected)} argument(s), got {len(args)}",
-                          tok)
-            for arg, want in zip(args, expected):
-                if sort_of_name(arg) != want:
-                    self.fail(f"argument {arg!r} of {name} must be {want}-order",
-                              tok, SortError)
+            self.check_args(name, args, ATOM_SORTS[name], tok)
             return Atom(name, tuple(args))
         if name in self.in_progress:
             self.fail(f"recursive macro {name!r} (recursion belongs to clause "
                       "programs, not macros)", tok, MacroError)
         if name not in self.defs:
             self.fail(f"unknown relation or macro {name!r}", tok, MacroError)
-        macro = self.defs[name]
-        if len(args) != len(macro.params):
-            self.fail(f"macro {name} takes {len(macro.params)} argument(s), "
-                      f"got {len(args)}", tok, MacroError)
-        for arg, param in zip(args, macro.params):
-            if sort_of_name(arg) != sort_of_name(param):
-                self.fail(f"argument {arg!r} of macro {name} must be "
-                          f"{sort_of_name(param)}-order", tok, SortError)
+        sorts = [sort_of_name(param) for param in self.defs[name].params]
+        self.check_args(f"macro {name}", args, sorts, tok, MacroError)
         return Call(name, tuple(args))
 
 

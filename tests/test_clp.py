@@ -5,7 +5,7 @@ import pytest
 from treelogic.clp import (Clause, GoalAtom, Program, ProgramError, Query,
                            Solver, SolveError, entails,
                            initial_store, load_program, parse_query, solve)
-from treelogic import compiler
+from treelogic import clp, compiler
 from treelogic.compiler import CompilationContext, compile_formula
 from treelogic.formulas import (FormulaError, _binder_depth, free_variables,
                                 parse_formula)
@@ -68,6 +68,11 @@ def test_load_errors_are_formula_errors_with_positions():
     with pytest.raises(ProgramError) as err:
         parse_query("?- p(x).\n  q")
     assert (err.value.line, err.value.column) == (2, 3)
+    with pytest.raises(FormulaError) as err:
+        load_program("p(x) <- { in(x) }.")
+    assert type(err.value) is ProgramError
+    assert (err.value.message, (err.value.line, err.value.column)) == \
+        ("in constraint: in takes 2 argument(s), got 1", (1, 11))
 
 
 def test_recursion_warning_on_second_order():
@@ -75,6 +80,17 @@ def test_recursion_warning_on_second_order():
     assert any("second-order" in w for w in program.warnings)
     fine = load_program("walk(x) <- { eq1(x, x) } & walk(x).")
     assert fine.warnings == []
+    # a cycle through q: r calls into it and s an undefined predicate, and
+    # neither warns; a cycle over first-order variables only does not warn
+    program = load_program("p(X) <- { sub(X, X) } & q(X).\n"
+                           "q(X) <- p(X).\n"
+                           "r(X) <- p(X).\n"
+                           "s(x) <- t(x).\n")
+    assert program.warnings == [
+        f"clause {i} ({name}/1): recursive predicate uses second-order "
+        "variable(s) X; derivations may not terminate"
+        for i, name in [(1, "p"), (2, "q")]]
+    assert load_program("p(x) <- q(x).\nq(x) <- p(x).").warnings == []
 
 
 def test_parse_query_shapes():
@@ -322,15 +338,15 @@ def _applications(program, query, **options):
     solver = Solver(program, **options,
                     on_event=lambda kind, detail: events.append((kind, detail)))
     applied = []
-    compile_ = solver._compile
 
-    def capture(formula, table):
-        automaton = compile_(formula, table)
-        applied.append((formula, table, automaton))
+    def capture(formula, ctx):
+        automaton = compile_formula(formula, ctx)
+        applied.append((formula, ctx.table, automaton))
         return automaton
 
-    solver._compile = capture
-    list(solver.solve(query))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clp, "compile_formula", capture)
+        list(solver.solve(query))
     return solver, applied, events
 
 

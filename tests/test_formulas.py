@@ -151,6 +151,22 @@ def test_macro_arity_and_sort_checked_at_call():
         parse_formula("def P(x) := eq1(x, x); P(X)")
 
 
+@pytest.mark.parametrize("text, cls, message, position", [
+    ("in(x)", FormulaError, "in takes 2 argument(s), got 1", (1, 1)),
+    ("in(X, y)", SortError, "argument 'X' of in must be first-order", (1, 1)),
+    ("def M(a, B) := in(a, B);\nM(x)", MacroError,
+     "macro M takes 2 argument(s), got 1", (2, 1)),
+    ("def M(a, B) := in(a, B);\nM(X, Y)", SortError,
+     "argument 'X' of macro M must be first-order", (2, 1)),
+])
+def test_call_argument_errors_are_pinned(text, cls, message, position):
+    with pytest.raises(FormulaError) as err:
+        parse_formula(text)
+    assert type(err.value) is cls
+    assert (err.value.message, (err.value.line, err.value.column)) == \
+        (message, position)
+
+
 def test_macro_expansion_avoids_capture():
     text = """
     def Above(a) := ex1 z. pdom(z, a);
