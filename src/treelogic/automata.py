@@ -22,9 +22,10 @@ Conventions:
 * Two bottom-up loops stay, because they answer different questions.
   ``_explore`` discovers new states: the constructions (product, subset
   construction) and ``renumbered`` compute each pair's entries on the fly,
-  so every pair of discovered states must be tried, and the discovery order
-  names the states.  ``reachable_states_detailed`` only reads a table that
-  already exists, so it visits the listed pairs alone; ``is_empty`` and
+  and the discovery order names the states.  The product and ``renumbered``
+  queue only pairs their inputs list; the subset construction tries every
+  pair.  ``reachable_states_detailed`` only reads a table that already
+  exists, so it visits the listed pairs alone; ``is_empty`` and
   ``minimize`` run on it.
 * Runs (``run``, ``run_set``, ``accepts``) fold the tree bottom-up over an
   explicit stack, so their depth is not bounded by the recursion limit.
@@ -37,10 +38,11 @@ Conventions:
   ``renumbered`` and ``minimize`` give their own canonical names.
 * ``minimize`` treats the implicit dead state as one ordinary state.  It
   builds the symbol->target map of each listed pair of reachable states
-  once, as a reduced ordered decision diagram whose split nodes are keyed
-  by bit position and shared across pairs (as in MONA); an unlisted pair's
-  map is the dead leaf.  Each Moore round only relabels the diagrams'
-  leaves by block and compares sparse rows and columns.
+  as a reduced ordered decision diagram whose split nodes are keyed by bit
+  position and shared across pairs (as in MONA), once per distinct entry
+  list; an unlisted pair's map is the dead leaf.  Each Moore round only
+  relabels the diagrams' leaves by block and compares sparse rows and
+  columns.
 
 Text format (one construct per line, ``#`` starts a comment)::
 
@@ -332,28 +334,36 @@ class TreeAutomaton:
                  accept: Callable[[bool, bool], bool]) -> "TreeAutomaton":
         """The product automaton; a pair state is final when ``accept`` holds
         of its components' finality.  The dead states are materialized when
-        a pair with one dead component can be final."""
+        a pair with one or two dead components can be final (``operator.eq``
+        holds on two).  Only pairs both operands list are queued, and the
+        entries of two listed pairs are met once per call."""
         if self.width != other.width:
             raise AutomatonError(
                 f"width mismatch: {self.width} vs {other.width}")
         a = self if self.deterministic else self.determinize()
         b = other if other.deterministic else other.determinize()
-        if accept(True, False) or accept(False, True):
+        if accept(True, False) or accept(False, True) or accept(False, False):
             a = a.with_materialized_sink()
             b = b.with_materialized_sink()
+        met: dict[tuple, list[tuple[str, PairKey]]] = {}
 
-        def step(left: PairKey, right: PairKey) -> Iterator[tuple[str, PairKey]]:
-            ea = a.transitions.get((left[0], right[0]), ())
-            eb = b.transitions.get((left[1], right[1]), ())
-            for g1, t1 in ea:
-                for g2, t2 in eb:
-                    m = gp.meet(g1, g2)
-                    if m is not None:
-                        yield m, (next(iter(t1)), next(iter(t2)))
+        def step(left: PairKey, right: PairKey) -> list[tuple[str, PairKey]]:
+            rows = (a.transitions.get((left[0], right[0]), ()),
+                    b.transitions.get((left[1], right[1]), ()))
+            if rows not in met:
+                met[rows] = [(m, (next(iter(t1)), next(iter(t2))))
+                             for g1, t1 in rows[0] for g2, t2 in rows[1]
+                             if (m := gp.meet(g1, g2)) is not None]
+            return met[rows]
+
+        def linked(left: PairKey, right: PairKey) -> bool:
+            return ((left[0], right[0]) in a.transitions
+                    and (left[1], right[1]) in b.transitions)
 
         return _explored_automaton(
             self.width, (a.initial, b.initial), step,
-            lambda pair: accept(pair[0] in a.finals, pair[1] in b.finals))
+            lambda pair: accept(pair[0] in a.finals, pair[1] in b.finals),
+            linked)
 
     def complement(self) -> "TreeAutomaton":
         if not self.deterministic:
@@ -370,7 +380,9 @@ class TreeAutomaton:
         """Subset construction restricted to reachable state sets.
 
         The output is deterministic and total (missing entries fall to the
-        implicit dead state, which corresponds to the empty subset).
+        implicit dead state, which corresponds to the empty subset).  Every
+        pair of subsets is tried: whether one has entries is found by
+        collecting them, which is most of what its step costs.
         """
         def step(left: frozenset[str], right: frozenset[str]
                  ) -> Iterator[tuple[str, frozenset[str]]]:
@@ -467,11 +479,12 @@ class TreeAutomaton:
 
         The implicit dead state (``sink``, or a fresh name) is an ordinary
         state that every uncovered symbol goes to.  Each listed pair of
-        reachable states has its symbol->target map built once, as a reduced
+        reachable states has its symbol->target map built as a reduced
         ordered decision diagram over bit positions whose nodes are shared
-        across pairs and whose split nodes carry their position; an unlisted
-        pair's map is the dead leaf.  Moore refinement then only relabels
-        the diagrams' leaves by block and reduces them again, and two states
+        across pairs and whose split nodes carry their position; pairs with
+        equal entries share one diagram, built once, and an unlisted pair's
+        map is the dead leaf.  Moore refinement then only relabels the
+        diagrams' leaves by block and reduces them again, and two states
         stay together while their rows and columns of relabelled diagrams
         agree.  Rows and columns are kept sparse: they list (partner, label)
         only where the label is not the dead leaf's.  The dead state is
@@ -499,38 +512,43 @@ class TreeAutomaton:
         cols: dict[str, list[tuple[str, int]]] = {s: [] for s in reached | {dead}}
         listed = 0
         gap = False  # whether a listed diagram has the dead leaf
+        # Pairs with equal entries have equal diagrams: each is built once.
+        diagrams: dict[tuple[Entry, ...], int] = {}
         for (left, right), pair_entries in self.transitions.items():
             if left not in reached or right not in reached:
                 continue
             listed += 1
-            targets = [next(iter(ts)) for _, ts in pair_entries]
-            coded = [gp.masks(g) for g, _ in pair_entries]
-            ones = [one for one, _ in coded]
-            zeros = [zero for _, zero in coded]
-            memo: dict[tuple[int, tuple[int, ...]], int] = {}
+            diagram = diagrams.get(pair_entries)
+            if diagram is None:
+                targets = [next(iter(ts)) for _, ts in pair_entries]
+                coded = [gp.masks(g) for g, _ in pair_entries]
+                ones = [one for one, _ in coded]
+                zeros = [zero for _, zero in coded]
+                memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
-            def build(pos: int, live: tuple[int, ...]) -> int:
-                nonlocal gap
-                # Skip to the next position some live guard constrains;
-                # at any position before it, both branches would agree.
-                care = 0
-                for i in live:
-                    care |= ones[i] | zeros[i]
-                care >>= pos
-                if not care:
-                    if live:
-                        return node((targets[live[0]],))
-                    gap = True
-                    return dead_leaf
-                pos += (care & -care).bit_length() - 1
-                if (pos, live) not in memo:
-                    bit = 1 << pos
-                    lo = build(pos + 1, tuple(i for i in live if not ones[i] & bit))
-                    hi = build(pos + 1, tuple(i for i in live if not zeros[i] & bit))
-                    memo[pos, live] = lo if lo == hi else node((pos, lo, hi))
-                return memo[pos, live]
+                def build(pos: int, live: tuple[int, ...]) -> int:
+                    nonlocal gap
+                    # Skip to the next position some live guard constrains;
+                    # at any position before it, both branches would agree.
+                    care = 0
+                    for i in live:
+                        care |= ones[i] | zeros[i]
+                    care >>= pos
+                    if not care:
+                        if live:
+                            return node((targets[live[0]],))
+                        gap = True
+                        return dead_leaf
+                    pos += (care & -care).bit_length() - 1
+                    if (pos, live) not in memo:
+                        bit = 1 << pos
+                        lo = build(pos + 1, tuple(i for i in live if not ones[i] & bit))
+                        hi = build(pos + 1, tuple(i for i in live if not zeros[i] & bit))
+                        memo[pos, live] = lo if lo == hi else node((pos, lo, hi))
+                    return memo[pos, live]
 
-            diagram = build(0, tuple(range(len(pair_entries))))
+                diagram = build(0, tuple(range(len(pair_entries))))
+                diagrams[pair_entries] = diagram
             rows[left].append((right, diagram))
             cols[right].append((left, diagram))
         # The dead state is reached when a reached pair is unlisted or sends
@@ -652,7 +670,8 @@ class TreeAutomaton:
                 for target in sorted(targets):
                     yield guard, target
 
-        order, _ = _explore(self.initial, step)
+        order, _ = _explore(self.initial, step,
+                            lambda left, right: (left, right) in self.transitions)
         for leftover in sorted(self.states - set(order)):
             if leftover != self.sink:
                 order.append(leftover)
@@ -760,12 +779,15 @@ def _overlap(guards) -> tuple[str, str] | None:
     return None
 
 
-def _explore(root, step):
+def _explore(root, step, linked=None):
     """Discover every state key reachable from ``root``, bottom-up.
 
     A newly found key is paired with every known key in both orders (with
     itself once), and pairs are expanded first in, first out.
     ``step(left, right)`` yields the pair's ``(guard, target_key)`` entries.
+    When given, ``linked(left, right)`` must hold of every pair whose step
+    yields an entry, and only such pairs are queued; the pairs it drops
+    would have yielded nothing, so the order and the table stay the same.
     Returns the keys in discovery order and the entries keyed by index
     pairs, with targets as indices.
     """
@@ -782,8 +804,9 @@ def _explore(root, step):
                 k = index[key] = len(order)
                 order.append(key)
                 for known in range(k + 1):
-                    queue.append((k, known))
-                    if known != k:
+                    if linked is None or linked(key, order[known]):
+                        queue.append((k, known))
+                    if known != k and (linked is None or linked(order[known], key)):
                         queue.append((known, k))
             out.append((guard, k))
         if out:
@@ -791,10 +814,11 @@ def _explore(root, step):
     return order, table
 
 
-def _explored_automaton(width: int, root, step, is_final) -> TreeAutomaton:
+def _explored_automaton(width: int, root, step, is_final, linked=None) -> TreeAutomaton:
     """The deterministic automaton ``_explore`` finds from ``root``, state
-    ``i`` named ``q<i>``; ``is_final`` decides on the state keys."""
-    order, table = _explore(root, step)
+    ``i`` named ``q<i>``; ``is_final`` decides on the state keys and
+    ``linked`` is passed on to ``_explore``."""
+    order, table = _explore(root, step, linked)
     names = [f"q{i}" for i in range(len(order))]
     transitions = {(names[i], names[j]): [(g, names[k]) for g, k in entries]
                    for (i, j), entries in table.items()}

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Iterator
+from collections import deque
+from typing import Callable, Iterable, Iterator
 
 from treelogic.formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Call,
                                 Exists1, Exists2, FalseF, Forall1, Forall2,
@@ -288,6 +289,82 @@ def ref_reachable_states_detailed(aut: TreeAutomaton, stop_on_final: bool = Fals
         if new <= reached:
             return frozenset(reached), passes
         reached |= new
+
+
+# ----------------------------------------------------------------------
+# products: the product over every pair of discovered states that
+# TreeAutomaton._product must agree with, field for field
+
+
+def ref_product(aut: TreeAutomaton, other: TreeAutomaton,
+                accept: Callable[[bool, bool], bool]) -> TreeAutomaton:
+    """The product automaton; a pair state is final when ``accept`` holds
+    of its components' finality.  The dead states are materialized when
+    a pair with one dead component can be final."""
+    if aut.width != other.width:
+        raise AutomatonError(
+            f"width mismatch: {aut.width} vs {other.width}")
+    a = aut if aut.deterministic else aut.determinize()
+    b = other if other.deterministic else other.determinize()
+    if accept(True, False) or accept(False, True):
+        a = a.with_materialized_sink()
+        b = b.with_materialized_sink()
+
+    def step(left: PairKey, right: PairKey) -> Iterator[tuple[str, PairKey]]:
+        ea = a.transitions.get((left[0], right[0]), ())
+        eb = b.transitions.get((left[1], right[1]), ())
+        for g1, t1 in ea:
+            for g2, t2 in eb:
+                m = gp.meet(g1, g2)
+                if m is not None:
+                    yield m, (next(iter(t1)), next(iter(t2)))
+
+    return ref_explored_automaton(
+        aut.width, (a.initial, b.initial), step,
+        lambda pair: accept(pair[0] in a.finals, pair[1] in b.finals))
+
+
+def ref_explore(root, step):
+    """Discover every state key reachable from ``root``, bottom-up.
+
+    A newly found key is paired with every known key in both orders (with
+    itself once), and pairs are expanded first in, first out.
+    ``step(left, right)`` yields the pair's ``(guard, target_key)`` entries.
+    Returns the keys in discovery order and the entries keyed by index
+    pairs, with targets as indices.
+    """
+    order = [root]
+    index = {root: 0}
+    queue: deque[tuple[int, int]] = deque([(0, 0)])
+    table: dict[tuple[int, int], list[tuple[str, int]]] = {}
+    while queue:
+        i, j = queue.popleft()
+        out = []
+        for guard, key in step(order[i], order[j]):
+            k = index.get(key)
+            if k is None:
+                k = index[key] = len(order)
+                order.append(key)
+                for known in range(k + 1):
+                    queue.append((k, known))
+                    if known != k:
+                        queue.append((known, k))
+            out.append((guard, k))
+        if out:
+            table[(i, j)] = out
+    return order, table
+
+
+def ref_explored_automaton(width: int, root, step, is_final) -> TreeAutomaton:
+    """The deterministic automaton ``ref_explore`` finds from ``root``, state
+    ``i`` named ``q<i>``; ``is_final`` decides on the state keys."""
+    order, table = ref_explore(root, step)
+    names = [f"q{i}" for i in range(len(order))]
+    transitions = {(names[i], names[j]): [(g, names[k]) for g, k in entries]
+                   for (i, j), entries in table.items()}
+    finals = {name for name, key in zip(names, order) if is_final(key)}
+    return TreeAutomaton(width, names, names[0], finals, transitions,
+                         deterministic=True, validate=False)
 
 
 # ----------------------------------------------------------------------

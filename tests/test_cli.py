@@ -316,6 +316,8 @@ def test_outputs_are_deterministic(tmp_path, fixtures_dir):
      "golden_compile_union_negation_ex1.aut"),
     (["compile", "--no-minimize", "local_c_command.mso"],
      "golden_compile_no_minimize_local_c_command.aut"),
+    (["compile", "--no-minimize", "chain8.mso"],
+     "golden_compile_no_minimize_chain8.aut"),
     (["solve", "--all", "parse_pipeline.clp",
       "?- { in(a, John) & in(b, Sees) & in(c, Mary) & prec(a, b) "
       "& prec(b, c) } & parse(a, b, c)."],
