@@ -25,10 +25,10 @@ previous value.
 A clause's constraint is the same formula at every application up to the
 names of its variables, so a ``Solver`` (which serves one query) keeps one
 ``CompilationContext``, whose cache compiles each constraint once over its
-own columns (see ``compiler``).  Only where a quantified constraint meets
-columns it does not mention can the store then print other, equivalent
-cubes than with compiles over the whole table; no fixture or benchmark
-query's store does.
+own columns and whose last minimization the store step shares (see
+``compiler``).  Only where a quantified constraint meets columns it does
+not mention can the store then print other, equivalent cubes than with
+compiles over the whole table; no fixture or benchmark query's store does.
 
 Recursion through second-order variables makes derivations only
 semi-decidable; the loader flags such predicates with a warning and the
@@ -41,7 +41,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .automata import TreeAutomaton
-from .compiler import CompilationContext, compile_formula
+from .compiler import CompilationContext, _minimize, compile_formula
 from .formulas import (FIRST, SECOND, Formula, FormulaError, TrueF, VarTable,
                        _Parser, build_var_table, free_variables,
                        parse_formula_fragment, sort_of_name, substitute, tokenize)
@@ -364,7 +364,7 @@ class Solver:
         compiled = compile_formula(formula, ctx)
         self.cache_hits += not ctx.stats  # a miss records construction steps
         automaton = store.automaton.remap(range(store.table.width), table.width)
-        joint = automaton.intersect(compiled).minimize()
+        joint = _minimize(ctx, automaton.intersect(compiled))
         if not joint.finals:  # minimal, so every state is reachable
             return None
         return ConstraintStore(table, joint)

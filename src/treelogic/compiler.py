@@ -18,7 +18,9 @@ reads the all-zero symbol over the columns it is given.
 
 First-order variables denote single nodes but are tracked as set bits; the
 compiler conjoins a singleton constraint for each bound first-order variable
-at its quantifier and for each free one at the top level.
+at its quantifier and for each free one at the top level.  A minimization
+whose input equals the previous one's reuses its result; the usual cause is
+a ``sing`` conjunct implied by a ``prec``, ``pdom``, ``idom`` or ``rdom``.
 
 Finite labeled trees stand in for labelings of the infinite binary tree, so
 a compiled language is kept closed under growing and pruning all-zero
@@ -73,6 +75,7 @@ class CompilationContext:
     # automaton over just those variables; see ``_compact``
     compiled: dict[tuple, TreeAutomaton] = field(default_factory=dict,
                                                  init=False, repr=False)
+    _last_minimized: tuple | None = field(default=None, init=False, repr=False)
 
 
 def stats_lines(stats: list[CompileStep]) -> list[str]:
@@ -302,9 +305,19 @@ def _atom(f: Atom, ctx: CompilationContext, table: VarTable) -> TreeAutomaton:
                           table.width)
 
 
+def _minimize(ctx: CompilationContext, aut: TreeAutomaton) -> TreeAutomaton:
+    """``aut.minimize()``, or the last result through ``ctx`` if its input
+    was equal field for field (the context keeps just that one pair)."""
+    fields = (aut.width, aut.initial, aut.sink, aut.deterministic, aut.states,
+              aut.finals, aut.transitions)
+    if ctx._last_minimized is None or ctx._last_minimized[0] != fields:
+        ctx._last_minimized = (fields, aut.minimize())
+    return ctx._last_minimized[1]
+
+
 def _step(ctx: CompilationContext, op: str, aut: TreeAutomaton) -> TreeAutomaton:
     return _record(ctx, op, len(aut.states),
-                   aut.minimize() if ctx.minimize_steps else aut)
+                   _minimize(ctx, aut) if ctx.minimize_steps else aut)
 
 
 def _record(ctx: CompilationContext, op: str, states_in: int,
@@ -347,7 +360,7 @@ def _compile(f: Formula, ctx: CompilationContext, table: VarTable) -> TreeAutoma
                          zero_pad_closure(body.project(pos)))
         result = closed.determinize()
         if ctx.minimize_steps:
-            result = result.minimize()
+            result = _minimize(ctx, result)
         return _record(ctx, "exists1" if sort == FIRST else "exists2",
                        len(closed.states), result)
     raise CompileError(f"cannot compile {type(f).__name__} "

@@ -1,9 +1,10 @@
 import itertools
 import random
+import sys
 
 import pytest
 
-from treelogic import TreeAutomaton, compiler
+from treelogic import AutomatonError, TreeAutomaton, compiler
 from treelogic.compiler import (CompilationContext, CompileError,
                                 WidthOverflowError, base_automaton,
                                 compile_formula, is_satisfiable, stats_lines,
@@ -12,10 +13,13 @@ from treelogic.formulas import (ATOM_SORTS, FIRST, Atom, VarTable,
                                 build_var_table, expand_macros, parse_formula)
 from treelogic.trees import Node, node_count
 
-from conftest import automaton_fields, fixture_text
+from conftest import FIXTURES, automaton_fields, fixture_text
 from oracle import (evaluate, iter_trees, language_sample, random_formula,
                     ref_compile, ref_compile_formula)
 from test_acceptance import ORACLE_SUITE
+
+sys.path.append(str(FIXTURES.parent.parent / "benchmarks"))
+from workloads import chain_text  # noqa: E402
 
 T_SIBLINGS = Node("00", Node("10"), Node("01"))
 
@@ -243,13 +247,7 @@ def test_compile_matches_whole_table_reference():
         assert stats_lines(ctx.stats) == stats_lines(ref_ctx.stats), formula
 
 
-@pytest.mark.parametrize("text, minimizations", [
-    ("sub(X, Y)", 1), ("sub(X, X)", 1),
-    ("pdom(x, x)", 3),  # pdom, then x's singleton and its "sing:x" step
-])
-def test_atom_is_minimized_once(monkeypatch, text, minimizations):
-    # base_automaton's result is minimal, reflexive shortcuts included, so
-    # the compiler records it without minimizing it again.
+def _count_minimize(monkeypatch) -> list:
     calls = []
     minimize = TreeAutomaton.minimize
 
@@ -258,6 +256,18 @@ def test_atom_is_minimized_once(monkeypatch, text, minimizations):
         return minimize(self)
 
     monkeypatch.setattr(TreeAutomaton, "minimize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("text, minimizations", [
+    ("sub(X, Y)", 1), ("sub(X, X)", 1),
+    ("pdom(x, x)", 3),  # pdom, then x's singleton and its "sing:x" step
+])
+def test_atom_is_minimized_once(monkeypatch, text, minimizations):
+    # base_automaton's result is minimal, reflexive shortcuts included, so
+    # the compiler records it without minimizing it again.
+    minimize = TreeAutomaton.minimize
+    calls = _count_minimize(monkeypatch)
     formula, _ = parse_formula(text)
     table = build_var_table(formula)
     aut = base_automaton(formula.kind, [table.position(a) for a in formula.args],
@@ -268,6 +278,67 @@ def test_atom_is_minimized_once(monkeypatch, text, minimizations):
     assert len(calls) == minimizations
     assert ctx.stats[0].op == f"atom:{formula.kind}"
     assert ctx.stats[0].states_in == ctx.stats[0].states_out == len(aut.states)
+
+
+@pytest.mark.parametrize("text, minimizations", [
+    # 19, 25 and 37 without reuse: on a chain, every top-level sing after
+    # the first rebuilds the product minimized just before it
+    (chain_text(12, "v", "S"), 14), (chain_text(16, "v", "S"), 18),
+    (fixture_text("local_c_command.mso"), 35),
+], ids=["chain12", "chain16", "local_c_command"])
+def test_repeated_minimization_is_reused(monkeypatch, text, minimizations):
+    minimize = TreeAutomaton.minimize
+    calls = _count_minimize(monkeypatch)
+    helper = compiler._minimize
+    returned = []
+
+    def recorded(ctx, aut):
+        result = helper(ctx, aut)
+        returned.append((aut, result))
+        return result
+
+    monkeypatch.setattr(compiler, "_minimize", recorded)
+    for _ in range(2):  # a fresh context starts with nothing remembered
+        calls.clear()
+        compiled(text)
+        assert len(calls) == minimizations
+    assert len(returned) > minimizations
+    for aut, result in returned:
+        assert automaton_fields(result) == automaton_fields(minimize(aut))
+
+
+def _guard_variant(field: str | None) -> TreeAutomaton:
+    base = {"states": {"a", "b", "s", "t"}, "initial": "a", "finals": {"b"},
+            "sink": "s"}
+    changed = {"states": {"a", "b", "s", "t", "u"}, "initial": "b",
+               "finals": {"a", "b"}, "sink": "t"}
+    fields = dict(base, **({field: changed[field]} if field else {}))
+    return TreeAutomaton(
+        1, fields["states"], fields["initial"], fields["finals"],
+        {("a", "a"): {"0": "a", "1": "b"}, ("a", "b"): {"0": "b"},
+         ("b", "a"): {"0": "b"}},
+        sink=fields["sink"])
+
+
+@pytest.mark.parametrize("field", ["finals", "initial", "sink", "states"])
+def test_minimization_reuse_compares_every_field(monkeypatch, field):
+    minimize = TreeAutomaton.minimize
+    calls = _count_minimize(monkeypatch)
+    ctx = CompilationContext(VarTable())
+    base, variant = _guard_variant(None), _guard_variant(field)
+    assert variant.transitions == base.transitions
+    first = compiler._minimize(ctx, base)
+    assert compiler._minimize(ctx, _guard_variant(None)) is first
+    assert len(calls) == 1
+    result = compiler._minimize(ctx, variant)
+    assert calls == [base, variant]
+    assert automaton_fields(result) == automaton_fields(minimize(variant))
+    nondet = TreeAutomaton(1, base.states, base.initial, base.finals,
+                           base.transitions, deterministic=False,
+                           sink=base.sink)
+    compiler._minimize(ctx, base)
+    with pytest.raises(AutomatonError):
+        compiler._minimize(ctx, nondet)
 
 
 def test_closure_accepts_nondeterministic_input():
