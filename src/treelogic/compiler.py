@@ -1,6 +1,7 @@
 """Translation of formulas into tree automata.
 
-The pipeline is structural: atomic relations get hand-built minimal automata,
+The pipeline is structural: an atomic relation is a literal table over its
+own argument bits, minimized and placed at its columns (``base_automaton``),
 conjunction becomes the product, negation the complement, and existential
 quantification the projection followed by the subset construction.  The
 automaton of every subformula is minimized by default, which doubles as the
@@ -87,21 +88,60 @@ def stats_lines(stats: list[CompileStep]) -> list[str]:
 # base automata
 
 
-def _pat(width: int, assign: dict[int, str]) -> str:
-    chars = ["*"] * width
-    for pos, ch in assign.items():
-        chars[pos] = ch
-    return "".join(chars)
+# Each relation's automaton over its own argument bits, first argument
+# first: its states, the first of them initial, its one final state and
+# {(left, right): {guard: target}}.  Every symbol a pair does not list
+# goes to the sink ``s``.  The order relations read their arguments as
+# singleton markers; the compiler conjoins the singleton constraint
+# separately, so here a second occurrence of a marker falls into the sink.
+_PDOM = {
+    ("n", "n"): {"00": "n", "01": "j"},
+    ("j", "n"): {"00": "j", "10": "d"},
+    ("n", "j"): {"00": "j", "10": "d"},
+    ("d", "n"): {"00": "d"},
+    ("n", "d"): {"00": "d"},
+}
+_TABLES = {
+    "sing": (("n0", "n1"), "n1", {
+        ("n0", "n0"): {"0": "n0", "1": "n1"},
+        ("n0", "n1"): {"0": "n1"},
+        ("n1", "n0"): {"0": "n1"},
+    }),
+    "in": (("ok",), "ok", {("ok", "ok"): {"0*": "ok", "11": "ok"}}),
+    "eqset": (("ok",), "ok", {("ok", "ok"): {"00": "ok", "11": "ok"}}),
+    "pdom": (("n", "j", "d"), "d", _PDOM),
+    "rdom": (("n", "j", "d"), "d",
+             {**_PDOM, ("n", "n"): {**_PDOM["n", "n"], "11": "d"}}),
+    "idom": (("n", "c", "d"), "d", {
+        ("n", "n"): {"00": "n", "01": "c"},
+        ("c", "n"): {"10": "d"},
+        ("n", "c"): {"10": "d"},
+        ("d", "n"): {"00": "d"},
+        ("n", "d"): {"00": "d"},
+    }),
+    "prec": (("n", "a", "b", "d"), "d", {
+        ("n", "n"): {"00": "n", "10": "a", "01": "b"},
+        ("a", "n"): {"00": "a"},
+        ("n", "a"): {"00": "a"},
+        ("b", "n"): {"00": "b"},
+        ("n", "b"): {"00": "b"},
+        ("a", "b"): {"00": "d"},
+        ("d", "n"): {"00": "d"},
+        ("n", "d"): {"00": "d"},
+    }),
+}
+_TABLES["sub"] = _TABLES["in"]
+_TABLES["eq1"] = _TABLES["eqset"]
 
 
 def base_automaton(kind: str, positions, width: int) -> TreeAutomaton:
     """Minimal deterministic automaton of one atomic relation over bit
     positions, all other bits don't-care.
 
-    The domination, precedence and immediate-domination automata read their
-    arguments as singleton markers; the compiler conjoins the singleton
-    constraint separately, so here a second occurrence of a marker simply
-    falls into the sink.
+    The relation's table is built over its own argument bits, with its two
+    guard columns swapped when the first argument sits at the higher
+    position, minimized, and placed at the sorted positions with
+    ``TreeAutomaton.remap``.
     """
     if kind not in ATOM_SORTS:
         raise CompileError(f"unknown relation {kind!r}")
@@ -119,80 +159,14 @@ def base_automaton(kind: str, positions, width: int) -> TreeAutomaton:
             aut = TreeAutomaton.all_trees(width)
         else:
             aut = TreeAutomaton.empty_language(width)
-    elif kind == "sing":
-        i, = positions
-        aut = TreeAutomaton(
-            width, {"n0", "n1", "s"}, "n0", {"n1"},
-            {
-                ("n0", "n0"): {_pat(width, {i: "0"}): "n0",
-                               _pat(width, {i: "1"}): "n1"},
-                ("n0", "n1"): {_pat(width, {i: "0"}): "n1"},
-                ("n1", "n0"): {_pat(width, {i: "0"}): "n1"},
-            },
-            sink="s")
-    elif kind in ("in", "sub"):
-        i, j = positions
-        aut = TreeAutomaton(
-            width, {"ok", "s"}, "ok", {"ok"},
-            {("ok", "ok"): {_pat(width, {i: "0"}): "ok",
-                            _pat(width, {i: "1", j: "1"}): "ok"}},
-            sink="s")
-    elif kind in ("eqset", "eq1"):
-        i, j = positions
-        aut = TreeAutomaton(
-            width, {"ok", "s"}, "ok", {"ok"},
-            {("ok", "ok"): {_pat(width, {i: "0", j: "0"}): "ok",
-                            _pat(width, {i: "1", j: "1"}): "ok"}},
-            sink="s")
-    elif kind in ("pdom", "rdom"):
-        i, j = positions
-        zero = _pat(width, {i: "0", j: "0"})
-        start = {_pat(width, {i: "0", j: "0"}): "n",
-                 _pat(width, {i: "0", j: "1"}): "j"}
-        if kind == "rdom":
-            start[_pat(width, {i: "1", j: "1"})] = "d"
-        aut = TreeAutomaton(
-            width, {"n", "j", "d", "s"}, "n", {"d"},
-            {
-                ("n", "n"): start,
-                ("j", "n"): {zero: "j", _pat(width, {i: "1", j: "0"}): "d"},
-                ("n", "j"): {zero: "j", _pat(width, {i: "1", j: "0"}): "d"},
-                ("d", "n"): {zero: "d"},
-                ("n", "d"): {zero: "d"},
-            },
-            sink="s")
-    elif kind == "idom":
-        i, j = positions
-        zero = _pat(width, {i: "0", j: "0"})
-        aut = TreeAutomaton(
-            width, {"n", "c", "d", "s"}, "n", {"d"},
-            {
-                ("n", "n"): {zero: "n", _pat(width, {i: "0", j: "1"}): "c"},
-                ("c", "n"): {_pat(width, {i: "1", j: "0"}): "d"},
-                ("n", "c"): {_pat(width, {i: "1", j: "0"}): "d"},
-                ("d", "n"): {zero: "d"},
-                ("n", "d"): {zero: "d"},
-            },
-            sink="s")
-    else:  # prec
-        i, j = positions
-        zero = _pat(width, {i: "0", j: "0"})
-        aut = TreeAutomaton(
-            width, {"n", "a", "b", "d", "s"}, "n", {"d"},
-            {
-                ("n", "n"): {zero: "n",
-                             _pat(width, {i: "1", j: "0"}): "a",
-                             _pat(width, {i: "0", j: "1"}): "b"},
-                ("a", "n"): {zero: "a"},
-                ("n", "a"): {zero: "a"},
-                ("b", "n"): {zero: "b"},
-                ("n", "b"): {zero: "b"},
-                ("a", "b"): {zero: "d"},
-                ("d", "n"): {zero: "d"},
-                ("n", "d"): {zero: "d"},
-            },
-            sink="s")
-    return aut.minimize()
+        return aut.minimize()
+    states, final, transitions = _TABLES[kind]
+    if len(positions) == 2 and positions[0] > positions[1]:
+        transitions = {pair: {g[::-1]: t for g, t in entries.items()}
+                       for pair, entries in transitions.items()}
+    aut = TreeAutomaton(len(positions), {*states, "s"}, states[0], {final},
+                        transitions, sink="s")
+    return aut.minimize().remap(sorted(positions), width)
 
 
 # ----------------------------------------------------------------------

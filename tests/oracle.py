@@ -25,6 +25,7 @@ from treelogic.formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Call,
                                 free_variables, rename_bound_apart,
                                 sort_of_name, substitute)
 from treelogic import compiler
+from treelogic.compiler import CompileError
 from treelogic import guards as gp
 from treelogic.automata import (AutomatonError, PairKey, TreeAutomaton,
                                 _explore, fresh_name)
@@ -520,6 +521,121 @@ def ref_witness(aut: TreeAutomaton):
             if best is None or entry[:3] < best[:3]:
                 best = entry
     return best[3] if best else None
+
+
+# ----------------------------------------------------------------------
+# atoms: the per-relation builders at full width that compiler.base_automaton's
+# tables, placed by TreeAutomaton.remap, must agree with, field for field
+
+
+def _pat(width: int, assign: dict[int, str]) -> str:
+    chars = ["*"] * width
+    for pos, ch in assign.items():
+        chars[pos] = ch
+    return "".join(chars)
+
+
+def ref_base_automaton(kind: str, positions, width: int) -> TreeAutomaton:
+    """``compiler.base_automaton`` with every guard written at full width.
+
+    Minimal deterministic automaton of one atomic relation over bit
+    positions, all other bits don't-care.
+
+    The domination, precedence and immediate-domination automata read their
+    arguments as singleton markers; the compiler conjoins the singleton
+    constraint separately, so here a second occurrence of a marker simply
+    falls into the sink.
+    """
+    if kind not in ATOM_SORTS:
+        raise CompileError(f"unknown relation {kind!r}")
+    positions = tuple(positions)
+    if len(positions) != len(ATOM_SORTS[kind]):
+        raise CompileError(f"{kind} takes {len(ATOM_SORTS[kind])} position(s)")
+    for pos in positions:
+        if not 0 <= pos < width:
+            raise CompileError(f"position {pos} out of range for width {width}")
+
+    if len(positions) == 2 and positions[0] == positions[1]:
+        # Reflexive instances collapse: equality-style relations hold of
+        # every labeling, the irreflexive orders of none.
+        if kind in ("rdom", "eqset", "eq1", "sub", "in"):
+            aut = TreeAutomaton.all_trees(width)
+        else:
+            aut = TreeAutomaton.empty_language(width)
+    elif kind == "sing":
+        i, = positions
+        aut = TreeAutomaton(
+            width, {"n0", "n1", "s"}, "n0", {"n1"},
+            {
+                ("n0", "n0"): {_pat(width, {i: "0"}): "n0",
+                               _pat(width, {i: "1"}): "n1"},
+                ("n0", "n1"): {_pat(width, {i: "0"}): "n1"},
+                ("n1", "n0"): {_pat(width, {i: "0"}): "n1"},
+            },
+            sink="s")
+    elif kind in ("in", "sub"):
+        i, j = positions
+        aut = TreeAutomaton(
+            width, {"ok", "s"}, "ok", {"ok"},
+            {("ok", "ok"): {_pat(width, {i: "0"}): "ok",
+                            _pat(width, {i: "1", j: "1"}): "ok"}},
+            sink="s")
+    elif kind in ("eqset", "eq1"):
+        i, j = positions
+        aut = TreeAutomaton(
+            width, {"ok", "s"}, "ok", {"ok"},
+            {("ok", "ok"): {_pat(width, {i: "0", j: "0"}): "ok",
+                            _pat(width, {i: "1", j: "1"}): "ok"}},
+            sink="s")
+    elif kind in ("pdom", "rdom"):
+        i, j = positions
+        zero = _pat(width, {i: "0", j: "0"})
+        start = {_pat(width, {i: "0", j: "0"}): "n",
+                 _pat(width, {i: "0", j: "1"}): "j"}
+        if kind == "rdom":
+            start[_pat(width, {i: "1", j: "1"})] = "d"
+        aut = TreeAutomaton(
+            width, {"n", "j", "d", "s"}, "n", {"d"},
+            {
+                ("n", "n"): start,
+                ("j", "n"): {zero: "j", _pat(width, {i: "1", j: "0"}): "d"},
+                ("n", "j"): {zero: "j", _pat(width, {i: "1", j: "0"}): "d"},
+                ("d", "n"): {zero: "d"},
+                ("n", "d"): {zero: "d"},
+            },
+            sink="s")
+    elif kind == "idom":
+        i, j = positions
+        zero = _pat(width, {i: "0", j: "0"})
+        aut = TreeAutomaton(
+            width, {"n", "c", "d", "s"}, "n", {"d"},
+            {
+                ("n", "n"): {zero: "n", _pat(width, {i: "0", j: "1"}): "c"},
+                ("c", "n"): {_pat(width, {i: "1", j: "0"}): "d"},
+                ("n", "c"): {_pat(width, {i: "1", j: "0"}): "d"},
+                ("d", "n"): {zero: "d"},
+                ("n", "d"): {zero: "d"},
+            },
+            sink="s")
+    else:  # prec
+        i, j = positions
+        zero = _pat(width, {i: "0", j: "0"})
+        aut = TreeAutomaton(
+            width, {"n", "a", "b", "d", "s"}, "n", {"d"},
+            {
+                ("n", "n"): {zero: "n",
+                             _pat(width, {i: "1", j: "0"}): "a",
+                             _pat(width, {i: "0", j: "1"}): "b"},
+                ("a", "n"): {zero: "a"},
+                ("n", "a"): {zero: "a"},
+                ("b", "n"): {zero: "b"},
+                ("n", "b"): {zero: "b"},
+                ("a", "b"): {zero: "d"},
+                ("d", "n"): {zero: "d"},
+                ("n", "d"): {zero: "d"},
+            },
+            sink="s")
+    return aut.minimize()
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from treelogic.trees import Node, node_count
 
 from conftest import FIXTURES, automaton_fields, fixture_text
 from oracle import (evaluate, iter_trees, language_sample, random_formula,
-                    ref_compile, ref_compile_formula)
+                    ref_base_automaton, ref_compile, ref_compile_formula)
 from test_acceptance import ORACLE_SUITE
 
 sys.path.append(str(FIXTURES.parent.parent / "benchmarks"))
@@ -98,6 +98,21 @@ def test_atom_table_matches_base_automaton():
         # orders
         assert len(ctx.compiled) == 1 + 8 * (1 if width == 1 else 3)
     assert "compiled" not in repr(ctx)
+
+
+def test_base_automaton_matches_full_width_reference():
+    for width in range(1, 7):
+        for kind, sorts in ATOM_SORTS.items():
+            for positions in itertools.product(range(width), repeat=len(sorts)):
+                assert automaton_fields(base_automaton(kind, positions, width)) == \
+                    automaton_fields(ref_base_automaton(kind, positions, width)), \
+                    (kind, positions, width)
+    # each relation's table is minimal as written: minimizing it keeps its
+    # states, plus the sink
+    for kind, (states, _, _) in compiler._TABLES.items():
+        arity = len(ATOM_SORTS[kind])
+        assert len(base_automaton(kind, range(arity), arity).states) == \
+            len(states) + 1, kind
 
 
 def test_atom_table_is_read_by_the_compiler(monkeypatch):
