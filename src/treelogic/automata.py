@@ -36,6 +36,11 @@ Conventions:
   states can share a name whatever names the inputs use.  Only names
   supplied by the caller or read by ``from_text`` survive an operation;
   ``renumbered`` and ``minimize`` give their own canonical names.
+* The constructions build their tables in canonical form and hand them to
+  ``_canonical``, which neither normalizes nor validates.  The public
+  constructor (so ``from_text``) does both.  ``project`` and the
+  compiler's closure go through it to normalize: dropping a column or
+  copying entries onto new pairs can make two guards of a pair collide.
 * ``minimize`` treats the implicit dead state as one ordinary state.  It
   builds the symbol->target map of each listed pair of reachable states
   as a reduced ordered decision diagram whose split nodes are keyed by bit
@@ -83,7 +88,8 @@ class AutomatonError(ValueError):
 
 def _normalize(transitions) -> dict[PairKey, tuple[Entry, ...]]:
     """Accepts {pair: {guard: target-or-targets}} or {pair: iterable of
-    (guard, target-or-targets)}; returns the canonical sorted form."""
+    (guard, target-or-targets)}; returns the canonical sorted form.  Its
+    one caller is the public constructor (see the module docstring)."""
     norm: dict[PairKey, dict[str, set[str]]] = {}
     for pair, entries in transitions.items():
         items = entries.items() if isinstance(entries, dict) else entries
@@ -113,6 +119,24 @@ class TreeAutomaton:
         self._steps: dict[tuple, object] = {}  # memo of runs' steps, see _fold
         if validate:
             self._validate()
+
+    @classmethod
+    def _canonical(cls, width, states, initial, finals, transitions,
+                   deterministic, sink=None) -> "TreeAutomaton":
+        """The automaton of these fields, trusted: neither normalized nor
+        validated.  ``transitions`` must already be canonical, its pairs in
+        sorted order and each value a tuple of ``(guard, frozenset of
+        targets)`` with strictly increasing guards."""
+        aut = cls.__new__(cls)
+        aut.width = width
+        aut.states = frozenset(states)
+        aut.initial = initial
+        aut.finals = frozenset(finals)
+        aut.transitions = transitions
+        aut.deterministic = deterministic
+        aut.sink = sink
+        aut._steps = {}
+        return aut
 
     def _validate(self) -> None:
         if self.width < 0:
@@ -312,14 +336,14 @@ class TreeAutomaton:
             raise AutomatonError("cannot materialize the sink of a nondeterministic automaton")
         sink = self.sink if self.sink is not None else fresh_name("dead", self.states)
         states = self.states | {sink}
-        transitions: dict[PairKey, list] = {}
-        for pair in itertools.product(states, repeat=2):
-            listed = list(self.transitions.get(pair, ()))
-            transitions[pair] = listed + [
-                (cube, sink) for cube in gp.uncovered([g for g, _ in listed], self.width)]
-        return TreeAutomaton(self.width, states, self.initial, self.finals,
-                             transitions, deterministic=True, sink=sink,
-                             validate=False)
+        dead = frozenset({sink})
+        transitions: dict[PairKey, tuple[Entry, ...]] = {}
+        for pair in itertools.product(sorted(states), repeat=2):
+            listed = self.transitions.get(pair, ())
+            transitions[pair] = tuple(sorted([*listed, *(
+                (cube, dead) for cube in gp.uncovered([g for g, _ in listed], self.width))]))
+        return TreeAutomaton._canonical(self.width, states, self.initial,
+                                        self.finals, transitions, True, sink)
 
     # ------------------------------------------------------------------
     # boolean operations
@@ -369,9 +393,9 @@ class TreeAutomaton:
         if not self.deterministic:
             raise AutomatonError("complement requires a deterministic automaton")
         total = self.with_materialized_sink()
-        return TreeAutomaton(total.width, total.states, total.initial,
-                             total.states - total.finals, total.transitions,
-                             deterministic=True, sink=None, validate=False)
+        return TreeAutomaton._canonical(total.width, total.states, total.initial,
+                                        total.states - total.finals,
+                                        total.transitions, True)
 
     # ------------------------------------------------------------------
     # determinization
@@ -456,13 +480,12 @@ class TreeAutomaton:
             return "".join(gap + bit for gap, bit in zip(gaps, guard)) + last
 
         transitions = {
-            pair: [(spread(g), ts) for g, ts in pair_entries]
+            pair: tuple((spread(g), ts) for g, ts in pair_entries)
             for pair, pair_entries in self.transitions.items()
         }
-        return TreeAutomaton(width, self.states, self.initial,
-                             self.finals, transitions,
-                             deterministic=self.deterministic,
-                             sink=self.sink, validate=False)
+        return TreeAutomaton._canonical(width, self.states, self.initial,
+                                        self.finals, transitions,
+                                        self.deterministic, self.sink)
 
     # ------------------------------------------------------------------
     # minimization
@@ -598,32 +621,27 @@ class TreeAutomaton:
             del rep[sink]
             sink = None
 
-        def bname(b: int) -> str:
-            return f"m{b}"
-
-        quotient: dict[PairKey, list[tuple[str, str]]] = {}
+        name = {b: f"m{b}" for b in rep}
+        target = {b: frozenset({name[b]}) for b in rep}
+        quotient: dict[PairKey, tuple[Entry, ...]] = {}
         for bl in rep:
             for br in rep:
                 if sink in (bl, br):
                     continue
-                merged: dict[str, list[str]] = {}
+                merged: dict[int, list[str]] = {}
                 for guard, targets in self.transitions.get((rep[bl], rep[br]), ()):
                     b = block[next(iter(targets))]
                     if b != sink:
-                        merged.setdefault(bname(b), []).append(guard)
-                out = []
-                for target, pats in sorted(merged.items()):
-                    for pattern in gp.merge_patterns(pats):
-                        out.append((pattern, target))
-                if out:
-                    quotient[(bname(bl), bname(br))] = out
+                        merged.setdefault(b, []).append(guard)
+                if merged:
+                    quotient[name[bl], name[br]] = tuple(sorted(
+                        (pattern, target[b]) for b, pats in merged.items()
+                        for pattern in (pats if len(pats) == 1 else gp.merge_patterns(pats))))
 
-        return TreeAutomaton(self.width, {bname(b) for b in rep},
-                             bname(block[self.initial]),
-                             {bname(block[s]) for s in states if s in self.finals},
-                             quotient, deterministic=True,
-                             sink=None if sink is None else bname(sink),
-                             validate=False)
+        return TreeAutomaton._canonical(
+            self.width, name.values(), name[block[self.initial]],
+            {name[block[s]] for s in states if s in self.finals},
+            dict(sorted(quotient.items())), True, None if sink is None else name[sink])
 
     # ------------------------------------------------------------------
     # language comparison and witnesses
@@ -679,14 +697,14 @@ class TreeAutomaton:
             order.append(self.sink)
         names = {s: f"q{i}" for i, s in enumerate(order)}
         transitions = {
-            (names[l], names[r]): [(g, {names[t] for t in ts}) for g, ts in entries]
+            (names[l], names[r]): tuple((g, frozenset(map(names.get, ts)))
+                                        for g, ts in entries)
             for (l, r), entries in self.transitions.items()
         }
-        return TreeAutomaton(self.width, set(names.values()), names[self.initial],
-                             {names[f] for f in self.finals}, transitions,
-                             deterministic=self.deterministic,
-                             sink=None if self.sink is None else names[self.sink],
-                             validate=False)
+        return TreeAutomaton._canonical(
+            self.width, names.values(), names[self.initial],
+            {names[f] for f in self.finals}, dict(sorted(transitions.items())),
+            self.deterministic, None if self.sink is None else names[self.sink])
 
     def to_text(self) -> str:
         def key(name: str) -> tuple[int, str]:
@@ -820,8 +838,9 @@ def _explored_automaton(width: int, root, step, is_final, linked=None) -> TreeAu
     ``linked`` is passed on to ``_explore``."""
     order, table = _explore(root, step, linked)
     names = [f"q{i}" for i in range(len(order))]
-    transitions = {(names[i], names[j]): [(g, names[k]) for g, k in entries]
+    targets = [frozenset({name}) for name in names]
+    transitions = {(names[i], names[j]): tuple((g, targets[k]) for g, k in sorted(entries))
                    for (i, j), entries in table.items()}
     finals = {name for name, key in zip(names, order) if is_final(key)}
-    return TreeAutomaton(width, names, names[0], finals, transitions,
-                         deterministic=True, validate=False)
+    return TreeAutomaton._canonical(width, names, names[0], finals,
+                                    dict(sorted(transitions.items())), True)

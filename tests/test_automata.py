@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from treelogic import AutomatonError, TreeAutomaton
+from treelogic import AutomatonError, TreeAutomaton, automata
 from treelogic import guards as gp
 from treelogic.cli import main
 from treelogic.compiler import zero_pad_closure
@@ -328,6 +328,23 @@ def test_width_16_chain_meets_few_guards(monkeypatch):
     monkeypatch.setattr(gp, "meet", counted)
     compiled(chain_text(16, "v", "S"))
     assert calls <= 8000
+
+
+def test_width_16_chain_normalizes_only_its_atom_tables(monkeypatch):
+    # Constructions hand their tables over in canonical form; only the
+    # literal atom tables (in, prec, sing) go through _normalize, against
+    # 66 calls when every construction normalized its own table.
+    calls = 0
+    normalize = automata._normalize
+
+    def counted(transitions):
+        nonlocal calls
+        calls += 1
+        return normalize(transitions)
+
+    monkeypatch.setattr(automata, "_normalize", counted)
+    compiled(chain_text(16, "v", "S"))
+    assert calls <= 3
 
 
 def test_product_state_names_cannot_collide():
@@ -885,3 +902,71 @@ def test_renumbered_is_canonical(ac_com_automaton):
          for (l, r), entries in ac_com_automaton.transitions.items()},
         sink=f"s_{ac_com_automaton.sink}")
     assert shuffled.renumbered().to_text() == one.to_text()
+
+
+# ----------------------------------------------------------------------
+# trusted construction
+
+
+def _trusted(monkeypatch, build):
+    """Every automaton built through ``TreeAutomaton._canonical`` while
+    ``build()`` runs."""
+    made = []
+    canonical = TreeAutomaton._canonical.__func__
+
+    def recorded(cls, *fields):
+        made.append(canonical(cls, *fields))
+        return made[-1]
+
+    monkeypatch.setattr(TreeAutomaton, "_canonical", classmethod(recorded))
+    build()
+    monkeypatch.undo()
+    return made
+
+
+def _assert_canonical(aut):
+    """The table is what the public constructor would make of it."""
+    table = aut.transitions
+    assert list(table.items()) == list(automata._normalize(table).items())
+    assert all(type(entries) is tuple for entries in table.values())
+    assert all(type(ts) is frozenset
+               for entries in table.values() for _, ts in entries)
+    if aut.deterministic:
+        aut._validate()
+
+
+def _run_operations(rng, aut):
+    """Every trusted construction of ``aut``, with a second automaton of
+    its width where one is needed."""
+    other = _GENERATORS[rng.randrange(3)](rng, aut.width, 3)
+    aut.intersect(other)
+    aut.union(other)
+    aut._product(other, operator.ne)
+    aut.determinize()
+    aut.renumbered()
+    width = aut.width + rng.randint(1, 2)
+    aut.remap(sorted(rng.sample(range(width), aut.width)), width)
+    if aut.deterministic:
+        aut.complement()
+        aut.with_materialized_sink()
+        aut.minimize()
+
+
+def test_trusted_tables_are_canonical(monkeypatch):
+    rng = random.Random(2041)
+    cases = []
+    for aut in _random_automata(rng, 200, (0, 3), 4):
+        cases.append(aut)
+        if aut.deterministic:
+            cases.append(TreeAutomaton(aut.width, aut.states | {"sink"},
+                                       aut.initial, aut.finals,
+                                       aut.transitions, sink="sink"))
+    made = _trusted(monkeypatch, lambda: [_run_operations(rng, aut)
+                                          for aut in cases])
+    fixtures = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.mso"))]
+    chains = [chain_text(width, "v", "S") for width in range(8, 17)]
+    made += _trusted(monkeypatch, lambda: [compiled(text)
+                                           for text in fixtures + chains])
+    assert len(made) > 3000
+    for aut in made:
+        _assert_canonical(aut)

@@ -327,6 +327,8 @@ def test_outputs_are_deterministic(tmp_path, fixtures_dir):
      "golden_witness_union_negation_ex1.txt"),
     (["compile", "--no-minimize", "chain8.mso"],
      "golden_compile_no_minimize_chain8.aut"),
+    (["compile", "--no-minimize", "union_negation_ex1.mso"],
+     "golden_compile_no_minimize_union_negation_ex1.aut"),
 ])
 def test_outputs_match_golden_files(capsys, fixtures_dir, argv, golden):
     # Identical inputs give byte-identical outputs across versions; the
