@@ -24,9 +24,9 @@ Conventions:
   construction) and ``renumbered`` compute each pair's entries on the fly,
   and the discovery order names the states.  The product and ``renumbered``
   queue only pairs their inputs list; the subset construction tries every
-  pair.  ``reachable_states_detailed`` only reads a table that already
-  exists, so it visits the listed pairs alone; ``is_empty`` and
-  ``minimize`` run on it.
+  pair, but computes each distinct row set's step once.
+  ``reachable_states_detailed`` only reads a table that already exists, so
+  it visits the listed pairs alone; ``is_empty`` and ``minimize`` run on it.
 * Runs (``run``, ``run_set``, ``accepts``) fold the tree bottom-up over an
   explicit stack, so their depth is not bounded by the recursion limit.
 * State identity is meaningless across automata: compare languages with
@@ -405,17 +405,17 @@ class TreeAutomaton:
 
         The output is deterministic and total (missing entries fall to the
         implicit dead state, which corresponds to the empty subset).  Every
-        pair of subsets is tried: whether one has entries is found by
-        collecting them, which is most of what its step costs.
+        pair of subsets is tried; its step depends only on the set of rows
+        its members list, so each distinct set's step is computed once.
         """
-        def step(left: frozenset[str], right: frozenset[str]
-                 ) -> Iterator[tuple[str, frozenset[str]]]:
-            collected: list[Entry] = []
-            for p in left:
-                for q in right:
-                    collected.extend(self.transitions.get((p, q), ()))
-            if not collected:
-                return
+        memo: dict[frozenset, list[Entry]] = {frozenset(): []}  # no rows, no entries
+
+        def step(left: frozenset[str], right: frozenset[str]) -> list[Entry]:
+            rows = frozenset(row for p in left for q in right
+                             if (row := self.transitions.get((p, q))))
+            if rows in memo:
+                return memo[rows]
+            collected = [entry for row in rows for entry in row]
             positions = gp.constrained_positions(g for g, _ in collected)
             # Minterm cubes: concrete exactly at the constrained positions, so
             # every collected guard is the union of those it expands to.
@@ -427,9 +427,9 @@ class TreeAutomaton:
             for cube, targets in minterms.items():
                 if targets:
                     by_target.setdefault(frozenset(targets), []).append(cube)
-            for subset in sorted(by_target, key=lambda s: sorted(s)):
-                for pattern in gp.merge_patterns(by_target[subset]):
-                    yield pattern, subset
+            memo[rows] = [(pattern, subset) for subset in sorted(by_target, key=sorted)
+                          for pattern in gp.merge_patterns(by_target[subset])]
+            return memo[rows]
 
         return _explored_automaton(self.width, frozenset({self.initial}), step,
                                    lambda subset: bool(subset & self.finals))

@@ -29,6 +29,9 @@ own columns and whose last minimization the store step shares (see
 ``compiler``).  Only where a quantified constraint meets columns it does
 not mention can the store then print other, equivalent cubes than with
 compiles over the whole table; no fixture or benchmark query's store does.
+Search re-applies clauses on many branches, so the solver also keeps its
+last ``STORE_STEPS`` store steps, keyed by both automata field for field;
+a step found there skips the product and the minimization.
 
 Recursion through second-order variables makes derivations only
 semi-decidable; the loader flags such predicates with a warning and the
@@ -38,14 +41,17 @@ solver enforces a configurable depth bound per branch.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .automata import TreeAutomaton
-from .compiler import CompilationContext, _minimize, compile_formula
+from .compiler import CompilationContext, _fields, _minimize, compile_formula
 from .formulas import (FIRST, SECOND, Formula, FormulaError, TrueF, VarTable,
                        _Parser, build_var_table, free_variables,
                        parse_formula_fragment, sort_of_name, substitute, tokenize)
 from .trees import Tree, assignment_from_tree
+
+STORE_STEPS = 32  # the store steps a Solver remembers (see above)
 
 
 class ProgramError(FormulaError):
@@ -246,10 +252,10 @@ class Solver:
     """Depth-first, left-to-right resolution with automaton constraint solving.
 
     ``on_event`` (when given) receives (kind, detail) pairs for goal
-    reductions, constraint-store updates and depth-bound truncations; a
-    store update's ``cached`` says whether its constraint was already
-    compiled.  ``truncated_branches`` counts branches cut by the depth
-    bound, ``cache_hits`` the constraints found compiled.
+    reductions, store updates and depth-bound truncations; an update's
+    ``cached`` says whether its constraint was already compiled.  Counters:
+    ``truncated_branches`` (branches cut by the depth bound), ``cache_hits``
+    (constraints found compiled) and ``store_hits`` (store steps found).
     """
 
     def __init__(self, program: Program, depth: int = 64, max_width: int = 16,
@@ -260,6 +266,8 @@ class Solver:
         self.iterative_deepening = iterative_deepening
         self.truncated_branches = 0
         self.cache_hits = 0
+        self.store_hits = 0
+        self._steps: OrderedDict[tuple, TreeAutomaton] = OrderedDict()  # LRU
         self._fresh = itertools.count(1)
         # (name, arity) -> each matching clause with its first-order locals
         self._clauses: dict[tuple[str, int], list[tuple[Clause, list[str]]]] = {}
@@ -363,8 +371,15 @@ class Solver:
         ctx.stats.clear()
         compiled = compile_formula(formula, ctx)
         self.cache_hits += not ctx.stats  # a miss records construction steps
-        automaton = store.automaton.remap(range(store.table.width), table.width)
-        joint = _minimize(ctx, automaton.intersect(compiled))
+        key = (_fields(store.automaton), _fields(compiled))
+        joint = self._steps.pop(key, None)
+        self.store_hits += joint is not None
+        if joint is None:
+            automaton = store.automaton.remap(range(store.table.width), table.width)
+            joint = _minimize(ctx, automaton.intersect(compiled))
+        self._steps[key] = joint  # the most recently used step goes last
+        if len(self._steps) > STORE_STEPS:
+            self._steps.popitem(last=False)
         if not joint.finals:  # minimal, so every state is reachable
             return None
         return ConstraintStore(table, joint)

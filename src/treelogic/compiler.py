@@ -279,11 +279,16 @@ def _atom(f: Atom, ctx: CompilationContext, table: VarTable) -> TreeAutomaton:
                           table.width)
 
 
+def _fields(aut: TreeAutomaton) -> tuple:
+    """An automaton's fields, hashable: its canonical table as pairs and entries."""
+    return (aut.width, aut.initial, aut.sink, aut.deterministic, aut.states,
+            aut.finals, tuple(aut.transitions), tuple(aut.transitions.values()))
+
+
 def _minimize(ctx: CompilationContext, aut: TreeAutomaton) -> TreeAutomaton:
     """``aut.minimize()``, or the last result through ``ctx`` if its input
     was equal field for field (the context keeps just that one pair)."""
-    fields = (aut.width, aut.initial, aut.sink, aut.deterministic, aut.states,
-              aut.finals, aut.transitions)
+    fields = _fields(aut)
     if ctx._last_minimized is None or ctx._last_minimized[0] != fields:
         ctx._last_minimized = (fields, aut.minimize())
     return ctx._last_minimized[1]

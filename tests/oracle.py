@@ -27,8 +27,8 @@ from treelogic.formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Call,
 from treelogic import compiler
 from treelogic.compiler import CompileError
 from treelogic import guards as gp
-from treelogic.automata import (AutomatonError, PairKey, TreeAutomaton,
-                                _explore, fresh_name)
+from treelogic.automata import (AutomatonError, Entry, PairKey, TreeAutomaton,
+                                _explore, _explored_automaton, fresh_name)
 from treelogic.clp import (GoalAtom, Solver, SolveError, _clause_variables,
                            initial_store)
 from treelogic.guards import covers_all, least_symbol, matches, subtract
@@ -366,6 +366,47 @@ def ref_explored_automaton(width: int, root, step, is_final) -> TreeAutomaton:
     finals = {name for name, key in zip(names, order) if is_final(key)}
     return TreeAutomaton(width, names, names[0], finals, transitions,
                          deterministic=True, validate=False)
+
+
+# ----------------------------------------------------------------------
+# subset construction: TreeAutomaton.determinize must agree with it, field
+# for field
+
+
+def ref_determinize(aut: TreeAutomaton) -> TreeAutomaton:
+    """Subset construction restricted to reachable state sets, as it was
+    before its step was memoized: every pair of subsets collects its entries.
+
+    The output is deterministic and total (missing entries fall to the
+    implicit dead state, which corresponds to the empty subset).  Every
+    pair of subsets is tried: whether one has entries is found by
+    collecting them, which is most of what its step costs.
+    """
+    def step(left: frozenset[str], right: frozenset[str]
+             ) -> Iterator[tuple[str, frozenset[str]]]:
+        collected: list[Entry] = []
+        for p in left:
+            for q in right:
+                collected.extend(aut.transitions.get((p, q), ()))
+        if not collected:
+            return
+        positions = gp.constrained_positions(g for g, _ in collected)
+        # Minterm cubes: concrete exactly at the constrained positions, so
+        # every collected guard is the union of those it expands to.
+        minterms: dict[str, set[str]] = {}
+        for g, ts in collected:
+            for cube in gp.expand(g, [i for i in positions if g[i] == "*"]):
+                minterms.setdefault(cube, set()).update(ts)
+        by_target: dict[frozenset[str], list[str]] = {}
+        for cube, targets in minterms.items():
+            if targets:
+                by_target.setdefault(frozenset(targets), []).append(cube)
+        for subset in sorted(by_target, key=lambda s: sorted(s)):
+            for pattern in gp.merge_patterns(by_target[subset]):
+                yield pattern, subset
+
+    return _explored_automaton(aut.width, frozenset({aut.initial}), step,
+                               lambda subset: bool(subset & aut.finals))
 
 
 # ----------------------------------------------------------------------

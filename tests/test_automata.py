@@ -17,7 +17,7 @@ from conftest import FIXTURES, automaton_fields, fixture_text
 from oracle import (iter_trees, language_sample, random_deterministic,
                     random_label_deterministic, random_nondeterministic,
                     random_tree, recursive_accepts, recursive_run,
-                    recursive_run_set, ref_minimize, ref_product,
+                    recursive_run_set, ref_determinize, ref_minimize, ref_product,
                     ref_reachable_states_detailed, ref_witness)
 from test_acceptance import CONTRADICTIONS, ORACLE_SUITE, compiled
 
@@ -434,6 +434,60 @@ def test_determinize_language_preserved_randomized():
         det = nd.determinize()
         assert det.deterministic
         assert language_sample(nd, 5) == language_sample(det, 5)
+
+
+def ladder_text(k):
+    """The alternation ladder ``L(k)``: block ``i`` (for ``i`` = 1..k) is
+    ``ex1 vi. (Ci & ...)`` when ``i`` is odd and ``all1 vi. (in(vi, X) ->
+    (Ci & ...))`` when it is even, where ``Ci`` conjoins
+    ``(prec(vj, vi) | pdom(vi, vj))`` over ``j < i`` and the innermost
+    ``...`` is ``true``."""
+    body = "true"
+    for i in range(k, 0, -1):
+        conj = " & ".join([f"(prec(v{j}, v{i}) | pdom(v{i}, v{j}))"
+                           for j in range(1, i)] + [body])
+        body = (f"ex1 v{i}. ({conj})" if i % 2
+                else f"all1 v{i}. (in(v{i}, X) -> ({conj}))")
+    return body
+
+
+def test_determinize_matches_reference(monkeypatch):
+    # The step is computed once per distinct row set; the automaton is the
+    # one of computing it for every pair of subsets, field for field.
+    rng = random.Random(2207)
+    inputs = [random_nondeterministic(rng, rng.randint(0, 3), 5)
+              for _ in range(300)]
+    determinize = TreeAutomaton.determinize
+
+    def recorded(self):
+        inputs.append(self)
+        return determinize(self)
+
+    monkeypatch.setattr(TreeAutomaton, "determinize", recorded)
+    fixtures = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.mso"))]
+    for text in fixtures + [ladder_text(k) for k in range(1, 6)]:
+        compiled(text)
+    monkeypatch.undo()
+    assert len(inputs) > 300
+    for aut in inputs:
+        assert automaton_fields(aut.determinize()) == \
+            automaton_fields(ref_determinize(aut))
+
+
+def test_ladder_5_computes_few_subset_steps(monkeypatch):
+    # One constrained_positions call per distinct non-empty row set: 96 at
+    # L(5), against 1,849 when every pair of subsets with entries made one.
+    calls = 0
+    constrained_positions = gp.constrained_positions
+
+    def counted(patterns):
+        nonlocal calls
+        calls += 1
+        return constrained_positions(patterns)
+
+    monkeypatch.setattr(gp, "constrained_positions", counted)
+    compiled(ladder_text(5))
+    assert calls <= 120
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,13 @@ from treelogic.clp import (Clause, GoalAtom, Program, ProgramError, Query,
                            Solver, SolveError, entails,
                            initial_store, load_program, parse_query, solve)
 from treelogic import clp, compiler
+from treelogic.cli import main
 from treelogic.compiler import CompilationContext, compile_formula
 from treelogic.formulas import (FormulaError, _binder_depth, free_variables,
                                 parse_formula)
 from treelogic.trees import addresses, format_tree
 
-from conftest import automaton_fields, fixture_text
+from conftest import FIXTURES, automaton_fields, fixture_text
 from oracle import (RecursiveSolver, evaluate, is_prec, random_formula,
                     ref_compile_formula)
 
@@ -390,15 +391,19 @@ def _check_against_references(applied):
             assert automaton_fields(automaton) == automaton_fields(full), (formula, table)
 
 
-def test_cached_constraints_equal_full_width_compiles(lexicon, pipeline):
+def _solver_cases(lexicon, pipeline):
     cases = [(lexicon, parse_query("?- lexicon(x)."), {}),
              (lexicon, parse_query(THREE_WORDS), {}),
              (pipeline, parse_query(GOOD_INPUT), {}),
              (pipeline, parse_query(BAD_INPUT), {}),
              (load_program(UP), parse_query("?- up(x)."), {"depth": 8})]
-    cases += [(program, query, {}) for program, query in _random_clause_programs(60)]
+    return cases + [(program, query, {})
+                    for program, query in _random_clause_programs(60)]
+
+
+def test_cached_constraints_equal_full_width_compiles(lexicon, pipeline):
     compiles = hits = 0
-    for program, query, options in cases:
+    for program, query, options in _solver_cases(lexicon, pipeline):
         solver, applied, _ = _applications(program, query, **options)
         _check_against_references(applied)
         compiles += len(applied)
@@ -431,3 +436,94 @@ def test_quantified_constraint_applied_twice_is_compiled_once(pipeline):
     assert first[0] == second[0] and _binder_depth(first[0]) == 1
     assert automaton_fields(first[2]) == automaton_fields(second[2])
     _check_against_references(applied)
+
+
+# ----------------------------------------------------------------------
+# the store-step memo: a step found there is the step made afresh, and the
+# memo never holds more than its bound
+
+
+def _store_steps(program, query, **options):
+    """The solver after running the query to the end, and each store step
+    it made: the store, the compiled constraint and the step's result."""
+    solver = Solver(program, **options)
+    steps, compiled = [], []
+    constrain = solver._constrain
+
+    def capture(formula, ctx):
+        compiled.append(compile_formula(formula, ctx))
+        return compiled[-1]
+
+    def recorded(store, formula):
+        result = constrain(store, formula)
+        steps.append((store, compiled.pop(), result))
+        assert len(solver._steps) <= clp.STORE_STEPS
+        return result
+
+    solver._constrain = recorded
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clp, "compile_formula", capture)
+        list(solver.solve(query))
+    return solver, steps
+
+
+# The root is in X, or it is not: the two constraints compile to automata
+# that differ in their finals alone, so only the finals tell the two store
+# steps from the same store apart.
+ROOT = """
+    root(X) <- { ex1 r. (in(r, X) & ~ex1 y. pdom(y, r)) }.
+    root(X) <- { ~ex1 r. (in(r, X) & ~ex1 y. pdom(y, r)) }.
+"""
+
+
+def _check_against_fresh_steps(steps):
+    for store, compiled, result in steps:
+        fresh = (store.automaton.remap(range(store.table.width), compiled.width)
+                 .intersect(compiled).minimize())
+        if result is None:
+            assert not fresh.finals
+        else:
+            assert automaton_fields(result.automaton) == automaton_fields(fresh)
+
+
+@pytest.mark.parametrize("bound, expected_hits", [(32, 49), (4, 30)])
+def test_store_memo_hits_equal_fresh_steps(lexicon, pipeline, monkeypatch,
+                                           bound, expected_hits):
+    # Every store step, found in the memo or not, is the product of the
+    # store and the compiled constraint, minimized afresh; _store_steps
+    # checks the bound after each one.
+    monkeypatch.setattr(clp, "STORE_STEPS", bound)
+    steps_made = hits = 0
+    cases = _solver_cases(lexicon, pipeline)
+    cases.append((load_program(ROOT), parse_query("?- root(X)."), {}))
+    for program, query, options in cases:
+        solver, steps = _store_steps(program, query, **options)
+        _check_against_fresh_steps(steps)
+        steps_made += len(steps)
+        hits += solver.store_hits
+    assert (steps_made, hits) == (371, expected_hits)
+
+
+def test_three_word_lexicon_query_hits_the_store_memo(lexicon):
+    # 40 store steps, the query's own first; 25 repeat an earlier step
+    solver, steps = _store_steps(lexicon, parse_query(THREE_WORDS))
+    assert (len(steps), solver.store_hits) == (40, 25)
+    assert len(solver._steps) <= clp.STORE_STEPS
+
+
+def test_small_store_memo_solves_alike(capsys, monkeypatch):
+    # A memo of 4 steps evicts often; the solutions and stores stay the same.
+    queries = [("lexicon.clp", THREE_WORDS), ("parse_pipeline.clp", GOOD_INPUT),
+               ("parse_pipeline.clp", BAD_INPUT)]
+
+    def outputs():
+        runs = []
+        for name, query in queries:
+            code = main(["solve", "--all", str(FIXTURES / name), query])
+            runs.append((code, capsys.readouterr()))
+        return runs
+
+    default = outputs()
+    monkeypatch.setattr(clp, "STORE_STEPS", 4)
+    assert outputs() == default
+    assert [code for code, _ in default] == [0, 0, 3]
