@@ -4,7 +4,9 @@ An automaton assigns states to finite binary trees leaf-to-root: the empty
 tree gets the initial state, and a node's state is looked up from the pair of
 child states and the node label.  A tree is accepted when its root state is
 final.  Labels are fixed-width bit strings; transitions are guarded by
-patterns over {0, 1, *} (see ``guards``).
+patterns over {0, 1, *}, each one int (see ``guards``).  Text guards are
+read by the public constructor (so ``from_text``) and printed by ``to_text``
+and error messages; runs parse tree labels and ``witness`` makes them.
 
 Conventions:
 
@@ -41,13 +43,6 @@ Conventions:
   constructor (so ``from_text``) does both.  ``project`` and the
   compiler's closure go through it to normalize: dropping a column or
   copying entries onto new pairs can make two guards of a pair collide.
-* ``minimize`` treats the implicit dead state as one ordinary state.  It
-  builds the symbol->target map of each listed pair of reachable states
-  as a reduced ordered decision diagram whose split nodes are keyed by bit
-  position and shared across pairs (as in MONA), once per distinct entry
-  list; an unlisted pair's map is the dead leaf.  Each Moore round only
-  relabels the diagrams' leaves by block and compares sparse rows and
-  columns.
 
 Text format (one construct per line, ``#`` starts a comment)::
 
@@ -76,10 +71,7 @@ from . import guards as gp
 from .trees import Node, Tree, preorder, tree_sort_key, validate_tree
 
 PairKey = tuple[str, str]
-Entry = tuple[str, frozenset[str]]
-
-
-_BITS = frozenset("01")
+Entry = tuple[int, frozenset[str]]
 
 
 class AutomatonError(ValueError):
@@ -88,9 +80,10 @@ class AutomatonError(ValueError):
 
 def _normalize(transitions) -> dict[PairKey, tuple[Entry, ...]]:
     """Accepts {pair: {guard: target-or-targets}} or {pair: iterable of
-    (guard, target-or-targets)}; returns the canonical sorted form.  Its
-    one caller is the public constructor (see the module docstring)."""
-    norm: dict[PairKey, dict[str, set[str]]] = {}
+    (guard, target-or-targets)}, the guards of a pair all text or all
+    ints; returns the canonical sorted form, guards as given.  Its one
+    caller is the public constructor (see the module docstring)."""
+    norm: dict[PairKey, dict[str | int, set[str]]] = {}
     for pair, entries in transitions.items():
         items = entries.items() if isinstance(entries, dict) else entries
         bucket = norm.setdefault(pair, {})
@@ -119,6 +112,9 @@ class TreeAutomaton:
         self._steps: dict[tuple, object] = {}  # memo of runs' steps, see _fold
         if validate:
             self._validate()
+        self.transitions = {  # checked in order above, text guards become ints
+            pair: tuple((gp.parse(g, self.width), ts) for g, ts in entries)
+            for pair, entries in self.transitions.items()}
 
     @classmethod
     def _canonical(cls, width, states, initial, finals, transitions,
@@ -154,13 +150,13 @@ class TreeAutomaton:
             if left not in self.states or right not in self.states:
                 raise AutomatonError(f"transition from unknown pair ({left}, {right})")
             for guard, targets in entries:
-                gp.check_guard(guard, self.width)
+                gp.parse(guard, self.width)
                 if not targets <= self.states:
                     raise AutomatonError(f"transition to unknown state(s) {set(targets)}")
                 if self.deterministic and len(targets) != 1:
                     raise AutomatonError("deterministic automaton with multi-target entry")
             if self.deterministic:
-                clash = _overlap(g for g, _ in entries)
+                clash = _overlap(entries, self.width)
                 if clash is not None:
                     raise AutomatonError(
                         f"overlapping guards {clash[0]!r}/{clash[1]!r} on pair ({left}, {right})")
@@ -182,7 +178,7 @@ class TreeAutomaton:
         """Accepts every tree of the given width, including the empty tree."""
         return TreeAutomaton(
             width, {"q0"}, "q0", {"q0"},
-            {("q0", "q0"): {gp.all_star(width): "q0"}})
+            {("q0", "q0"): {0: "q0"}})  # 0 is the all-* guard
 
     @staticmethod
     def empty_language(width: int) -> "TreeAutomaton":
@@ -233,11 +229,11 @@ class TreeAutomaton:
 
     def _fill_state(self, key: tuple, tree: Tree) -> str | None:
         left, right, label = key
-        self._check_label(label, tree)
+        symbol = self._symbol(label, tree)
         target = self.sink
         if left is not None and right is not None:
             for guard, targets in self.transitions.get((left, right), ()):
-                if gp.matches(guard, label):
+                if gp.matches(guard, symbol):
                     target = next(iter(targets))
                     break
         self._steps[key] = target
@@ -245,28 +241,26 @@ class TreeAutomaton:
 
     def _fill_states(self, key: tuple, tree: Tree) -> frozenset[str]:
         lefts, rights, label = key
-        self._check_label(label, tree)
+        symbol = self._symbol(label, tree)
         out: set[str] = set()
         for left in lefts:
             for right in rights:
                 for guard, targets in self.transitions.get((left, right), ()):
-                    if gp.matches(guard, label):
+                    if gp.matches(guard, symbol):
                         out.update(targets)
         self._steps[key] = targets = frozenset(out)
         return targets
 
-    def _check_label(self, label: str, tree: Tree) -> None:
-        """A label of another width or with a character other than 0/1
-        makes the whole-tree check raise, so the error and its message are
-        those of the first bad label in preorder."""
-        if len(label) != self.width or not _BITS.issuperset(label):
-            self._check_tree(tree)
-
-    def _check_tree(self, tree: Tree) -> None:
-        width = validate_tree(tree)
-        if width is not None and width != self.width:
-            raise AutomatonError(
-                f"tree labels have width {width}, automaton has width {self.width}")
+    def _symbol(self, label: str, tree: Tree) -> int:
+        """The label as a guard.  A label of another width or with a
+        character other than 0/1 makes the whole-tree check raise, so the
+        error and its message are those of the first bad label in preorder."""
+        if len(label) != self.width or label.strip("01"):
+            width = validate_tree(tree)
+            if width is not None and width != self.width:
+                raise AutomatonError(
+                    f"tree labels have width {width}, automaton has width {self.width}")
+        return gp.parse(label, self.width)
 
     # ------------------------------------------------------------------
     # reachability and emptiness
@@ -316,7 +310,7 @@ class TreeAutomaton:
                 for _, targets in entries:
                     for target in targets:
                         reach(target, up)
-                if sink_pending and gp.covers_all([g for g, _ in entries], self.width):
+                if sink_pending and gp.covers_all([g for g, _ in entries]):
                     covered += 1
             if sink_pending and covered < 2 * len(settled) - 1:
                 reach(self.sink, up)
@@ -341,7 +335,7 @@ class TreeAutomaton:
         for pair in itertools.product(sorted(states), repeat=2):
             listed = self.transitions.get(pair, ())
             transitions[pair] = tuple(sorted([*listed, *(
-                (cube, dead) for cube in gp.uncovered([g for g, _ in listed], self.width))]))
+                (cube, dead) for cube in gp.uncovered([g for g, _ in listed]))]))
         return TreeAutomaton._canonical(self.width, states, self.initial,
                                         self.finals, transitions, True, sink)
 
@@ -416,14 +410,14 @@ class TreeAutomaton:
             if rows in memo:
                 return memo[rows]
             collected = [entry for row in rows for entry in row]
-            positions = gp.constrained_positions(g for g, _ in collected)
-            # Minterm cubes: concrete exactly at the constrained positions, so
+            columns = gp.constrained_positions(g for g, _ in collected)
+            # Minterm cubes: concrete exactly at the constrained columns, so
             # every collected guard is the union of those it expands to.
-            minterms: dict[str, set[str]] = {}
+            minterms: dict[int, set[str]] = {}
             for g, ts in collected:
-                for cube in gp.expand(g, [i for i in positions if g[i] == "*"]):
+                for cube in gp.expand(g, columns):
                     minterms.setdefault(cube, set()).update(ts)
-            by_target: dict[frozenset[str], list[str]] = {}
+            by_target: dict[frozenset[str], list[int]] = {}
             for cube, targets in minterms.items():
                 if targets:
                     by_target.setdefault(frozenset(targets), []).append(cube)
@@ -443,7 +437,7 @@ class TreeAutomaton:
         if not 0 <= pos < self.width:
             raise AutomatonError(f"position {pos} out of range for width {self.width}")
         transitions = {
-            pair: [(gp.drop_position(g, pos), ts) for g, ts in pair_entries]
+            pair: [(gp.drop_position(g, pos, self.width), ts) for g, ts in pair_entries]
             for pair, pair_entries in self.transitions.items()
         }
         return TreeAutomaton(self.width - 1, self.states, self.initial,
@@ -473,14 +467,14 @@ class TreeAutomaton:
                 f"positions {positions} not increasing within width {width}")
         if width == self.width:  # so positions is range(width)
             return self
-        gaps = ["*" * (b - a - 1) for a, b in zip(bounds, bounds[1:])]
-        last = gaps.pop()
-
-        def spread(guard: str) -> str:
-            return "".join(gap + bit for gap, bit in zip(gaps, guard)) + last
-
+        # Columns that move by the same number of bits move as one mask.
+        moves: dict[int, int] = {}
+        for i, pos in enumerate(positions):
+            shift = 2 * (width - self.width - pos + i)
+            moves[shift] = moves.get(shift, 0) | 3 << 2 * (self.width - 1 - i)
         transitions = {
-            pair: tuple((spread(g), ts) for g, ts in pair_entries)
+            pair: tuple((sum((g & mask) << shift for shift, mask in moves.items()), ts)
+                        for g, ts in pair_entries)
             for pair, pair_entries in self.transitions.items()
         }
         return TreeAutomaton._canonical(width, self.states, self.initial,
@@ -504,14 +498,15 @@ class TreeAutomaton:
         state that every uncovered symbol goes to.  Each listed pair of
         reachable states has its symbol->target map built as a reduced
         ordered decision diagram over bit positions whose nodes are shared
-        across pairs and whose split nodes carry their position; pairs with
-        equal entries share one diagram, built once, and an unlisted pair's
-        map is the dead leaf.  Moore refinement then only relabels the
-        diagrams' leaves by block and reduces them again, and two states
-        stay together while their rows and columns of relabelled diagrams
-        agree.  Rows and columns are kept sparse: they list (partner, label)
-        only where the label is not the dead leaf's.  The dead state is
-        refined even when unreachable, so its block is the dead class.
+        across pairs (as in MONA) and whose split nodes carry their
+        position; pairs with equal entries share one diagram, built once,
+        and an unlisted pair's map is the dead leaf.  Moore refinement then
+        only relabels the diagrams' leaves by block and reduces them again,
+        and two states stay together while their rows and columns of
+        relabelled diagrams agree.  Rows and columns are kept sparse: they
+        list (partner, label) only where the label is not the dead leaf's.
+        The dead state is refined even when unreachable, so its block is the
+        dead class.
         """
         if not self.deterministic:
             raise AutomatonError("minimize requires a deterministic automaton")
@@ -543,34 +538,32 @@ class TreeAutomaton:
             listed += 1
             diagram = diagrams.get(pair_entries)
             if diagram is None:
+                guards = [g for g, _ in pair_entries]
                 targets = [next(iter(ts)) for _, ts in pair_entries]
-                coded = [gp.masks(g) for g, _ in pair_entries]
-                ones = [one for one, _ in coded]
-                zeros = [zero for _, zero in coded]
                 memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
-                def build(pos: int, live: tuple[int, ...]) -> int:
+                def build(rest: int, live: tuple[int, ...]) -> int:
                     nonlocal gap
-                    # Skip to the next position some live guard constrains;
-                    # at any position before it, both branches would agree.
+                    # ``rest`` columns are left.  Skip to the next one some
+                    # live guard constrains; before it, both branches agree.
                     care = 0
                     for i in live:
-                        care |= ones[i] | zeros[i]
-                    care >>= pos
+                        care |= guards[i]
+                    care &= (1 << 2 * rest) - 1
                     if not care:
                         if live:
                             return node((targets[live[0]],))
                         gap = True
                         return dead_leaf
-                    pos += (care & -care).bit_length() - 1
-                    if (pos, live) not in memo:
-                        bit = 1 << pos
-                        lo = build(pos + 1, tuple(i for i in live if not ones[i] & bit))
-                        hi = build(pos + 1, tuple(i for i in live if not zeros[i] & bit))
-                        memo[pos, live] = lo if lo == hi else node((pos, lo, hi))
-                    return memo[pos, live]
+                    rest = (care.bit_length() + 1) // 2
+                    if (rest, live) not in memo:
+                        zero = 1 << 2 * rest - 2  # the column's 0 code; 1 is twice it
+                        lo = build(rest - 1, tuple(i for i in live if not guards[i] & 2 * zero))
+                        hi = build(rest - 1, tuple(i for i in live if not guards[i] & zero))
+                        memo[rest, live] = lo if lo == hi else node((self.width - rest, lo, hi))
+                    return memo[rest, live]
 
-                diagram = build(0, tuple(range(len(pair_entries))))
+                diagram = build(self.width, tuple(range(len(pair_entries))))
                 diagrams[pair_entries] = diagram
             rows[left].append((right, diagram))
             cols[right].append((left, diagram))
@@ -671,7 +664,8 @@ class TreeAutomaton:
             for other in best:
                 for left, right in {(state, other), (other, state)}:
                     for guard, targets in self.transitions.get((left, right), ()):
-                        node = Node(gp.least_symbol(guard), best[left], best[right])
+                        node = Node(gp.text(guard, self.width).replace("*", "0"),
+                                    best[left], best[right])
                         for target in targets:
                             if target not in best:
                                 heapq.heappush(heap, (tree_sort_key(node), target, node))
@@ -718,7 +712,8 @@ class TreeAutomaton:
         for (left, right) in sorted(self.transitions, key=lambda p: (key(p[0]), key(p[1]))):
             for guard, targets in self.transitions[(left, right)]:
                 for target in sorted(targets, key=key):
-                    lines.append(f"trans {left} {right} {guard or '-'} -> {target}")
+                    lines.append(f"trans {left} {right} "
+                                 f"{gp.text(guard, self.width) or '-'} -> {target}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -769,7 +764,7 @@ class TreeAutomaton:
         transitions: dict[PairKey, list[tuple[str, str]]] = {}
         for left, right, guard, target in raw:
             transitions.setdefault((left, right), []).append((guard, target))
-        deterministic = not any(_overlap(g for g, _ in pair_entries)
+        deterministic = not any(_overlap(pair_entries, width)
                                 for pair_entries in transitions.values())
         if sink is not None and not deterministic:
             sink = None
@@ -787,13 +782,18 @@ def fresh_name(base: str, taken) -> str:
     return name
 
 
-def _overlap(guards) -> tuple[str, str] | None:
-    """The first pair of listed guards that share a symbol, if any."""
-    guards = list(guards)
+def _overlap(entries, width: int) -> tuple[str, str] | None:
+    """The first pair of guards listed in the entries, text or ints, that
+    share a symbol, as text, if any; None if a guard does not parse (the
+    constructor reports it)."""
+    try:
+        guards = [gp.parse(g, width) for g, _ in entries]
+    except ValueError:
+        return None
     for i, g1 in enumerate(guards):
         for g2 in guards[i + 1:]:
-            if not gp.disjoint(g1, g2):
-                return g1, g2
+            if gp.meet(g1, g2) is not None:
+                return gp.text(g1, width), gp.text(g2, width)
     return None
 
 
@@ -812,7 +812,7 @@ def _explore(root, step, linked=None):
     order = [root]
     index = {root: 0}
     queue: deque[tuple[int, int]] = deque([(0, 0)])
-    table: dict[tuple[int, int], list[tuple[str, int]]] = {}
+    table: dict[tuple[int, int], list[tuple[int, int]]] = {}
     while queue:
         i, j = queue.popleft()
         out = []

@@ -3,12 +3,13 @@
 Exit codes are a stable contract: 0 for success / SAT / ACCEPT / EQUIVALENT,
 3 for UNSAT / REJECT / INEQUIVALENT / no solutions, 1 for usage, parse and
 sort errors, 2 for resource limits (width overflow, input nested too
-deeply).  Identical inputs produce byte-identical outputs.
+deeply, out of memory).  Identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .automata import TreeAutomaton
@@ -208,9 +209,14 @@ def main(argv=None) -> int:
     except RecursionError as exc:
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # reported below, once what the failed call held is freed
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    gc.collect()
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -185,7 +185,7 @@ def zero_pad_closure(aut: TreeAutomaton) -> TreeAutomaton:
     including the empty one, without changing the encoded assignment).
     Callers determinize the result.
     """
-    zero = "0" * aut.width
+    zero = gp.LOW & ((1 << 2 * aut.width) - 1)  # the all-zero symbol
     # The states some all-zero tree reaches: those reachable on the entries
     # that match the all-zero symbol.
     zero_only = {pair: [(g, ts) for g, ts in entries if gp.matches(g, zero)]

@@ -1,162 +1,155 @@
-"""Guard patterns: fixed-width strings over {0, 1, *} denoting sets of symbols.
+"""Guards: sets of symbols over a fixed number of columns, one int each.
 
-Automata in this package read bit-string symbols, one bit per tracked
-variable.  Enumerating all 2**n symbols explodes quickly, so transitions
-carry *guards* instead: a guard matches every concrete symbol obtained by
-filling its don't-care (``*``) positions.  A guard without ``*`` denotes a
-single symbol.
+Automata in this package read bit-string symbols, one bit (column) per
+tracked variable.  Enumerating all 2**n symbols explodes quickly, so
+transitions carry *guards* instead: a guard fixes some columns to 0 or 1,
+leaves the others don't-care (``*``), and matches every symbol that agrees
+with it where it is fixed.  A guard without ``*`` is a single symbol.
+
+A width-``w`` guard is an int with two bits per column, column 0 in the
+highest pair: ``00`` is ``*``, ``01`` is ``0`` and ``10`` is ``1`` (``11``
+never occurs).  Read base 4, it is its text with ``*``, ``0`` and ``1`` as
+the digits 0, 1 and 2, so guards of one width sort exactly as their text
+does, and the all-``*`` guard is 0 at every width.  Text is read by
+``parse`` and written by ``text`` only.  ``LOW`` holds the low bit of each
+column up to 2**16 columns, the widest alphabet supported.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import Iterable, Iterator
+from typing import Iterable
 
-GUARD_CHARS = frozenset("01*")
-
-
-def check_guard(pattern: str, width: int) -> None:
-    if len(pattern) != width:
-        raise ValueError(f"guard {pattern!r} has length {len(pattern)}, expected {width}")
-    bad = set(pattern) - GUARD_CHARS
-    if bad:
-        raise ValueError(f"guard {pattern!r} contains invalid characters {sorted(bad)}")
+LOW = (1 << 2 ** 17) // 3  # 0b0101...01
+_DIGITS = str.maketrans("*01", "012")
+_QUADS = ["".join("*01?"[byte >> s & 3] for s in (6, 4, 2, 0)) for byte in range(256)]
 
 
-def all_star(width: int) -> str:
-    return "*" * width
+def parse(guard: str | int, width: int) -> int:
+    """The int guard of a width-``width`` pattern over {0, 1, *}; an int
+    guard is checked and returned as it is.  ValueError if it is not one."""
+    if isinstance(guard, int):
+        if 0 <= guard < 1 << 2 * width and not guard & guard >> 1 & LOW:
+            return guard
+        raise ValueError(f"guard {guard!r} is not a guard of width {width}")
+    if len(guard) != width:
+        raise ValueError(f"guard {guard!r} has length {len(guard)}, expected {width}")
+    if guard.strip("01*"):
+        bad = sorted(set(guard) - set("01*"))
+        raise ValueError(f"guard {guard!r} contains invalid characters {bad}")
+    return int("0" + guard.translate(_DIGITS), 4)
 
 
-def matches(pattern: str, symbol: str) -> bool:
-    """Does the concrete symbol fall into the set the guard denotes?"""
-    if len(pattern) != len(symbol):
-        return False
-    return all(p == "*" or p == s for p, s in zip(pattern, symbol))
+def text(guard: int, width: int) -> str:
+    """The guard as a pattern over {0, 1, *}; empty at width 0."""
+    n = -(-width // 4)  # bytes, four columns each
+    return "".join([_QUADS[byte] for byte in guard.to_bytes(n, "big")])[4 * n - width:]
 
 
-def meet(a: str, b: str) -> str | None:
-    """Intersection of two guards, or None when they conflict at some position."""
-    out = []
-    for x, y in zip(a, b):
-        if x == "*":
-            out.append(y)
-        elif y == "*" or x == y:
-            out.append(x)
-        else:
-            return None
-    return "".join(out)
+def matches(guard: int, symbol: int) -> bool:
+    """Does the concrete symbol (a guard without ``*``) fall into the set
+    the guard denotes?"""
+    return not guard & ~symbol
 
 
-def disjoint(a: str, b: str) -> bool:
-    return meet(a, b) is None
+def meet(a: int, b: int) -> int | None:
+    """Intersection of two guards, or None when they conflict at some column."""
+    c = a | b
+    return None if c & c >> 1 & LOW else c
 
 
-_ONES = str.maketrans("01*", "010")
-_ZEROS = str.maketrans("01*", "100")
+def drop_position(guard: int, pos: int, width: int) -> int:
+    """The guard without column ``pos``, one column narrower."""
+    shift = 2 * (width - 1 - pos)
+    return (guard >> shift + 2 << shift) | (guard & (1 << shift) - 1)
 
 
-def masks(pattern: str) -> tuple[int, int]:
-    """The guard as two ints: bit ``i`` of the first is set where
-    ``pattern[i]`` is ``1``, of the second where it is ``0``."""
-    mirrored = pattern[::-1]
-    return (int("0" + mirrored.translate(_ONES), 2),
-            int("0" + mirrored.translate(_ZEROS), 2))
+def constrained_positions(guards: Iterable[int]) -> int:
+    """The columns some guard fixes, as the low bit of each."""
+    care = 0
+    for guard in guards:
+        care |= guard
+    return (care | care >> 1) & LOW
 
 
-def drop_position(pattern: str, pos: int) -> str:
-    return pattern[:pos] + pattern[pos + 1:]
+def expand(guard: int, columns: int) -> list[int]:
+    """All guards obtained from the guard by filling its ``*`` columns
+    among ``columns`` (low bits, as ``constrained_positions`` gives them)
+    with every combination of bits."""
+    out = [guard]
+    free = columns & ~(guard | guard >> 1)
+    while free:
+        bit = 1 << free.bit_length() - 1
+        free ^= bit
+        out = [g | code for g in out for code in (bit, bit << 1)]
+    return out
 
 
-def least_symbol(pattern: str) -> str:
-    """The lexicographically smallest concrete symbol matching the guard."""
-    return pattern.replace("*", "0")
-
-
-def expand(pattern: str, positions: list[int]) -> Iterator[str]:
-    """All guards obtained from the pattern by filling the given ``*``
-    positions with every combination of bits."""
-    base = list(pattern)
-    for bits in itertools.product("01", repeat=len(positions)):
-        for i, b in zip(positions, bits):
-            base[i] = b
-        yield "".join(base)
-
-
-def constrained_positions(patterns: Iterable[str]) -> list[int]:
-    positions: set[int] = set()
-    for p in patterns:
-        positions.update(i for i, c in enumerate(p) if c != "*")
-    return sorted(positions)
-
-
-def subtract(cube: str, other: str) -> list[str]:
+def subtract(cube: int, other: int) -> list[int]:
     """cube minus other, as a list of pairwise-disjoint guards."""
     if meet(cube, other) is None:
         return [cube]
     out = []
-    cur = list(cube)
-    for i, (c, o) in enumerate(zip(cube, other)):
-        if o == "*" or c != "*":
-            continue
-        piece = cur.copy()
-        piece[i] = "1" if o == "0" else "0"
-        out.append("".join(piece))
-        cur[i] = o
+    todo = other & ~(3 * ((cube | cube >> 1) & LOW))  # other's codes where cube is *
+    while todo:
+        column = 3 << (todo.bit_length() - 1 & ~1)
+        code = todo & column
+        out.append(cube | code ^ column)
+        cube |= code
+        todo ^= code
     return out
 
 
-def uncovered(patterns: Iterable[str], width: int) -> list[str]:
+def uncovered(patterns: Iterable[int]) -> list[int]:
     """Guards covering exactly the symbols matched by none of the patterns."""
-    space = [all_star(width)]
+    space = [0]
     for p in patterns:
         space = [piece for cube in space for piece in subtract(cube, p)]
-        if not space:
-            break
     return sorted(space)
 
 
-def covers_all(patterns: Iterable[str], width: int) -> bool:
-    return not uncovered(patterns, width)
+def covers_all(patterns: Iterable[int]) -> bool:
+    return not uncovered(patterns)
 
 
-def merge_patterns(patterns: Iterable[str]) -> list[str]:
+def merge_patterns(patterns: Iterable[int]) -> list[int]:
     """Compact a set of pairwise-disjoint guards by cube merging.
 
     Duplicates collapse.  The result is sorted, pairwise disjoint and denotes
     the same symbols, because merging a cube with its one-bit flip gives
     exactly their union.  Greedy, not minimal: each step merges the least
-    cube ``a`` (in sorted order) that has a partner ``b > a`` differing in one
-    position where both are concrete with its least such partner.  The only
-    partners ``b > a`` are the flips of a ``0`` of ``a`` to ``1``, so finding
-    them takes one set lookup per position; a heap of candidate cubes yields
-    the least ``a`` without a rescan.  After a merge, the merged cube and
-    those of its flip-neighbours that sort below it are pushed, and stale
-    entries are skipped when popped.  The result is that of restarting the
-    all-pairs scan after every merge.
+    cube ``a`` that has a partner ``b > a`` differing in one column where
+    both are concrete with its least such partner, a flip of a ``0`` of
+    ``a`` to ``1``.  A heap yields the least ``a``; after a merge, the
+    merged cube and those of its flip-neighbours that sort below it are
+    pushed, and stale entries are skipped when popped.  The result is that
+    of restarting the all-pairs scan after every merge.
     """
     pats = set(patterns)
     if len(pats) < 2:
         return sorted(pats)
-
-    def flip(a: str, i: int, ch: str) -> str:
-        return a[:i] + ch + a[i + 1:]
-
     heap = sorted(pats)
     while heap:
         a = heapq.heappop(heap)
         if a not in pats:
             continue
-        # The partner flipping the last possible position is the least one.
-        i = next((i for i in range(len(a) - 1, -1, -1)
-                  if a[i] == "0" and flip(a, i, "1") in pats), -1)
-        if i < 0:
+        # A 0 column's low bit turns it into 1 when added and into * when
+        # subtracted; the partner flipping the last possible column is the
+        # least one.
+        zeros = a & LOW
+        while zeros and a + (zeros & -zeros) not in pats:
+            zeros &= zeros - 1
+        if not zeros:
             continue
-        pats -= {a, flip(a, i, "1")}
-        merged = flip(a, i, "*")
+        bit = zeros & -zeros
+        pats -= {a, a + bit}
+        merged = a - bit
         pats.add(merged)
         heapq.heappush(heap, merged)
-        for j, c in enumerate(merged):
-            if c == "1" and flip(merged, j, "0") in pats:
-                heapq.heappush(heap, flip(merged, j, "0"))
+        ones = merged >> 1 & LOW
+        while ones:
+            bit = ones & -ones
+            if merged - bit in pats:
+                heapq.heappush(heap, merged - bit)
+            ones ^= bit
     return sorted(pats)

@@ -13,6 +13,7 @@ convention that every free node variable carries a singleton constraint.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from collections import deque
@@ -27,11 +28,10 @@ from treelogic.formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Call,
 from treelogic import compiler
 from treelogic.compiler import CompileError
 from treelogic import guards as gp
-from treelogic.automata import (AutomatonError, Entry, PairKey, TreeAutomaton,
+from treelogic.automata import (AutomatonError, PairKey, TreeAutomaton,
                                 _explore, _explored_automaton, fresh_name)
 from treelogic.clp import (GoalAtom, Solver, SolveError, _clause_variables,
                            initial_store)
-from treelogic.guards import covers_all, least_symbol, matches, subtract
 from treelogic.trees import Node, addresses, format_tree
 
 
@@ -224,7 +224,7 @@ def recursive_run(aut: TreeAutomaton, tree) -> str | None:
     if left is None or right is None:
         return aut.sink
     for guard, targets in aut.transitions.get((left, right), ()):
-        if matches(guard, tree.label):
+        if matches(gp.text(guard, aut.width), tree.label):
             return next(iter(targets))
     return aut.sink
 
@@ -238,7 +238,7 @@ def recursive_run_set(aut: TreeAutomaton, tree) -> frozenset[str]:
     for left in lefts:
         for right in rights:
             for guard, targets in aut.transitions.get((left, right), ()):
-                if matches(guard, tree.label):
+                if matches(gp.text(guard, aut.width), tree.label):
                     out.update(targets)
     return frozenset(out)
 
@@ -265,7 +265,7 @@ def ref_reachable_states_detailed(aut: TreeAutomaton, stop_on_final: bool = Fals
 
     def covered(pair: tuple[str, str]) -> bool:
         if pair not in coverage:
-            pats = [g for g, _ in aut.transitions.get(pair, ())]
+            pats = [gp.text(g, aut.width) for g, _ in aut.transitions.get(pair, ())]
             coverage[pair] = covers_all(pats, aut.width)
         return coverage[pair]
 
@@ -383,27 +383,28 @@ def ref_determinize(aut: TreeAutomaton) -> TreeAutomaton:
     collecting them, which is most of what its step costs.
     """
     def step(left: frozenset[str], right: frozenset[str]
-             ) -> Iterator[tuple[str, frozenset[str]]]:
-        collected: list[Entry] = []
+             ) -> Iterator[tuple[int, frozenset[str]]]:
+        collected: list[tuple[str, frozenset[str]]] = []
         for p in left:
             for q in right:
-                collected.extend(aut.transitions.get((p, q), ()))
+                collected.extend((gp.text(g, aut.width), ts)
+                                 for g, ts in aut.transitions.get((p, q), ()))
         if not collected:
             return
-        positions = gp.constrained_positions(g for g, _ in collected)
+        positions = constrained_positions(g for g, _ in collected)
         # Minterm cubes: concrete exactly at the constrained positions, so
         # every collected guard is the union of those it expands to.
         minterms: dict[str, set[str]] = {}
         for g, ts in collected:
-            for cube in gp.expand(g, [i for i in positions if g[i] == "*"]):
+            for cube in expand(g, [i for i in positions if g[i] == "*"]):
                 minterms.setdefault(cube, set()).update(ts)
         by_target: dict[frozenset[str], list[str]] = {}
         for cube, targets in minterms.items():
             if targets:
                 by_target.setdefault(frozenset(targets), []).append(cube)
         for subset in sorted(by_target, key=lambda s: sorted(s)):
-            for pattern in gp.merge_patterns(by_target[subset]):
-                yield pattern, subset
+            for pattern in merge_patterns(by_target[subset]):
+                yield gp.parse(pattern, aut.width), subset
 
     return _explored_automaton(aut.width, frozenset({aut.initial}), step,
                                lambda subset: bool(subset & aut.finals))
@@ -433,7 +434,7 @@ def ref_minimize(aut: TreeAutomaton) -> TreeAutomaton:
         return ids[key]
 
     def step(left: str, right: str) -> Iterator[tuple[str, str]]:
-        entries = [(g, next(iter(ts)))
+        entries = [(gp.text(g, aut.width), next(iter(ts)))
                    for g, ts in aut.transitions.get((left, right), ())]
         memo: dict[tuple[int, tuple[int, ...]], int] = {}
         leaves: set[str] = set()
@@ -514,10 +515,10 @@ def ref_minimize(aut: TreeAutomaton) -> TreeAutomaton:
             for guard, targets in aut.transitions.get((rep[bl], rep[br]), ()):
                 b = block[next(iter(targets))]
                 if b != sink:
-                    merged.setdefault(bname(b), []).append(guard)
+                    merged.setdefault(bname(b), []).append(gp.text(guard, aut.width))
             out = []
             for target, pats in sorted(merged.items()):
-                for pattern in gp.merge_patterns(pats):
+                for pattern in merge_patterns(pats):
                     out.append((pattern, target))
             if out:
                 quotient[(bname(bl), bname(br))] = out
@@ -548,7 +549,7 @@ def ref_witness(aut: TreeAutomaton):
             ls, ll, lsh, lt = reps[left]
             rs, rl, rsh, rt = reps[right]
             for guard, targets in aut.transitions[(left, right)]:
-                sym = least_symbol(guard)
+                sym = least_symbol(gp.text(guard, aut.width))
                 cand = (1 + ls + rs, (sym,) + ll + rl, f"({lsh}{rsh})")
                 for target in sorted(targets):
                     cur = reps.get(target)
@@ -1096,6 +1097,145 @@ class RecursiveSolver(Solver):
                     for g in clause.body]
             yield from self._derive(body + goals[1:], new_store,
                                     depth + 1, bound, path + (i,))
+
+
+# ----------------------------------------------------------------------
+# guard text: the string implementations of guard operations that the int
+# ones in treelogic.guards must agree with (compare through gp.parse and
+# gp.text); a guard is a string over {0, 1, *}, a symbol one over {0, 1}
+
+
+GUARD_CHARS = frozenset("01*")
+
+
+def check_guard(pattern: str, width: int) -> None:
+    if len(pattern) != width:
+        raise ValueError(f"guard {pattern!r} has length {len(pattern)}, expected {width}")
+    bad = set(pattern) - GUARD_CHARS
+    if bad:
+        raise ValueError(f"guard {pattern!r} contains invalid characters {sorted(bad)}")
+
+
+def all_star(width: int) -> str:
+    return "*" * width
+
+
+def matches(pattern: str, symbol: str) -> bool:
+    """Does the concrete symbol fall into the set the guard denotes?"""
+    if len(pattern) != len(symbol):
+        return False
+    return all(p == "*" or p == s for p, s in zip(pattern, symbol))
+
+
+def meet(a: str, b: str) -> str | None:
+    """Intersection of two guards, or None when they conflict at some position."""
+    out = []
+    for x, y in zip(a, b):
+        if x == "*":
+            out.append(y)
+        elif y == "*" or x == y:
+            out.append(x)
+        else:
+            return None
+    return "".join(out)
+
+
+def drop_position(pattern: str, pos: int) -> str:
+    return pattern[:pos] + pattern[pos + 1:]
+
+
+def least_symbol(pattern: str) -> str:
+    """The lexicographically smallest concrete symbol matching the guard."""
+    return pattern.replace("*", "0")
+
+
+def expand(pattern: str, positions: list[int]) -> Iterator[str]:
+    """All guards obtained from the pattern by filling the given ``*``
+    positions with every combination of bits."""
+    base = list(pattern)
+    for bits in itertools.product("01", repeat=len(positions)):
+        for i, b in zip(positions, bits):
+            base[i] = b
+        yield "".join(base)
+
+
+def constrained_positions(patterns: Iterable[str]) -> list[int]:
+    positions: set[int] = set()
+    for p in patterns:
+        positions.update(i for i, c in enumerate(p) if c != "*")
+    return sorted(positions)
+
+
+def subtract(cube: str, other: str) -> list[str]:
+    """cube minus other, as a list of pairwise-disjoint guards."""
+    if meet(cube, other) is None:
+        return [cube]
+    out = []
+    cur = list(cube)
+    for i, (c, o) in enumerate(zip(cube, other)):
+        if o == "*" or c != "*":
+            continue
+        piece = cur.copy()
+        piece[i] = "1" if o == "0" else "0"
+        out.append("".join(piece))
+        cur[i] = o
+    return out
+
+
+def uncovered(patterns: Iterable[str], width: int) -> list[str]:
+    """Guards covering exactly the symbols matched by none of the patterns."""
+    space = [all_star(width)]
+    for p in patterns:
+        space = [piece for cube in space for piece in subtract(cube, p)]
+        if not space:
+            break
+    return sorted(space)
+
+
+def covers_all(patterns: Iterable[str], width: int) -> bool:
+    return not uncovered(patterns, width)
+
+
+def merge_patterns(patterns: Iterable[str]) -> list[str]:
+    """Compact a set of pairwise-disjoint guards by cube merging.
+
+    Duplicates collapse.  The result is sorted, pairwise disjoint and denotes
+    the same symbols, because merging a cube with its one-bit flip gives
+    exactly their union.  Greedy, not minimal: each step merges the least
+    cube ``a`` (in sorted order) that has a partner ``b > a`` differing in one
+    position where both are concrete with its least such partner.  The only
+    partners ``b > a`` are the flips of a ``0`` of ``a`` to ``1``, so finding
+    them takes one set lookup per position; a heap of candidate cubes yields
+    the least ``a`` without a rescan.  After a merge, the merged cube and
+    those of its flip-neighbours that sort below it are pushed, and stale
+    entries are skipped when popped.  The result is that of restarting the
+    all-pairs scan after every merge.
+    """
+    pats = set(patterns)
+    if len(pats) < 2:
+        return sorted(pats)
+
+    def flip(a: str, i: int, ch: str) -> str:
+        return a[:i] + ch + a[i + 1:]
+
+    heap = sorted(pats)
+    while heap:
+        a = heapq.heappop(heap)
+        if a not in pats:
+            continue
+        # The partner flipping the last possible position is the least one.
+        i = next((i for i in range(len(a) - 1, -1, -1)
+                  if a[i] == "0" and flip(a, i, "1") in pats), -1)
+        if i < 0:
+            continue
+        pats -= {a, flip(a, i, "1")}
+        merged = flip(a, i, "*")
+        pats.add(merged)
+        heapq.heappush(heap, merged)
+        for j, c in enumerate(merged):
+            if c == "1" and flip(merged, j, "0") in pats:
+                heapq.heappush(heap, flip(merged, j, "0"))
+    return sorted(pats)
 
 
 # ----------------------------------------------------------------------

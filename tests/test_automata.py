@@ -668,7 +668,7 @@ def test_merge_patterns_traffic_is_pairwise_disjoint(monkeypatch, capsys):
     assert calls
     for patterns, out in calls:
         for cubes in (patterns, out):
-            assert all(gp.disjoint(a, b) for a, b in
+            assert all(gp.meet(a, b) is None for a, b in
                        itertools.combinations(set(cubes), 2)), patterns
 
 
@@ -751,9 +751,9 @@ def test_remap_places_bits_and_keeps_guard_order():
             expected = []
             for guard, targets in entries:
                 chars = ["*"] * width
-                for bit, pos in zip(guard, positions):
+                for bit, pos in zip(gp.text(guard, aut.width), positions):
                     chars[pos] = bit
-                expected.append(("".join(chars), targets))
+                expected.append((gp.parse("".join(chars), width), targets))
             assert list(remapped.transitions[pair]) == expected
 
 
@@ -907,7 +907,8 @@ def test_deterministic_totality_exactly_one_transition():
             for right in states:
                 entries = aut.transitions.get((left, right), ())
                 for symbol in ("00", "01", "10", "11"):
-                    hits = [t for g, t in entries if gp.matches(g, symbol)]
+                    hits = [t for g, t in entries
+                            if gp.matches(g, gp.parse(symbol, 2))]
                     assert len(hits) == 1
 
 
@@ -942,6 +943,87 @@ def test_from_text_errors():
         TreeAutomaton.from_text("width 1\nstates 5\ninitial q\nfinals q\n")
     with pytest.raises(AutomatonError):
         TreeAutomaton.from_text("width 1\ninitial q\ntrans q q 0 q\n")
+
+
+_CONSTRUCTOR_ERRORS = [
+    # (width, states, initial, finals, sink, transitions, error, message)
+    (2, {"q"}, "q", set(), None, {("q", "q"): {"0": "q"}},
+     ValueError, "guard '0' has length 1, expected 2"),
+    (0, {"q"}, "q", set(), None, {("q", "q"): {"0": "q"}},
+     ValueError, "guard '0' has length 1, expected 0"),
+    (2, {"q"}, "q", set(), None, {("q", "q"): {"0x": "q"}},
+     ValueError, "guard '0x' contains invalid characters ['x']"),
+    (2, {"q"}, "q", set(), None, {("q", "q"): {"0*": "q", "01": "q"}},
+     AutomatonError, "overlapping guards '0*'/'01' on pair (q, q)"),
+    # several errors in one input: the first in _validate's order wins
+    (2, {"q"}, "p", set(), None, {("q", "q"): {"0x": "q"}},
+     AutomatonError, "initial state 'p' not a state"),
+    (2, {"q", "s"}, "q", {"s"}, "s", {("q", "q"): {"0x": "q"}},
+     AutomatonError, "sink cannot be final"),
+    (2, {"a", "b"}, "a", set(), None,
+     {("a", "b"): {"0*": "a", "01": "a"}, ("b", "a"): {"0x": "a"}},
+     AutomatonError, "overlapping guards '0*'/'01' on pair (a, b)"),
+    (2, {"a", "b"}, "a", set(), None,
+     {("b", "a"): {"0*": "a", "01": "a"}, ("a", "b"): {"0x": "a"}},
+     ValueError, "guard '0x' contains invalid characters ['x']"),
+    (2, {"q"}, "q", set(), None, {("q", "q"): {"**": "zz", "0x": "q"}},
+     AutomatonError, "transition to unknown state(s) {'zz'}"),
+    (2, {"q"}, "q", set(), None, {("q", "q"): {"0x": "zz"}},
+     ValueError, "guard '0x' contains invalid characters ['x']"),
+    (2, {"q"}, "q", set(), None, {("q", "q"): {"0*": "q", "01": "q", "1x": "q"}},
+     ValueError, "guard '1x' contains invalid characters ['x']"),
+]
+
+
+@pytest.mark.parametrize("case", _CONSTRUCTOR_ERRORS)
+def test_constructor_guard_errors_keep_their_texts(case):
+    width, states, initial, finals, sink, transitions, error, message = case
+    with pytest.raises(error) as raised:
+        TreeAutomaton(width, states, initial, finals, transitions, sink=sink)
+    assert str(raised.value) == message
+
+
+_TEXT_ERRORS = [
+    ("width 2\ninitial q\ntrans q q 0 -> q\n",
+     "guard '0' has length 1, expected 2"),
+    ("width 2\ninitial q\ntrans q q - -> q\n",
+     "guard '' has length 0, expected 2"),
+    ("width 0\ninitial q\ntrans q q 0 -> q\n",
+     "guard '0' has length 1, expected 0"),
+    ("width 2\ninitial q\ntrans q q 0x -> q\n",
+     "guard '0x' contains invalid characters ['x']"),
+    # several errors: the sink line is read first; an overlap elsewhere
+    # only makes the automaton nondeterministic
+    ("width 2\nstates 2\ninitial q\nfinals s\nsink s\ntrans q q 0x -> q\n",
+     "sink cannot be final"),
+    ("width 2\ninitial q\ntrans q q 1* -> q\ntrans q q 0x -> q\n"
+     "trans q r 0* -> q\ntrans q r 01 -> r\n",
+     "guard '0x' contains invalid characters ['x']"),
+]
+
+
+@pytest.mark.parametrize("text, message", _TEXT_ERRORS)
+def test_text_guard_errors_keep_their_texts(text, message, tmp_path, capsys):
+    with pytest.raises(ValueError) as raised:
+        TreeAutomaton.from_text(text)
+    assert str(raised.value) == message
+    (tmp_path / "a.aut").write_text(text)
+    (tmp_path / "t.tree").write_text("()\n")
+    assert main(["member", str(tmp_path / "a.aut"), str(tmp_path / "t.tree")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_text_and_int_guards_build_equal_automata():
+    rng = random.Random(7)
+    for aut in _random_automata(rng, 100, (0, 3), 4):
+        as_text = {pair: [(gp.text(g, aut.width), ts) for g, ts in entries]
+                   for pair, entries in aut.transitions.items()}
+        for validate in (True, False):
+            built = [TreeAutomaton(aut.width, aut.states, aut.initial, aut.finals,
+                                   table, aut.deterministic, aut.sink, validate)
+                     for table in (as_text, aut.transitions)]
+            assert automaton_fields(built[0]) == automaton_fields(built[1]) == \
+                automaton_fields(aut)
 
 
 def test_renumbered_is_canonical(ac_com_automaton):

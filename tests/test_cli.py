@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from treelogic import cli
 from treelogic.cli import main
 from treelogic.trees import parse_tree
 
@@ -65,6 +66,18 @@ def test_deeply_nested_input_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: input nested too deeply")
+
+
+def test_out_of_memory_exits_2_with_one_error_line(capsys, monkeypatch,
+                                                   ac_com_path):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "compile_formula", exhausted)
+    code, out, err = run_cli(capsys, "compile", "--no-minimize", ac_com_path)
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_compile_stats_lines(capsys, ac_com_path):

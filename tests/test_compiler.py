@@ -406,7 +406,7 @@ def _memo_run(aut, tree, memo, store=True):
     state = aut.sink
     if left is not None and right is not None:
         for guard, targets in aut.transitions.get((left, right), ()):
-            if gp.matches(guard, tree.label):
+            if gp.matches(guard, gp.parse(tree.label, aut.width)):
                 state = next(iter(targets))
                 break
     if store:
