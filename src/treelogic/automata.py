@@ -26,9 +26,13 @@ Conventions:
   construction) and ``renumbered`` compute each pair's entries on the fly,
   and the discovery order names the states.  The product and ``renumbered``
   queue only pairs their inputs list; the subset construction tries every
-  pair, but computes each distinct row set's step once.
-  ``reachable_states_detailed`` only reads a table that already exists, so
-  it visits the listed pairs alone; ``is_empty`` and ``minimize`` run on it.
+  pair.  ``reachable_states_detailed`` only reads a table that already
+  exists, so it visits the listed pairs alone; ``is_empty`` and
+  ``minimize`` run on it.
+* An operation does the work it would repeat once, in memos that do not
+  outlive the call: the product meets two rows once, the subset
+  construction steps a row set once, and ``minimize`` builds a diagram
+  shape once per guard list and a merged quotient row once per entry list.
 * Runs (``run``, ``run_set``, ``accepts``) fold the tree bottom-up over an
   explicit stack, so their depth is not bounded by the recursion limit.
 * State identity is meaningless across automata: compare languages with
@@ -229,10 +233,12 @@ class TreeAutomaton:
 
     def _fill_state(self, key: tuple, tree: Tree) -> str | None:
         left, right, label = key
-        symbol = self._symbol(label, tree)
+        self._check_label(label, tree)
         target = self.sink
-        if left is not None and right is not None:
-            for guard, targets in self.transitions.get((left, right), ()):
+        entries = self.transitions.get((left, right))  # None if unlisted or a child is dead
+        if entries:
+            symbol = gp.parse(label, self.width)
+            for guard, targets in entries:
                 if gp.matches(guard, symbol):
                     target = next(iter(targets))
                     break
@@ -241,26 +247,24 @@ class TreeAutomaton:
 
     def _fill_states(self, key: tuple, tree: Tree) -> frozenset[str]:
         lefts, rights, label = key
-        symbol = self._symbol(label, tree)
-        out: set[str] = set()
-        for left in lefts:
-            for right in rights:
-                for guard, targets in self.transitions.get((left, right), ()):
-                    if gp.matches(guard, symbol):
-                        out.update(targets)
-        self._steps[key] = targets = frozenset(out)
+        self._check_label(label, tree)
+        rows = [row for left in lefts for right in rights
+                if (row := self.transitions.get((left, right)))]
+        symbol = gp.parse(label, self.width) if rows else None
+        self._steps[key] = targets = frozenset(
+            t for row in rows for guard, ts in row if gp.matches(guard, symbol) for t in ts)
         return targets
 
-    def _symbol(self, label: str, tree: Tree) -> int:
-        """The label as a guard.  A label of another width or with a
-        character other than 0/1 makes the whole-tree check raise, so the
-        error and its message are those of the first bad label in preorder."""
+    def _check_label(self, label: str, tree: Tree) -> None:
+        """A label of another width or with a character other than 0/1
+        makes the whole-tree check raise, so the error and its message are
+        those of the first bad label in preorder.  The label is parsed only
+        where a guard is read."""
         if len(label) != self.width or label.strip("01"):
             width = validate_tree(tree)
             if width is not None and width != self.width:
                 raise AutomatonError(
                     f"tree labels have width {width}, automaton has width {self.width}")
-        return gp.parse(label, self.width)
 
     # ------------------------------------------------------------------
     # reachability and emptiness
@@ -499,79 +503,62 @@ class TreeAutomaton:
         reachable states has its symbol->target map built as a reduced
         ordered decision diagram over bit positions whose nodes are shared
         across pairs (as in MONA) and whose split nodes carry their
-        position; pairs with equal entries share one diagram, built once,
-        and an unlisted pair's map is the dead leaf.  Moore refinement then
-        only relabels the diagrams' leaves by block and reduces them again,
-        and two states stay together while their rows and columns of
-        relabelled diagrams agree.  Rows and columns are kept sparse: they
-        list (partner, label) only where the label is not the dead leaf's.
-        The dead state is refined even when unreachable, so its block is the
-        dead class.
+        position; an unlisted pair's map is the dead leaf.  A diagram's
+        structure depends on its guards alone, so each distinct guard list's
+        shape, its leaves entry indices, is built once (``_shape``), and
+        each distinct entry list instantiates it by relabelling the leaves
+        with targets and reducing again.  Moore refinement likewise only
+        relabels the leaves by block and reduces again, and two states stay
+        together while their rows and columns of relabelled diagrams agree.
+        Rows and columns are kept sparse: they list (partner, label) only
+        where the label is not the dead leaf's.  The dead state is refined
+        even when unreachable, so its block is the dead class.  The quotient
+        reads each block's row off its representative's listed pairs and
+        merges each distinct entry list once.
         """
         if not self.deterministic:
             raise AutomatonError("minimize requires a deterministic automaton")
         dead = self.sink if self.sink is not None else fresh_name("dead", self.states)
         reached = self.reachable_states()
         # Diagram nodes are (target,) leaves or (pos, lo, hi) splits,
-        # hash-consed, each listed after its children.
-        nodes: list[tuple] = []
-        ids: dict[tuple, int] = {}
-
-        def node(key: tuple) -> int:
-            if key not in ids:
-                ids[key] = len(nodes)
-                nodes.append(key)
-            return ids[key]
-
-        dead_leaf = node((dead,))
+        # hash-consed to their ids in ``ids``, each listed after its children.
+        dead_leaf = 0
+        ids: dict[tuple, int] = {(dead,): dead_leaf}
         # A state's row and column: (partner, diagram) for each listed pair
         # of reached states, in partner order (``transitions`` is sorted).
         rows: dict[str, list[tuple[str, int]]] = {s: [] for s in reached | {dead}}
         cols: dict[str, list[tuple[str, int]]] = {s: [] for s in reached | {dead}}
-        listed = 0
-        gap = False  # whether a listed diagram has the dead leaf
-        # Pairs with equal entries have equal diagrams: each is built once.
+        # Pairs with equal entries have equal diagrams, and pairs with equal
+        # guards equal shapes: each is built once.
         diagrams: dict[tuple[Entry, ...], int] = {}
+        shapes: dict[tuple[int, ...], list[tuple]] = {}
         for (left, right), pair_entries in self.transitions.items():
             if left not in reached or right not in reached:
                 continue
-            listed += 1
             diagram = diagrams.get(pair_entries)
             if diagram is None:
-                guards = [g for g, _ in pair_entries]
-                targets = [next(iter(ts)) for _, ts in pair_entries]
-                memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-                def build(rest: int, live: tuple[int, ...]) -> int:
-                    nonlocal gap
-                    # ``rest`` columns are left.  Skip to the next one some
-                    # live guard constrains; before it, both branches agree.
-                    care = 0
-                    for i in live:
-                        care |= guards[i]
-                    care &= (1 << 2 * rest) - 1
-                    if not care:
-                        if live:
-                            return node((targets[live[0]],))
-                        gap = True
-                        return dead_leaf
-                    rest = (care.bit_length() + 1) // 2
-                    if (rest, live) not in memo:
-                        zero = 1 << 2 * rest - 2  # the column's 0 code; 1 is twice it
-                        lo = build(rest - 1, tuple(i for i in live if not guards[i] & 2 * zero))
-                        hi = build(rest - 1, tuple(i for i in live if not guards[i] & zero))
-                        memo[rest, live] = lo if lo == hi else node((self.width - rest, lo, hi))
-                    return memo[rest, live]
-
-                diagram = build(self.width, tuple(range(len(pair_entries))))
-                diagrams[pair_entries] = diagram
+                guards = tuple(g for g, _ in pair_entries)
+                if guards not in shapes:
+                    shapes[guards] = _shape(guards, self.width)
+                # Shape leaf i becomes entry i's target, leaf -1 the dead leaf.
+                leaves = [ids.setdefault((next(iter(ts)),), len(ids)) for _, ts in pair_entries]
+                leaves.append(dead_leaf)
+                out: list[int] = []
+                for key in shapes[guards]:
+                    if len(key) == 1:
+                        out.append(leaves[key[0]])
+                    else:
+                        lo, hi = out[key[1]], out[key[2]]
+                        out.append(lo if lo == hi else ids.setdefault((key[0], lo, hi), len(ids)))
+                diagram = diagrams[pair_entries] = out[-1]
             rows[left].append((right, diagram))
             cols[right].append((left, diagram))
         # The dead state is reached when a reached pair is unlisted or sends
         # a symbol to the dead leaf.  It always takes part, after the
         # reachable states when unreached, so every state equivalent to it
         # lands in its block; an unreached one has no diagrams.
-        dead_reached = dead in reached or gap or listed < len(reached) ** 2
+        dead_reached = (dead in reached or sum(map(len, rows.values())) < len(reached) ** 2
+                        or any((-1,) in shape for shape in shapes.values()))
         states = sorted(reached | {dead}) if dead_reached else [*sorted(reached), dead]
 
         # Moore refinement; a pair's signature is its diagram with the
@@ -580,7 +567,7 @@ class TreeAutomaton:
         while True:
             label: list[int] = []
             interned: dict[tuple, int] = {}
-            for key in nodes:
+            for key in ids:
                 if len(key) == 1:
                     key = (block[key[0]],)
                 elif label[key[1]] == label[key[2]]:
@@ -616,20 +603,26 @@ class TreeAutomaton:
 
         name = {b: f"m{b}" for b in rep}
         target = {b: frozenset({name[b]}) for b in rep}
+        # Blocks' rows are their representatives'; equal entries merge alike.
         quotient: dict[PairKey, tuple[Entry, ...]] = {}
-        for bl in rep:
-            for br in rep:
-                if sink in (bl, br):
+        merged_rows: dict[tuple[Entry, ...], tuple[Entry, ...]] = {}
+        for bl, left in rep.items():
+            for right, _ in rows[left]:
+                br = block[right]
+                if sink in (bl, br) or rep[br] != right:
                     continue
-                merged: dict[int, list[str]] = {}
-                for guard, targets in self.transitions.get((rep[bl], rep[br]), ()):
-                    b = block[next(iter(targets))]
-                    if b != sink:
-                        merged.setdefault(b, []).append(guard)
-                if merged:
-                    quotient[name[bl], name[br]] = tuple(sorted(
+                pair_entries = self.transitions[left, right]
+                if pair_entries not in merged_rows:
+                    merged: dict[int, list[int]] = {}
+                    for guard, targets in pair_entries:
+                        b = block[next(iter(targets))]
+                        if b != sink:
+                            merged.setdefault(b, []).append(guard)
+                    merged_rows[pair_entries] = tuple(sorted(
                         (pattern, target[b]) for b, pats in merged.items()
                         for pattern in (pats if len(pats) == 1 else gp.merge_patterns(pats))))
+                if merged_rows[pair_entries]:
+                    quotient[name[bl], name[br]] = merged_rows[pair_entries]
 
         return TreeAutomaton._canonical(
             self.width, name.values(), name[block[self.initial]],
@@ -764,8 +757,11 @@ class TreeAutomaton:
         transitions: dict[PairKey, list[tuple[str, str]]] = {}
         for left, right, guard, target in raw:
             transitions.setdefault((left, right), []).append((guard, target))
-        deterministic = not any(_overlap(pair_entries, width)
-                                for pair_entries in transitions.values())
+        # A malformed guard that determinism depends on (one of two or more
+        # on a pair) is reported first; a negative width is left to __init__.
+        deterministic = width >= 0 and not any(
+            len(pair_entries) > 1 and _overlap(sorted(pair_entries), width)
+            for _, pair_entries in sorted(transitions.items()))
         if sink is not None and not deterministic:
             sink = None
         return cls(width, mentioned, initial, finals, transitions,
@@ -784,17 +780,43 @@ def fresh_name(base: str, taken) -> str:
 
 def _overlap(entries, width: int) -> tuple[str, str] | None:
     """The first pair of guards listed in the entries, text or ints, that
-    share a symbol, as text, if any; None if a guard does not parse (the
-    constructor reports it)."""
-    try:
-        guards = [gp.parse(g, width) for g, _ in entries]
-    except ValueError:
-        return None
+    share a symbol, as text, if any.  ValueError if a guard does not parse."""
+    guards = [gp.parse(g, width) for g, _ in entries]
     for i, g1 in enumerate(guards):
         for g2 in guards[i + 1:]:
             if gp.meet(g1, g2) is not None:
                 return gp.text(g1, width), gp.text(g2, width)
     return None
+
+
+def _shape(guards: tuple[int, ...], width: int) -> list[tuple]:
+    """The reduced ordered decision diagram over bit positions of a row
+    with these guards, its leaves entry indices: ``(i,)`` where guard ``i``
+    is the first to match, ``(-1,)`` where none does, and ``(pos, lo, hi)``
+    splits on position ``pos`` over earlier nodes' list indices.  Nodes are
+    hash-consed and each is listed after its children, so the root is last."""
+    ids: dict[tuple, int] = {}
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def build(rest: int, live: tuple[int, ...]) -> int:
+        # ``rest`` columns are left.  Skip to the next one some live guard
+        # constrains; before it, both branches agree.
+        care = 0
+        for i in live:
+            care |= guards[i]
+        care &= (1 << 2 * rest) - 1
+        if not care:
+            return ids.setdefault((live[0] if live else -1,), len(ids))
+        rest = (care.bit_length() + 1) // 2
+        if (rest, live) not in memo:
+            zero = 1 << 2 * rest - 2  # the column's 0 code; 1 is twice it
+            lo = build(rest - 1, tuple(i for i in live if not guards[i] & 2 * zero))
+            hi = build(rest - 1, tuple(i for i in live if not guards[i] & zero))
+            memo[rest, live] = lo if lo == hi else ids.setdefault((width - rest, lo, hi), len(ids))
+        return memo[rest, live]
+
+    build(width, tuple(range(len(guards))))
+    return list(ids)
 
 
 def _explore(root, step, linked=None):

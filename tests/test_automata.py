@@ -114,6 +114,35 @@ def test_run_errors_name_the_first_bad_label(ac_com_automaton, tree, error,
             assert str(raised.value) == message
 
 
+def test_bad_label_above_a_dead_child_or_an_unlisted_pair_raises(monkeypatch):
+    # "1" leads to the dead state and "0" to p, whose pair with q is
+    # unlisted: no step above either reads a guard, so its label is not
+    # parsed, but it is still checked.
+    parses = 0
+    parse = gp.parse
+
+    def counted(guard, width):
+        nonlocal parses
+        parses += 1
+        return parse(guard, width)
+
+    for sink in (None, "s"):
+        aut = TreeAutomaton(1, {"q", "p", "s"}, "q", {"p"}, {("q", "q"): {"0": "p"}},
+                            sink=sink)
+        nondet = TreeAutomaton(1, aut.states, "q", {"p"}, {("q", "q"): {"0": "p"}},
+                               deterministic=False)
+        for call in (aut.accepts, nondet.accepts):
+            for child in ("1", "0"):
+                monkeypatch.setattr(gp, "parse", counted)
+                parses = 0
+                assert not call(Node("1", Node(child), None))
+                monkeypatch.undo()
+                assert parses == 1
+                with pytest.raises(ValueError) as raised:
+                    call(Node("x", Node(child), None))
+                assert str(raised.value) == "bad label 'x', expected 1 bits"
+
+
 def test_runs_finish_on_deep_chain():
     sing = sing_automaton()
     closed = zero_pad_closure(sing)
@@ -345,6 +374,43 @@ def test_width_16_chain_normalizes_only_its_atom_tables(monkeypatch):
     monkeypatch.setattr(automata, "_normalize", counted)
     compiled(chain_text(16, "v", "S"))
     assert calls <= 3
+
+
+def test_width_16_chain_builds_each_shape_and_quotient_row_once(monkeypatch):
+    # minimize builds one diagram shape per distinct guard list of its
+    # reached pairs, 40 over the chain's minimizations against 233 distinct
+    # entry lists in their inputs, and merges each distinct entry list's
+    # quotient row once: 124 merge_patterns calls, against 333 when every
+    # pair of representatives merged its own row.
+    wanted: list[set[tuple[int, ...]]] = []
+    built: list[list[tuple[int, ...]]] = []
+    merges = 0
+    minimize, shape, merge = TreeAutomaton.minimize, automata._shape, gp.merge_patterns
+
+    def minimized(aut):
+        reached = aut.reachable_states()
+        wanted.append({tuple(g for g, _ in entries)
+                       for (left, right), entries in aut.transitions.items()
+                       if left in reached and right in reached})
+        built.append([])
+        return minimize(aut)
+
+    def shaped(guards, width):
+        built[-1].append(guards)
+        return shape(guards, width)
+
+    def merged(patterns):
+        nonlocal merges
+        merges += 1
+        return merge(patterns)
+
+    monkeypatch.setattr(TreeAutomaton, "minimize", minimized)
+    monkeypatch.setattr(automata, "_shape", shaped)
+    monkeypatch.setattr(gp, "merge_patterns", merged)
+    compiled(chain_text(16, "v", "S"))
+    assert [sorted(b) for b in built] == [sorted(w) for w in wanted]
+    assert sum(map(len, built)) == 40
+    assert merges <= 130
 
 
 def test_product_state_names_cannot_collide():
@@ -998,6 +1064,11 @@ _TEXT_ERRORS = [
      "sink cannot be final"),
     ("width 2\ninitial q\ntrans q q 1* -> q\ntrans q q 0x -> q\n"
      "trans q r 0* -> q\ntrans q r 01 -> r\n",
+     "guard '0x' contains invalid characters ['x']"),
+    # a malformed guard that determinism depends on, and so the sink check,
+    # is reported first
+    ("width 2\nstates 2\ninitial q\nfinals s\nsink s\ntrans q q 0x -> q\n"
+     "trans q q 0* -> q\n",
      "guard '0x' contains invalid characters ['x']"),
 ]
 
