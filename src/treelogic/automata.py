@@ -24,15 +24,14 @@ Conventions:
 * Two bottom-up loops stay, because they answer different questions.
   ``_explore`` discovers new states: the constructions (product, subset
   construction) and ``renumbered`` compute each pair's entries on the fly,
-  and the discovery order names the states.  The product and ``renumbered``
-  queue only pairs their inputs list; the subset construction tries every
-  pair.  ``reachable_states_detailed`` only reads a table that already
-  exists, so it visits the listed pairs alone; ``is_empty`` and
+  and the discovery order names the states; it skips a pair whose step
+  reads no row.  ``reachable_states_detailed`` only reads a table that
+  already exists, so it visits the listed pairs alone; ``is_empty`` and
   ``minimize`` run on it.
 * An operation does the work it would repeat once, in memos that do not
-  outlive the call: the product meets two rows once, the subset
-  construction steps a row set once, and ``minimize`` builds a diagram
-  shape once per guard list and a merged quotient row once per entry list.
+  outlive the call: ``_explore`` steps each distinct read once, and
+  ``minimize`` builds a diagram shape once per guard list and a merged
+  quotient row once per entry list.
 * Runs (``run``, ``run_set``, ``accepts``) fold the tree bottom-up over an
   explicit stack, so their depth is not bounded by the recursion limit.
 * State identity is meaningless across automata: compare languages with
@@ -69,7 +68,7 @@ import heapq
 import itertools
 import operator
 from collections import deque
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import guards as gp
 from .trees import Node, Tree, preorder, tree_sort_key, validate_tree
@@ -106,14 +105,8 @@ class TreeAutomaton:
 
     def __init__(self, width, states, initial, finals, transitions,
                  deterministic=True, sink=None, validate=True):
-        self.width = int(width)
-        self.states = frozenset(states)
-        self.initial = initial
-        self.finals = frozenset(finals)
-        self.transitions = _normalize(transitions)
-        self.deterministic = bool(deterministic)
-        self.sink = sink
-        self._steps: dict[tuple, object] = {}  # memo of runs' steps, see _fold
+        self._assign(int(width), states, initial, finals, _normalize(transitions),
+                     bool(deterministic), sink)
         if validate:
             self._validate()
         self.transitions = {  # checked in order above, text guards become ints
@@ -128,15 +121,19 @@ class TreeAutomaton:
         sorted order and each value a tuple of ``(guard, frozenset of
         targets)`` with strictly increasing guards."""
         aut = cls.__new__(cls)
-        aut.width = width
-        aut.states = frozenset(states)
-        aut.initial = initial
-        aut.finals = frozenset(finals)
-        aut.transitions = transitions
-        aut.deterministic = deterministic
-        aut.sink = sink
-        aut._steps = {}
+        aut._assign(width, states, initial, finals, transitions, deterministic, sink)
         return aut
+
+    def _assign(self, width, states, initial, finals, transitions, deterministic, sink):
+        """Set all eight slots; the memo of runs' steps starts empty."""
+        self.width = width
+        self.states = frozenset(states)
+        self.initial = initial
+        self.finals = frozenset(finals)
+        self.transitions = transitions
+        self.deterministic = deterministic
+        self.sink = sink
+        self._steps: dict[tuple, object] = {}  # see _fold
 
     def _validate(self) -> None:
         if self.width < 0:
@@ -357,8 +354,8 @@ class TreeAutomaton:
         """The product automaton; a pair state is final when ``accept`` holds
         of its components' finality.  The dead states are materialized when
         a pair with one or two dead components can be final (``operator.eq``
-        holds on two).  Only pairs both operands list are queued, and the
-        entries of two listed pairs are met once per call."""
+        holds on two).  A pair's read is its two rows, empty unless both
+        operands list them, and two rows are met once."""
         if self.width != other.width:
             raise AutomatonError(
                 f"width mismatch: {self.width} vs {other.width}")
@@ -367,25 +364,20 @@ class TreeAutomaton:
         if accept(True, False) or accept(False, True) or accept(False, False):
             a = a.with_materialized_sink()
             b = b.with_materialized_sink()
-        met: dict[tuple, list[tuple[str, PairKey]]] = {}
 
-        def step(left: PairKey, right: PairKey) -> list[tuple[str, PairKey]]:
-            rows = (a.transitions.get((left[0], right[0]), ()),
-                    b.transitions.get((left[1], right[1]), ()))
-            if rows not in met:
-                met[rows] = [(m, (next(iter(t1)), next(iter(t2))))
-                             for g1, t1 in rows[0] for g2, t2 in rows[1]
-                             if (m := gp.meet(g1, g2)) is not None]
-            return met[rows]
+        def rows(left: PairKey, right: PairKey):
+            return ((row_a := a.transitions.get((left[0], right[0])))
+                    and (row_b := b.transitions.get((left[1], right[1])))
+                    and (row_a, row_b))
 
-        def linked(left: PairKey, right: PairKey) -> bool:
-            return ((left[0], right[0]) in a.transitions
-                    and (left[1], right[1]) in b.transitions)
+        def step(read) -> list[tuple[int, PairKey]]:
+            return [(m, (next(iter(t1)), next(iter(t2))))
+                    for g1, t1 in read[0] for g2, t2 in read[1]
+                    if (m := gp.meet(g1, g2)) is not None]
 
         return _explored_automaton(
-            self.width, (a.initial, b.initial), step,
-            lambda pair: accept(pair[0] in a.finals, pair[1] in b.finals),
-            linked)
+            self.width, (a.initial, b.initial), rows, step,
+            lambda pair: accept(pair[0] in a.finals, pair[1] in b.finals))
 
     def complement(self) -> "TreeAutomaton":
         if not self.deterministic:
@@ -402,18 +394,16 @@ class TreeAutomaton:
         """Subset construction restricted to reachable state sets.
 
         The output is deterministic and total (missing entries fall to the
-        implicit dead state, which corresponds to the empty subset).  Every
-        pair of subsets is tried; its step depends only on the set of rows
-        its members list, so each distinct set's step is computed once.
+        implicit dead state, which corresponds to the empty subset).  A pair
+        of subsets reads the set of rows its members list, so pairs that
+        list none are skipped and each distinct set is stepped once.
         """
-        memo: dict[frozenset, list[Entry]] = {frozenset(): []}  # no rows, no entries
-
-        def step(left: frozenset[str], right: frozenset[str]) -> list[Entry]:
-            rows = frozenset(row for p in left for q in right
+        def rows(left: frozenset[str], right: frozenset[str]) -> frozenset:
+            return frozenset(row for p in left for q in right
                              if (row := self.transitions.get((p, q))))
-            if rows in memo:
-                return memo[rows]
-            collected = [entry for row in rows for entry in row]
+
+        def step(read: frozenset) -> list[Entry]:
+            collected = [entry for row in read for entry in row]
             columns = gp.constrained_positions(g for g, _ in collected)
             # Minterm cubes: concrete exactly at the constrained columns, so
             # every collected guard is the union of those it expands to.
@@ -425,11 +415,10 @@ class TreeAutomaton:
             for cube, targets in minterms.items():
                 if targets:
                     by_target.setdefault(frozenset(targets), []).append(cube)
-            memo[rows] = [(pattern, subset) for subset in sorted(by_target, key=sorted)
-                          for pattern in gp.merge_patterns(by_target[subset])]
-            return memo[rows]
+            return [(pattern, subset) for subset in sorted(by_target, key=sorted)
+                    for pattern in gp.merge_patterns(by_target[subset])]
 
-        return _explored_automaton(self.width, frozenset({self.initial}), step,
+        return _explored_automaton(self.width, frozenset({self.initial}), rows, step,
                                    lambda subset: bool(subset & self.finals))
 
     # ------------------------------------------------------------------
@@ -669,14 +658,11 @@ class TreeAutomaton:
 
     def renumbered(self) -> "TreeAutomaton":
         """Rename states q0..qN in a canonical discovery order, independent
-        of the current names (for reachable automata)."""
-        def step(left: str, right: str) -> Iterator[tuple[str, str]]:
-            for guard, targets in sorted(self.transitions.get((left, right), ())):
-                for target in sorted(targets):
-                    yield guard, target
-
-        order, _ = _explore(self.initial, step,
-                            lambda left, right: (left, right) in self.transitions)
+        of the current names (for reachable automata).  A pair reads its
+        entries, so only listed pairs are explored."""
+        order, _ = _explore(
+            self.initial, lambda left, right: self.transitions.get((left, right)),
+            lambda entries: [(g, t) for g, ts in entries for t in sorted(ts)])
         for leftover in sorted(self.states - set(order)):
             if leftover != self.sink:
                 order.append(leftover)
@@ -819,46 +805,48 @@ def _shape(guards: tuple[int, ...], width: int) -> list[tuple]:
     return list(ids)
 
 
-def _explore(root, step, linked=None):
+def _explore(root, rows, step):
     """Discover every state key reachable from ``root``, bottom-up.
 
     A newly found key is paired with every known key in both orders (with
     itself once), and pairs are expanded first in, first out.
-    ``step(left, right)`` yields the pair's ``(guard, target_key)`` entries.
-    When given, ``linked(left, right)`` must hold of every pair whose step
-    yields an entry, and only such pairs are queued; the pairs it drops
-    would have yielded nothing, so the order and the table stay the same.
-    Returns the keys in discovery order and the entries keyed by index
-    pairs, with targets as indices.
+    ``rows(left, right)`` is what the pair's step reads, hashable and falsy
+    when the step would yield nothing; such a pair is never queued.
+    ``step(read)`` yields the ``(guard, target_key)`` entries, once per
+    distinct read.  Returns the keys in discovery order and the entries
+    keyed by index pairs, with targets as indices.
     """
     order = [root]
     index = {root: 0}
-    queue: deque[tuple[int, int]] = deque([(0, 0)])
+    read = rows(root, root)
+    queue: deque[tuple[int, int, object]] = deque([(0, 0, read)] if read else ())
     table: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    stepped: dict[object, list[tuple[int, int]]] = {}
     while queue:
-        i, j = queue.popleft()
-        out = []
-        for guard, key in step(order[i], order[j]):
-            k = index.get(key)
-            if k is None:
-                k = index[key] = len(order)
-                order.append(key)
-                for known in range(k + 1):
-                    if linked is None or linked(key, order[known]):
-                        queue.append((k, known))
-                    if known != k and (linked is None or linked(order[known], key)):
-                        queue.append((known, k))
-            out.append((guard, k))
+        i, j, read = queue.popleft()
+        out = stepped.get(read)
+        if out is None:
+            out = stepped[read] = []
+            for guard, key in step(read):
+                k = index.get(key)
+                if k is None:
+                    k = index[key] = len(order)
+                    order.append(key)
+                    for known in range(k + 1):
+                        if pair_read := rows(key, order[known]):
+                            queue.append((k, known, pair_read))
+                        if known != k and (pair_read := rows(order[known], key)):
+                            queue.append((known, k, pair_read))
+                out.append((guard, k))
         if out:
             table[(i, j)] = out
     return order, table
 
 
-def _explored_automaton(width: int, root, step, is_final, linked=None) -> TreeAutomaton:
+def _explored_automaton(width: int, root, rows, step, is_final) -> TreeAutomaton:
     """The deterministic automaton ``_explore`` finds from ``root``, state
-    ``i`` named ``q<i>``; ``is_final`` decides on the state keys and
-    ``linked`` is passed on to ``_explore``."""
-    order, table = _explore(root, step, linked)
+    ``i`` named ``q<i>``; ``is_final`` decides on the state keys."""
+    order, table = _explore(root, rows, step)
     names = [f"q{i}" for i in range(len(order))]
     targets = [frozenset({name}) for name in names]
     transitions = {(names[i], names[j]): tuple((g, targets[k]) for g, k in sorted(entries))

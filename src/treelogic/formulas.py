@@ -410,8 +410,7 @@ def _map_parts(f: Formula, fn, *args) -> Formula:
     return f
 
 
-def free_variables(formula: Formula, bound: frozenset[str] = frozenset()
-                   ) -> list[tuple[str, str]]:
+def free_variables(formula: Formula) -> list[tuple[str, str]]:
     """Free variables with sorts, in first-occurrence order."""
     seen: dict[str, str] = {}
 
@@ -426,7 +425,7 @@ def free_variables(formula: Formula, bound: frozenset[str] = frozenset()
             for part in _parts(f):
                 walk(part, bound)
 
-    walk(formula, bound)
+    walk(formula, frozenset())
     return list(seen.items())
 
 
@@ -603,8 +602,7 @@ class VarTable:
     def sort_of(self, name: str) -> str:
         return self.entries[self.position(name)][1]
 
-    def extended(self, name: str, sort: str | None = None) -> "VarTable":
-        sort = sort or sort_of_name(name)
+    def extended(self, name: str, sort: str) -> "VarTable":
         if self.has(name):
             if self.sort_of(name) != sort:
                 raise SortError(f"variable {name!r} already declared as "

@@ -29,7 +29,7 @@ from treelogic import compiler
 from treelogic.compiler import CompileError
 from treelogic import guards as gp
 from treelogic.automata import (AutomatonError, PairKey, TreeAutomaton,
-                                _explore, _explored_automaton, fresh_name)
+                                fresh_name)
 from treelogic.clp import (GoalAtom, Solver, SolveError, _clause_variables,
                            initial_store)
 from treelogic.trees import Node, addresses, format_tree
@@ -406,8 +406,8 @@ def ref_determinize(aut: TreeAutomaton) -> TreeAutomaton:
             for pattern in merge_patterns(by_target[subset]):
                 yield gp.parse(pattern, aut.width), subset
 
-    return _explored_automaton(aut.width, frozenset({aut.initial}), step,
-                               lambda subset: bool(subset & aut.finals))
+    return ref_explored_automaton(aut.width, frozenset({aut.initial}), step,
+                                  lambda subset: bool(subset & aut.finals))
 
 
 # ----------------------------------------------------------------------
@@ -451,11 +451,11 @@ def ref_minimize(aut: TreeAutomaton) -> TreeAutomaton:
             return memo[pos, live]
 
         diagram[left, right] = build(0, tuple(range(len(entries))))
-        # Only the targets matter: _explore serves as reachability here.
+        # Only the targets matter: ref_explore serves as reachability here.
         for target in sorted(leaves):
             yield "", target
 
-    order, _ = _explore(aut.initial, step)
+    order, _ = ref_explore(aut.initial, step)
     # The dead state always takes part, after the reachable states, so
     # every state equivalent to it lands in its block; an unreachable one
     # has no diagrams, and its rows and columns are the dead leaf.

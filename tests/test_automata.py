@@ -17,8 +17,8 @@ from conftest import FIXTURES, automaton_fields, fixture_text
 from oracle import (iter_trees, language_sample, random_deterministic,
                     random_label_deterministic, random_nondeterministic,
                     random_tree, recursive_accepts, recursive_run,
-                    recursive_run_set, ref_determinize, ref_minimize, ref_product,
-                    ref_reachable_states_detailed, ref_witness)
+                    recursive_run_set, ref_determinize, ref_explore, ref_minimize,
+                    ref_product, ref_reachable_states_detailed, ref_witness)
 from test_acceptance import CONTRADICTIONS, ORACLE_SUITE, compiled
 
 sys.path.append(str(FIXTURES.parent.parent / "benchmarks"))
@@ -1177,3 +1177,49 @@ def test_trusted_tables_are_canonical(monkeypatch):
     assert len(made) > 3000
     for aut in made:
         _assert_canonical(aut)
+
+
+# ----------------------------------------------------------------------
+# exploration
+
+
+def test_explore_steps_each_distinct_read_once(monkeypatch):
+    # The product, the subset construction and renumbered hand _explore
+    # their reads; each pair is probed once, a falsy read is never stepped,
+    # a truthy one is stepped once, and order and table are those of
+    # stepping every pair.
+    rng = random.Random(2511)
+    calls = []
+    explore = automata._explore
+
+    def recorded(root, rows, step):
+        calls.append((root, rows, step))
+        return explore(root, rows, step)
+
+    monkeypatch.setattr(automata, "_explore", recorded)
+    for aut in _random_automata(rng, 200, (0, 3), 4):
+        _run_operations(rng, aut)
+    monkeypatch.undo()
+    assert len(calls) > 1000
+    for root, rows, step in calls:
+        probes = 0
+        stepped = []
+
+        def counted_rows(left, right):
+            nonlocal probes
+            probes += 1
+            return rows(left, right)
+
+        def counted_step(read):
+            stepped.append(read)
+            return step(read)
+
+        order, table = automata._explore(root, counted_rows, counted_step)
+        assert probes == len(order) ** 2
+        assert all(stepped) and len(set(stepped)) == len(stepped)
+        assert set(stepped) == {read for left in order for right in order
+                                if (read := rows(left, right))}
+        ref_order, ref_table = ref_explore(
+            root, lambda left, right: step(read) if (read := rows(left, right)) else ())
+        assert order == ref_order
+        assert list(table.items()) == list(ref_table.items())

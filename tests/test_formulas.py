@@ -267,7 +267,8 @@ def _fresh_names():
 def _check_walks_match(f, macros, rng):
     assert free_variables(f) == oracle.ref_free_variables(f)
     bound = frozenset(rng.sample(["x", "z", "z_1", "X", "Y_1"], 2))
-    assert free_variables(f, bound) == oracle.ref_free_variables(f, bound)
+    assert [(name, sort) for name, sort in free_variables(f) if name not in bound] \
+        == oracle.ref_free_variables(f, bound)
     assert _has_call(f) == oracle.ref_has_call(f)
     assert desugar(f) == oracle.ref_desugar(f)
     avoid = frozenset(rng.sample(["x", "y", "z", "z_1", "z_2", "X", "Y"], 3))
