@@ -17,10 +17,11 @@ Conventions:
   never final and absorbs from both child positions.
 * Automata are immutable after construction.  Every operation returns a
   fresh automaton, so values can be shared freely across threads.  The one
-  mutable part is ``_steps``, a memo of the transition function that runs
-  fill the first time they meet a (left, right, label) step.  An entry is a
-  function of its key and never changes once written, so two threads that
-  fill the same key store the same value and sharing stays safe.
+  mutable part is ``_steps``, a nested memo ``_steps[left][right][label]``
+  of the transition function that runs fill the first time they meet a
+  step, each level with one atomic ``setdefault`` or store.  An entry is a
+  function of its keys and never changes once written, so two threads that
+  fill the same step store the same value and sharing stays safe.
 * Two bottom-up loops stay, because they answer different questions.
   ``_explore`` discovers new states: the constructions (product, subset
   construction) and ``renumbered`` compute each pair's entries on the fly,
@@ -32,8 +33,9 @@ Conventions:
   outlive the call: ``_explore`` steps each distinct read once, and
   ``minimize`` builds a diagram shape once per guard list and a merged
   quotient row once per entry list.
-* Runs (``run``, ``run_set``, ``accepts``) fold the tree bottom-up over an
-  explicit stack, so their depth is not bounded by the recursion limit.
+* Runs (``run``, ``run_set``, ``accepts``) share one fold over a
+  breadth-first node list read in reverse, one memo lookup per node, so
+  their depth is not bounded by the recursion limit.
 * State identity is meaningless across automata: compare languages with
   ``equivalent``, never state sets.
 * Constructed automata (products, subset constructions) name their states
@@ -71,7 +73,7 @@ from collections import deque
 from typing import Callable
 
 from . import guards as gp
-from .trees import Node, Tree, preorder, tree_sort_key, validate_tree
+from .trees import Node, Tree, tree_sort_key, validate_tree
 
 PairKey = tuple[str, str]
 Entry = tuple[int, frozenset[str]]
@@ -133,7 +135,7 @@ class TreeAutomaton:
         self.transitions = transitions
         self.deterministic = deterministic
         self.sink = sink
-        self._steps: dict[tuple, object] = {}  # see _fold
+        self._steps: dict = {}  # _steps[left][right][label], see _fold
 
     def _validate(self) -> None:
         if self.width < 0:
@@ -190,7 +192,8 @@ class TreeAutomaton:
     # runs and membership
 
     def run(self, tree: Tree) -> str | None:
-        """State reached on the tree (deterministic mode); None = dead."""
+        """State reached on the tree (deterministic mode): the sink, or None
+        when the dead state is implicit."""
         if not self.deterministic:
             raise AutomatonError("run() requires a deterministic automaton")
         return self._fold(tree, self.initial, self._fill_state)
@@ -201,35 +204,38 @@ class TreeAutomaton:
 
     def accepts(self, tree: Tree) -> bool:
         if self.deterministic:
-            state = self.run(tree)
-            return state is not None and state in self.finals
-        return bool(self.run_set(tree) & self.finals)
+            return self._fold(tree, self.initial, self._fill_state) in self.finals
+        return bool(self._fold(tree, frozenset({self.initial}), self._fill_states) & self.finals)
 
     def _fold(self, tree: Tree, leaf, fill):
         """The tree's bottom-up value, without recursion.  Nodes are listed
-        in preorder and valued in reverse, so when a node is valued its left
-        child's value is on top of the value stack and its right child's
-        below it.  Each step is read from the ``_steps`` memo and computed by
-        ``fill`` the first time its key is seen.  Keys are (left, right,
-        label) for ``run`` and (lefts, rights, label) for ``run_set``; state
-        names are strings and state sets frozensets, so they never collide."""
+        breadth-first, so read in reverse each comes after its children,
+        and the children's values are taken first in, first out: a node's
+        right child's value, then its left child's.  Each step is read from
+        the memo ``_steps[left][right][label]`` and computed by ``fill`` the
+        first time it is met.  ``run`` keys it by state names (strings) and
+        ``run_set`` by state sets (frozensets), so the two never collide."""
         if tree is None:
             return leaf
+        nodes = [tree]
+        for node in nodes:  # the list grows while it is read
+            if node.left is not None:
+                nodes.append(node.left)
+            if node.right is not None:
+                nodes.append(node.right)
         steps = self._steps
         values: list = []
-        push, pop = values.append, values.pop
-        for node in reversed(preorder(tree)):
-            left = leaf if node.left is None else pop()
-            right = leaf if node.right is None else pop()
-            key = (left, right, node.label)
+        push, take = values.append, iter(values).__next__
+        for node in reversed(nodes):
+            right = leaf if node.right is None else take()
+            left = leaf if node.left is None else take()
             try:
-                push(steps[key])
+                push(steps[left][right][node.label])
             except KeyError:
-                push(fill(key, tree))
-        return values[0]
+                push(fill(left, right, node.label, tree))
+        return values[-1]
 
-    def _fill_state(self, key: tuple, tree: Tree) -> str | None:
-        left, right, label = key
+    def _fill_state(self, left, right, label: str, tree: Tree) -> str | None:
         self._check_label(label, tree)
         target = self.sink
         entries = self.transitions.get((left, right))  # None if unlisted or a child is dead
@@ -239,16 +245,15 @@ class TreeAutomaton:
                 if gp.matches(guard, symbol):
                     target = next(iter(targets))
                     break
-        self._steps[key] = target
+        self._steps.setdefault(left, {}).setdefault(right, {})[label] = target
         return target
 
-    def _fill_states(self, key: tuple, tree: Tree) -> frozenset[str]:
-        lefts, rights, label = key
+    def _fill_states(self, lefts, rights, label: str, tree: Tree) -> frozenset[str]:
         self._check_label(label, tree)
         rows = [row for left in lefts for right in rights
                 if (row := self.transitions.get((left, right)))]
         symbol = gp.parse(label, self.width) if rows else None
-        self._steps[key] = targets = frozenset(
+        self._steps.setdefault(lefts, {}).setdefault(rights, {})[label] = targets = frozenset(
             t for row in rows for guard, ts in row if gp.matches(guard, symbol) for t in ts)
         return targets
 
@@ -849,8 +854,9 @@ def _explored_automaton(width: int, root, rows, step, is_final) -> TreeAutomaton
     order, table = _explore(root, rows, step)
     names = [f"q{i}" for i in range(len(order))]
     targets = [frozenset({name}) for name in names]
-    transitions = {(names[i], names[j]): tuple((g, targets[k]) for g, k in sorted(entries))
-                   for (i, j), entries in table.items()}
+    shared = {id(entries): entries for entries in table.values()}  # _explore: one list per read
+    built = {i: tuple((g, targets[k]) for g, k in sorted(entries)) for i, entries in shared.items()}
+    transitions = {(names[i], names[j]): built[id(entries)] for (i, j), entries in table.items()}
     finals = {name for name, key in zip(names, order) if is_final(key)}
     return TreeAutomaton._canonical(width, names, names[0], finals,
                                     dict(sorted(transitions.items())), True)

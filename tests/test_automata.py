@@ -101,6 +101,10 @@ def _chain(depth, label, bottom):
     (_chain(50, "01", "0a"), ValueError, "bad label '0a', expected 2 bits"),
     (Node("101", Node("011"), None), AutomatonError,
      "tree labels have width 3, automaton has width 2"),
+    # The run meets "1b" first (it is last breadth-first), but "0a" comes
+    # first in preorder.
+    (Node("00", Node("0a", Node("00")), Node("00", None, Node("00", None, Node("1b")))),
+     ValueError, "bad label '0a', expected 2 bits"),
 ])
 def test_run_errors_name_the_first_bad_label(ac_com_automaton, tree, error,
                                              message):
@@ -155,6 +159,68 @@ def test_runs_finish_on_deep_chain():
         sing.accepts(_chain(10**5, "0", "2"))
 
 
+def _lopsided_trees(rng, width, depth=12):
+    """A left-only chain, a right-only chain and a zig-zag of ``depth``
+    nodes and a complete tree of depth 4, each node with a random label."""
+    def label():
+        return "".join(rng.choice("01") for _ in range(width))
+
+    def complete(height):
+        return Node(label(), complete(height - 1), complete(height - 1)) if height else None
+
+    left = right = zigzag = None
+    for i in range(depth):
+        left, right = Node(label(), left, None), Node(label(), None, right)
+        zigzag = Node(label(), zigzag, None) if i % 2 else Node(label(), None, zigzag)
+    return [left, right, zigzag, complete(4)]
+
+
+def test_second_pass_reads_only_the_memo(ac_com_automaton, monkeypatch):
+    # Every step of a second pass over the same trees is a memo hit, so no
+    # guard is read; both passes agree with the recursive runs.
+    rng = random.Random(71)
+    matched = 0
+    matches = gp.matches
+
+    def counted(guard, symbol):
+        nonlocal matched
+        matched += 1
+        return matches(guard, symbol)
+
+    for aut in [*_run_cases(rng, 40), ac_com_automaton,
+                ac_com_automaton.project(1).cylindrify(1),
+                zero_pad_closure(sing_automaton(2, 1))]:
+        trees = _lopsided_trees(rng, aut.width) + [random_tree(rng, 60, aut.width)]
+        for second in (False, True):
+            monkeypatch.setattr(gp, "matches", counted)
+            matched = 0
+            sets = [aut.run_set(tree) for tree in trees]
+            states = [aut.run(tree) for tree in trees] if aut.deterministic else []
+            verdicts = [aut.accepts(tree) for tree in trees]
+            monkeypatch.undo()
+            if second:
+                assert matched == 0
+            assert sets == [recursive_run_set(aut, tree) for tree in trees]
+            if aut.deterministic:
+                assert states == [recursive_run(aut, tree) for tree in trees]
+            assert verdicts == [recursive_accepts(aut, tree) for tree in trees]
+
+
+def _in_threads(work, count=8):
+    """Run ``work`` in ``count`` threads that switch every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
 def test_shared_automaton_runs_agree_across_threads():
     # Threads fill one automaton's memo concurrently; every answer must still
     # be the recursive run's.
@@ -168,17 +234,28 @@ def test_shared_automaton_runs_agree_across_threads():
         if [aut.accepts(t) for t in trees] != want:
             failures.append(1)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    _in_threads(work)
+    assert not failures
+
+
+def test_shared_nondeterministic_run_sets_agree_across_threads(monkeypatch):
+    # The nondeterministic twin: threads fill one memo keyed by state sets.
+    # No filled step may be lost, so a pass after them reads no guard.
+    rng = random.Random(73)
+    auts = [zero_pad_closure(sing_automaton(2, 0)),
+            random_nondeterministic(rng, 2, max_states=4)]
+    trees = [random_tree(rng, 40, 2) for _ in range(60)]
+    want = [[recursive_run_set(aut, t) for t in trees] for aut in auts]
+    failures = []
+
+    def work():
+        if [[aut.run_set(t) for t in trees] for aut in auts] != want:
+            failures.append(1)
+
+    _in_threads(work)
+    assert not failures
+    monkeypatch.setattr(gp, "matches", lambda guard, symbol: failures.append(1))
+    work()
     assert not failures
 
 
