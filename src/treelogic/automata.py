@@ -16,19 +16,21 @@ Conventions:
   ``sink`` attribute optionally names that dead state; a designated sink is
   never final and absorbs from both child positions.
 * Automata are immutable after construction.  Every operation returns a
-  fresh automaton, so values can be shared freely across threads.  The one
-  mutable part is ``_steps``, a nested memo ``_steps[left][right][label]``
+  fresh automaton, so values can be shared freely across threads.  Two
+  memo fields change: ``_steps``, a nested memo ``_steps[left][right][label]``
   of the transition function that runs fill the first time they meet a
-  step, each level with one atomic ``setdefault`` or store.  An entry is a
-  function of its keys and never changes once written, so two threads that
-  fill the same step store the same value and sharing stays safe.
+  step, each level with one atomic ``setdefault`` or store, and
+  ``_reached``, the reached states, one store of a frozenset.  A memo entry
+  never changes once written, and two threads that fill the same one store
+  the same value, so sharing stays safe.
 * Two bottom-up loops stay, because they answer different questions.
   ``_explore`` discovers new states: the constructions (product, subset
   construction) and ``renumbered`` compute each pair's entries on the fly,
   and the discovery order names the states; it skips a pair whose step
   reads no row.  ``reachable_states_detailed`` only reads a table that
-  already exists, so it visits the listed pairs alone; ``is_empty`` and
-  ``minimize`` run on it.
+  already exists, so it visits the listed pairs alone.  ``is_empty`` and
+  ``minimize`` read ``reachable_states``: it runs at most once, and never
+  after the product, subset construction, ``minimize`` or ``remap``.
 * An operation does the work it would repeat once, in memos that do not
   outlive the call: ``_explore`` steps each distinct read once, and
   ``minimize`` builds a diagram shape once per guard list and a merged
@@ -103,7 +105,7 @@ def _normalize(transitions) -> dict[PairKey, tuple[Entry, ...]]:
 
 class TreeAutomaton:
     __slots__ = ("width", "states", "initial", "finals", "transitions",
-                 "deterministic", "sink", "_steps")
+                 "deterministic", "sink", "_steps", "_reached")
 
     def __init__(self, width, states, initial, finals, transitions,
                  deterministic=True, sink=None, validate=True):
@@ -127,7 +129,7 @@ class TreeAutomaton:
         return aut
 
     def _assign(self, width, states, initial, finals, transitions, deterministic, sink):
-        """Set all eight slots; the memo of runs' steps starts empty."""
+        """Set all nine slots; the two memos start empty."""
         self.width = width
         self.states = frozenset(states)
         self.initial = initial
@@ -136,6 +138,7 @@ class TreeAutomaton:
         self.deterministic = deterministic
         self.sink = sink
         self._steps: dict = {}  # _steps[left][right][label], see _fold
+        self._reached: frozenset[str] | None = None  # see reachable_states
 
     def _validate(self) -> None:
         if self.width < 0:
@@ -272,8 +275,10 @@ class TreeAutomaton:
     # reachability and emptiness
 
     def reachable_states(self) -> frozenset[str]:
-        reached, _ = self.reachable_states_detailed()
-        return reached
+        """The reached states, computed at most once (module docstring)."""
+        if self._reached is None:
+            self._reached, _ = self.reachable_states_detailed()
+        return self._reached
 
     def reachable_states_detailed(self) -> tuple[frozenset[str], int]:
         """Least fixpoint of bottom-up reachability plus the pass count.
@@ -475,9 +480,11 @@ class TreeAutomaton:
                         for g, ts in pair_entries)
             for pair, pair_entries in self.transitions.items()
         }
-        return TreeAutomaton._canonical(width, self.states, self.initial,
-                                        self.finals, transitions,
-                                        self.deterministic, self.sink)
+        out = TreeAutomaton._canonical(width, self.states, self.initial,
+                                       self.finals, transitions,
+                                       self.deterministic, self.sink)
+        out._reached = self._reached  # the same states and pairs
+        return out
 
     # ------------------------------------------------------------------
     # minimization
@@ -493,7 +500,9 @@ class TreeAutomaton:
         has no final state.
 
         The implicit dead state (``sink``, or a fresh name) is an ordinary
-        state that every uncovered symbol goes to.  Each listed pair of
+        state that every uncovered symbol goes to; a reached pair reaches it
+        when unlisted or when its disjoint guards, 2**(free columns) symbols
+        each, add up to fewer than 2**width.  Each listed pair of
         reachable states has its symbol->target map built as a reduced
         ordered decision diagram over bit positions whose nodes are shared
         across pairs (as in MONA) and whose split nodes carry their
@@ -506,7 +515,10 @@ class TreeAutomaton:
         together while their rows and columns of relabelled diagrams agree.
         Rows and columns are kept sparse: they list (partner, label) only
         where the label is not the dead leaf's.  The dead state is refined
-        even when unreachable, so its block is the dead class.  The quotient
+        even when unreachable, so its block is the dead class.  Refinement
+        starts from finals against non-finals and stops at the first
+        partition into singletons, which no round can split; when the first
+        partition already is one, no diagram is built.  The quotient
         reads each block's row off its representative's listed pairs and
         merges each distinct entry list once.
         """
@@ -514,21 +526,32 @@ class TreeAutomaton:
             raise AutomatonError("minimize requires a deterministic automaton")
         dead = self.sink if self.sink is not None else fresh_name("dead", self.states)
         reached = self.reachable_states()
+        listed = [(pair, entries) for pair, entries in self.transitions.items()
+                  if pair[0] in reached and pair[1] in reached]
+        # Whether the dead state is reached is counted once per entry list
+        # (see above).  It always takes part, after the reachable states when
+        # unreached, so every state equivalent to it lands in its block; an
+        # unreached one has no diagrams.
+        dead_reached = dead in reached or len(listed) < len(reached) ** 2 or any(
+            sum(1 << self.width - g.bit_count() for g, _ in entries) < 1 << self.width
+            for entries in {entries for _, entries in listed})
+        states = sorted(reached | {dead}) if dead_reached else [*sorted(reached), dead]
+        kinds: dict[bool, int] = {}  # finals, non-finals: first come, first numbered
+        block = {s: kinds.setdefault(s in self.finals, len(kinds)) for s in states}
+        count = len(kinds)
         # Diagram nodes are (target,) leaves or (pos, lo, hi) splits,
         # hash-consed to their ids in ``ids``, each listed after its children.
         dead_leaf = 0
         ids: dict[tuple, int] = {(dead,): dead_leaf}
         # A state's row and column: (partner, diagram) for each listed pair
         # of reached states, in partner order (``transitions`` is sorted).
-        rows: dict[str, list[tuple[str, int]]] = {s: [] for s in reached | {dead}}
-        cols: dict[str, list[tuple[str, int]]] = {s: [] for s in reached | {dead}}
+        rows: dict[str, list[tuple[str, int]]] = {s: [] for s in states}
+        cols: dict[str, list[tuple[str, int]]] = {s: [] for s in states}
         # Pairs with equal entries have equal diagrams, and pairs with equal
-        # guards equal shapes: each is built once.
+        # guards equal shapes: each is built once, none if no block can split.
         diagrams: dict[tuple[Entry, ...], int] = {}
         shapes: dict[tuple[int, ...], list[tuple]] = {}
-        for (left, right), pair_entries in self.transitions.items():
-            if left not in reached or right not in reached:
-                continue
+        for (left, right), pair_entries in listed if count < len(states) else ():
             diagram = diagrams.get(pair_entries)
             if diagram is None:
                 guards = tuple(g for g, _ in pair_entries)
@@ -547,18 +570,11 @@ class TreeAutomaton:
                 diagram = diagrams[pair_entries] = out[-1]
             rows[left].append((right, diagram))
             cols[right].append((left, diagram))
-        # The dead state is reached when a reached pair is unlisted or sends
-        # a symbol to the dead leaf.  It always takes part, after the
-        # reachable states when unreached, so every state equivalent to it
-        # lands in its block; an unreached one has no diagrams.
-        dead_reached = (dead in reached or sum(map(len, rows.values())) < len(reached) ** 2
-                        or any((-1,) in shape for shape in shapes.values()))
-        states = sorted(reached | {dead}) if dead_reached else [*sorted(reached), dead]
 
         # Moore refinement; a pair's signature is its diagram with the
-        # leaves relabelled by block and reduced again.
-        block: dict[str, int] = {s: (1 if s in self.finals else 0) for s in states}
-        while True:
+        # leaves relabelled by block and reduced again.  A partition into
+        # singletons is final.
+        while count < len(states):
             label: list[int] = []
             interned: dict[tuple, int] = {}
             for key in ids:
@@ -578,13 +594,10 @@ class TreeAutomaton:
                              tuple((t, lab) for t, n in rows[s] if (lab := label[n]) != void),
                              tuple((t, lab) for t, n in cols[s] if (lab := label[n]) != void))
                 groups.setdefault(signature, []).append(s)
-            new_block: dict[str, int] = {}
-            for i, members in enumerate(groups.values()):
-                for s in members:
-                    new_block[s] = i
-            if new_block == block:
+            if len(groups) == count:  # blocks only ever split
                 break
-            block = new_block
+            count = len(groups)
+            block = {s: i for i, members in enumerate(groups.values()) for s in members}
 
         rep: dict[int, str] = {}
         for s in states:
@@ -600,28 +613,28 @@ class TreeAutomaton:
         # Blocks' rows are their representatives'; equal entries merge alike.
         quotient: dict[PairKey, tuple[Entry, ...]] = {}
         merged_rows: dict[tuple[Entry, ...], tuple[Entry, ...]] = {}
-        for bl, left in rep.items():
-            for right, _ in rows[left]:
-                br = block[right]
-                if sink in (bl, br) or rep[br] != right:
-                    continue
-                pair_entries = self.transitions[left, right]
-                if pair_entries not in merged_rows:
-                    merged: dict[int, list[int]] = {}
-                    for guard, targets in pair_entries:
-                        b = block[next(iter(targets))]
-                        if b != sink:
-                            merged.setdefault(b, []).append(guard)
-                    merged_rows[pair_entries] = tuple(sorted(
-                        (pattern, target[b]) for b, pats in merged.items()
-                        for pattern in (pats if len(pats) == 1 else gp.merge_patterns(pats))))
-                if merged_rows[pair_entries]:
-                    quotient[name[bl], name[br]] = merged_rows[pair_entries]
+        for (left, right), pair_entries in listed:
+            bl, br = block[left], block[right]
+            if sink in (bl, br) or rep[bl] != left or rep[br] != right:
+                continue
+            if pair_entries not in merged_rows:
+                merged: dict[int, list[int]] = {}
+                for guard, targets in pair_entries:
+                    b = block[next(iter(targets))]
+                    if b != sink:
+                        merged.setdefault(b, []).append(guard)
+                merged_rows[pair_entries] = tuple(sorted(
+                    (pattern, target[b]) for b, pats in merged.items()
+                    for pattern in (pats if len(pats) == 1 else gp.merge_patterns(pats))))
+            if merged_rows[pair_entries]:
+                quotient[name[bl], name[br]] = merged_rows[pair_entries]
 
-        return TreeAutomaton._canonical(
+        minimal = TreeAutomaton._canonical(
             self.width, name.values(), name[block[self.initial]],
             {name[block[s]] for s in states if s in self.finals},
             dict(sorted(quotient.items())), True, None if sink is None else name[sink])
+        minimal._reached = minimal.states  # each block holds a reached state
+        return minimal
 
     # ------------------------------------------------------------------
     # language comparison and witnesses
@@ -785,28 +798,32 @@ def _shape(guards: tuple[int, ...], width: int) -> list[tuple]:
     with these guards, its leaves entry indices: ``(i,)`` where guard ``i``
     is the first to match, ``(-1,)`` where none does, and ``(pos, lo, hi)``
     splits on position ``pos`` over earlier nodes' list indices.  Nodes are
-    hash-consed and each is listed after its children, so the root is last."""
+    hash-consed and each is listed after its children, so the root is last.
+    Sets of guards are bitmasks over their indices."""
+    fixed, ones = [0] * width, [0] * width  # the guards fixing each column, to 1
+    for i, g in enumerate(guards):
+        while g:  # a fixed column's code has one bit, the high one for 1
+            top = g.bit_length() - 1
+            fixed[width - 1 - top // 2] |= 1 << i
+            ones[width - 1 - top // 2] |= (top & 1) << i
+            g ^= 1 << top
     ids: dict[tuple, int] = {}
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    memo: dict[tuple[int, int], int] = {}
 
-    def build(rest: int, live: tuple[int, ...]) -> int:
-        # ``rest`` columns are left.  Skip to the next one some live guard
-        # constrains; before it, both branches agree.
-        care = 0
-        for i in live:
-            care |= guards[i]
-        care &= (1 << 2 * rest) - 1
-        if not care:
-            return ids.setdefault((live[0] if live else -1,), len(ids))
-        rest = (care.bit_length() + 1) // 2
-        if (rest, live) not in memo:
-            zero = 1 << 2 * rest - 2  # the column's 0 code; 1 is twice it
-            lo = build(rest - 1, tuple(i for i in live if not guards[i] & 2 * zero))
-            hi = build(rest - 1, tuple(i for i in live if not guards[i] & zero))
-            memo[rest, live] = lo if lo == hi else ids.setdefault((width - rest, lo, hi), len(ids))
-        return memo[rest, live]
+    def build(pos: int, live: int) -> int:
+        # Skip to the next column some live guard fixes; before it, both
+        # branches agree.
+        while pos < width and not fixed[pos] & live:
+            pos += 1
+        if pos == width:
+            return ids.setdefault(((live & -live).bit_length() - 1,), len(ids))
+        if (pos, live) not in memo:
+            lo = build(pos + 1, live & ~ones[pos])  # drop those fixed to 1
+            hi = build(pos + 1, live & ~(fixed[pos] ^ ones[pos]))  # to 0
+            memo[pos, live] = lo if lo == hi else ids.setdefault((pos, lo, hi), len(ids))
+        return memo[pos, live]
 
-    build(width, tuple(range(len(guards))))
+    build(0, (1 << len(guards)) - 1)
     return list(ids)
 
 
@@ -858,5 +875,7 @@ def _explored_automaton(width: int, root, rows, step, is_final) -> TreeAutomaton
     built = {i: tuple((g, targets[k]) for g, k in sorted(entries)) for i, entries in shared.items()}
     transitions = {(names[i], names[j]): built[id(entries)] for (i, j), entries in table.items()}
     finals = {name for name, key in zip(names, order) if is_final(key)}
-    return TreeAutomaton._canonical(width, names, names[0], finals,
-                                    dict(sorted(transitions.items())), True)
+    aut = TreeAutomaton._canonical(width, names, names[0], finals,
+                                   dict(sorted(transitions.items())), True)
+    aut._reached = aut.states  # each was found from the root
+    return aut

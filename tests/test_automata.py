@@ -320,6 +320,38 @@ def test_reachable_matches_sink_pending_scan_randomized():
             _assert_reachable_matches_scan(variant)
 
 
+def test_stored_reached_states_match_a_fresh_fixpoint(monkeypatch):
+    # The product, the subset construction, minimize and remap store the
+    # reached states they know; each stored set must be what the fixpoint
+    # finds on a fresh copy of the same fields.
+    rng = random.Random(2047)
+    cases = _random_automata(rng, 200, (0, 3), 4)
+    made = _trusted(monkeypatch, lambda: [_run_operations(rng, aut) for aut in cases])
+    fixtures = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.mso"))]
+    made += _trusted(monkeypatch, lambda: [compiled(text) for text in
+                                           fixtures + [chain_text(12, "v", "S")]])
+    assert sum(aut._reached is not None for aut in made) > 1000
+
+    def fresh(aut):
+        return TreeAutomaton._canonical(aut.width, aut.states, aut.initial, aut.finals,
+                                        aut.transitions, aut.deterministic, aut.sink)
+
+    for aut in made:
+        assert aut.reachable_states() == fresh(aut).reachable_states_detailed()[0], \
+            aut.to_text()
+    # One shared automaton with unreached states, its memo filled by threads.
+    shared = fresh(next(aut for aut in made if aut.reachable_states() < aut.states))
+    want = shared.reachable_states_detailed()[0]
+    failures = []
+
+    def work():
+        if shared.reachable_states() != want:
+            failures.append(1)
+
+    _in_threads(work)
+    assert not failures and shared._reached == want
+
+
 def _assert_reachable_matches_scan(aut):
     """Reached set and passes as the scan's; emptiness as the scan that
     stops at the first final."""
@@ -454,13 +486,16 @@ def test_width_16_chain_normalizes_only_its_atom_tables(monkeypatch):
 
 
 def test_width_16_chain_builds_each_shape_and_quotient_row_once(monkeypatch):
-    # minimize builds one diagram shape per distinct guard list of its
-    # reached pairs, 40 over the chain's minimizations against 233 distinct
-    # entry lists in their inputs, and merges each distinct entry list's
-    # quotient row once: 124 merge_patterns calls, against 333 when every
-    # pair of representatives merged its own row.
+    # minimize builds at most one diagram shape per distinct guard list of
+    # its reached pairs, and none when the reached states are one final
+    # state, where no block can split: 32 over the chain's minimizations,
+    # against 40 when every one built its shapes and 233 distinct entry
+    # lists in their inputs.  It merges each distinct entry list's quotient
+    # row once: 124 merge_patterns calls, against 333 when every pair of
+    # representatives merged its own row.
     wanted: list[set[tuple[int, ...]]] = []
     built: list[list[tuple[int, ...]]] = []
+    one_final: list[bool] = []
     merges = 0
     minimize, shape, merge = TreeAutomaton.minimize, automata._shape, gp.merge_patterns
 
@@ -470,6 +505,7 @@ def test_width_16_chain_builds_each_shape_and_quotient_row_once(monkeypatch):
                        for (left, right), entries in aut.transitions.items()
                        if left in reached and right in reached})
         built.append([])
+        one_final.append(len(reached) == 1 and reached <= aut.finals)
         return minimize(aut)
 
     def shaped(guards, width):
@@ -485,8 +521,12 @@ def test_width_16_chain_builds_each_shape_and_quotient_row_once(monkeypatch):
     monkeypatch.setattr(automata, "_shape", shaped)
     monkeypatch.setattr(gp, "merge_patterns", merged)
     compiled(chain_text(16, "v", "S"))
-    assert [sorted(b) for b in built] == [sorted(w) for w in wanted]
-    assert sum(map(len, built)) == 40
+    assert any(one_final) and not all(one_final)
+    for want, got, alone in zip(wanted, built, one_final):
+        assert set(got) <= want
+        assert len(set(got)) == len(got)
+        assert not (alone and got)
+    assert sum(map(len, built)) == 32
     assert merges <= 130
 
 
@@ -769,6 +809,26 @@ def test_minimize_matches_dense_minimize(monkeypatch):
                                 ("dead", "a"): {"1": "dead1"}}))
     for aut in cases:
         _assert_minimize_matches_dense(aut)
+    # One final state reaches only itself and maybe the dead state, its row
+    # covering every symbol or not, with and without a designated sink: no
+    # block can split, so no diagram shape is built.
+    alone = []
+    for width in range(4):
+        rows = [{}, {"*" * width: "f"}]
+        if width:
+            rows += [{"0" + "*" * (width - 1): "f", "1" + "*" * (width - 1): "f"},
+                     {"1" * width: "f"}, {"0" * width: "f", "1" * width: "f"}]
+        for row in rows:
+            table = {("f", "f"): row} if row else {}
+            alone += [TreeAutomaton(width, {"f"}, "f", {"f"}, table),
+                      TreeAutomaton(width, {"f", "s"}, "f", {"f"}, table, sink="s")]
+    shapes = []
+    shape = automata._shape
+    monkeypatch.setattr(automata, "_shape", lambda *args: shapes.append(args) or shape(*args))
+    for aut in alone:
+        _assert_minimize_matches_dense(aut)
+    monkeypatch.undo()
+    assert not shapes
     fixtures = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.mso"))]
     chains = [chain_text(width, "v", "S") for width in range(8, 17, 2)]
     steps = _minimize_inputs(monkeypatch, fixtures + chains)
