@@ -13,8 +13,9 @@ Conventions:
 * In deterministic mode the guards attached to one (left, right) state pair
   are pairwise disjoint.  Symbols not covered by any listed transition go to
   an implicit dead state, so deterministic automata are always total.  The
-  ``sink`` attribute optionally names that dead state; a designated sink is
-  never final and absorbs from both child positions.
+  ``sink`` attribute optionally designates that dead state; a designated
+  sink is never final and absorbs from both child positions.  Where the
+  dead state has to be a state and none is designated, it is state ``n``.
 * Automata are immutable after construction.  Every operation returns a
   fresh automaton, so values can be shared freely across threads.  Two
   memo fields change: ``_steps``, a nested memo ``_steps[left][right][label]``
@@ -26,30 +27,32 @@ Conventions:
 * Two bottom-up loops stay, because they answer different questions.
   ``_explore`` discovers new states: the constructions (product, subset
   construction) and ``renumbered`` compute each pair's entries on the fly,
-  and the discovery order names the states; it skips a pair whose step
+  and the discovery order numbers the states; it skips a pair whose step
   reads no row.  ``reachable_states_detailed`` only reads a table that
   already exists, so it visits the listed pairs alone.  ``is_empty`` and
   ``minimize`` read ``reachable_states``: it runs at most once, and never
   after the product, subset construction, ``minimize`` or ``remap``.
 * An operation does the work it would repeat once, in memos that do not
   outlive the call: ``_explore`` steps each distinct read once, and
-  ``minimize`` builds a diagram shape once per guard list and a merged
-  quotient row once per entry list.
+  ``minimize`` builds a diagram shape once per guard list and a diagram
+  and a merged quotient row once per row.
 * Runs (``run``, ``run_set``, ``accepts``) share one fold over a
   breadth-first node list read in reverse, one memo lookup per node, so
   their depth is not bounded by the recursion limit.
-* State identity is meaningless across automata: compare languages with
-  ``equivalent``, never state sets.
-* Constructed automata (products, subset constructions) name their states
-  by discovery index, never from the names of component states, so no two
-  states can share a name whatever names the inputs use.  Only names
-  supplied by the caller or read by ``from_text`` survive an operation;
-  ``renumbered`` and ``minimize`` give their own canonical names.
+* States are ``0..n-1`` (``states`` is ``range(n)``), meaningless across
+  automata (compare languages with ``equivalent``).  A deterministic
+  entry's target is an int, a nondeterministic one's a frozenset of them.
+  Names exist only at the text boundary: the public constructor (so
+  ``from_text``) validates with the names it is given, then numbers the
+  states and keeps the names for ``to_text``, which prints an unnamed
+  state ``i`` as ``q<i>``; no operation passes names on.  Constructions
+  number states by discovery index; ``renumbered`` numbers reachable
+  deterministic automata canonically.
 * The constructions build their tables in canonical form and hand them to
   ``_canonical``, which neither normalizes nor validates.  The public
   constructor (so ``from_text``) does both.  ``project`` and the
-  compiler's closure go through it to normalize: dropping a column or
-  copying entries onto new pairs can make two guards of a pair collide.
+  compiler's closure go through it with ``range(n)`` states to normalize:
+  dropping a column or copying entries can make two guards collide.
 
 Text format (one construct per line, ``#`` starts a comment)::
 
@@ -77,8 +80,8 @@ from typing import Callable
 from . import guards as gp
 from .trees import Node, Tree, tree_sort_key, validate_tree
 
-PairKey = tuple[str, str]
-Entry = tuple[int, frozenset[str]]
+PairKey = tuple[int, int]
+Entry = tuple[int, "int | frozenset[int]"]
 
 
 class AutomatonError(ValueError):
@@ -90,12 +93,12 @@ def _normalize(transitions) -> dict[PairKey, tuple[Entry, ...]]:
     (guard, target-or-targets)}, the guards of a pair all text or all
     ints; returns the canonical sorted form, guards as given.  Its one
     caller is the public constructor (see the module docstring)."""
-    norm: dict[PairKey, dict[str | int, set[str]]] = {}
+    norm: dict[tuple, dict[str | int, set]] = {}
     for pair, entries in transitions.items():
         items = entries.items() if isinstance(entries, dict) else entries
         bucket = norm.setdefault(pair, {})
         for guard, target in items:
-            targets = {target} if isinstance(target, str) else set(target)
+            targets = {target} if isinstance(target, (str, int)) else set(target)
             bucket.setdefault(guard, set()).update(targets)
     return {
         pair: tuple((g, frozenset(ts)) for g, ts in sorted(bucket.items()))
@@ -105,40 +108,51 @@ def _normalize(transitions) -> dict[PairKey, tuple[Entry, ...]]:
 
 class TreeAutomaton:
     __slots__ = ("width", "states", "initial", "finals", "transitions",
-                 "deterministic", "sink", "_steps", "_reached")
+                 "deterministic", "sink", "names", "_steps", "_reached")
 
     def __init__(self, width, states, initial, finals, transitions,
                  deterministic=True, sink=None, validate=True):
-        self._assign(int(width), states, initial, finals, _normalize(transitions),
-                     bool(deterministic), sink)
+        """Validates with the given state names, then numbers the states in
+        ``to_text``'s order and keeps the names; ``range(n)`` has none."""
+        self._assign(int(width), frozenset(states), initial, frozenset(finals),
+                     _normalize(transitions), bool(deterministic), sink, None)
         if validate:
             self._validate()
-        self.transitions = {  # checked in order above, text guards become ints
-            pair: tuple((gp.parse(g, self.width), ts) for g, ts in entries)
-            for pair, entries in self.transitions.items()}
+        names = None if isinstance(states, range) else tuple(
+            sorted(self.states, key=lambda s: (len(str(s)), str(s))))
+        number = {s: i for i, s in enumerate(names or states)}.__getitem__
+        table = {(number(left), number(right)): tuple(  # text guards become ints
+            (gp.parse(g, self.width), number(next(iter(ts))) if self.deterministic
+             else frozenset(map(number, ts))) for g, ts in entries)
+            for (left, right), entries in self.transitions.items()}
+        self._assign(self.width, range(len(self.states)), number(initial),
+                     frozenset(map(number, self.finals)), dict(sorted(table.items())),
+                     self.deterministic, None if sink is None else number(sink), names)
 
     @classmethod
-    def _canonical(cls, width, states, initial, finals, transitions,
+    def _canonical(cls, width, n, initial, finals, transitions,
                    deterministic, sink=None) -> "TreeAutomaton":
-        """The automaton of these fields, trusted: neither normalized nor
-        validated.  ``transitions`` must already be canonical, its pairs in
-        sorted order and each value a tuple of ``(guard, frozenset of
-        targets)`` with strictly increasing guards."""
+        """The automaton of these fields over the states ``0..n-1``, without
+        names, trusted: neither normalized nor validated.  ``transitions``
+        must already be canonical, its pairs in sorted order and each value
+        a tuple of entries with strictly increasing guards."""
         aut = cls.__new__(cls)
-        aut._assign(width, states, initial, finals, transitions, deterministic, sink)
+        aut._assign(width, range(n), initial, frozenset(finals), transitions,
+                    deterministic, sink, None)
         return aut
 
-    def _assign(self, width, states, initial, finals, transitions, deterministic, sink):
-        """Set all nine slots; the two memos start empty."""
+    def _assign(self, width, states, initial, finals, transitions, deterministic, sink, names):
+        """Set all ten slots; the two memos start empty."""
         self.width = width
-        self.states = frozenset(states)
+        self.states = states
         self.initial = initial
-        self.finals = frozenset(finals)
+        self.finals = finals
         self.transitions = transitions
         self.deterministic = deterministic
         self.sink = sink
+        self.names = names
         self._steps: dict = {}  # _steps[left][right][label], see _fold
-        self._reached: frozenset[str] | None = None  # see reachable_states
+        self._reached: frozenset[int] | None = None  # see reachable_states
 
     def _validate(self) -> None:
         if self.width < 0:
@@ -182,26 +196,25 @@ class TreeAutomaton:
     @staticmethod
     def all_trees(width: int) -> "TreeAutomaton":
         """Accepts every tree of the given width, including the empty tree."""
-        return TreeAutomaton(
-            width, {"q0"}, "q0", {"q0"},
-            {("q0", "q0"): {0: "q0"}})  # 0 is the all-* guard
+        return TreeAutomaton._canonical(
+            width, 1, 0, {0}, {(0, 0): ((0, 0),)}, True)  # guard 0 is all-*
 
     @staticmethod
     def empty_language(width: int) -> "TreeAutomaton":
         """The canonical automaton of the empty language."""
-        return TreeAutomaton(width, {"q0"}, "q0", set(), {}, sink="q0")
+        return TreeAutomaton._canonical(width, 1, 0, (), {}, True, 0)
 
     # ------------------------------------------------------------------
     # runs and membership
 
-    def run(self, tree: Tree) -> str | None:
-        """State reached on the tree (deterministic mode): the sink, or None
-        when the dead state is implicit."""
+    def run(self, tree: Tree) -> int | None:
+        """The number of the state reached on the tree (deterministic mode):
+        the sink, or None when the dead state is implicit."""
         if not self.deterministic:
             raise AutomatonError("run() requires a deterministic automaton")
         return self._fold(tree, self.initial, self._fill_state)
 
-    def run_set(self, tree: Tree) -> frozenset[str]:
+    def run_set(self, tree: Tree) -> frozenset[int]:
         """All states reachable on the tree (nondeterministic reading)."""
         return self._fold(tree, frozenset({self.initial}), self._fill_states)
 
@@ -216,7 +229,7 @@ class TreeAutomaton:
         and the children's values are taken first in, first out: a node's
         right child's value, then its left child's.  Each step is read from
         the memo ``_steps[left][right][label]`` and computed by ``fill`` the
-        first time it is met.  ``run`` keys it by state names (strings) and
+        first time it is met.  ``run`` keys it by states (ints) and
         ``run_set`` by state sets (frozensets), so the two never collide."""
         if tree is None:
             return leaf
@@ -238,26 +251,27 @@ class TreeAutomaton:
                 push(fill(left, right, node.label, tree))
         return values[-1]
 
-    def _fill_state(self, left, right, label: str, tree: Tree) -> str | None:
+    def _fill_state(self, left, right, label: str, tree: Tree) -> int | None:
         self._check_label(label, tree)
         target = self.sink
         entries = self.transitions.get((left, right))  # None if unlisted or a child is dead
         if entries:
             symbol = gp.parse(label, self.width)
-            for guard, targets in entries:
+            for guard, state in entries:
                 if gp.matches(guard, symbol):
-                    target = next(iter(targets))
+                    target = state
                     break
         self._steps.setdefault(left, {}).setdefault(right, {})[label] = target
         return target
 
-    def _fill_states(self, lefts, rights, label: str, tree: Tree) -> frozenset[str]:
+    def _fill_states(self, lefts, rights, label: str, tree: Tree) -> frozenset[int]:
         self._check_label(label, tree)
         rows = [row for left in lefts for right in rights
                 if (row := self.transitions.get((left, right)))]
         symbol = gp.parse(label, self.width) if rows else None
         self._steps.setdefault(lefts, {}).setdefault(rights, {})[label] = targets = frozenset(
-            t for row in rows for guard, ts in row if gp.matches(guard, symbol) for t in ts)
+            t for row in rows for guard, ts in row if gp.matches(guard, symbol)
+            for t in _targets(ts))
         return targets
 
     def _check_label(self, label: str, tree: Tree) -> None:
@@ -274,13 +288,13 @@ class TreeAutomaton:
     # ------------------------------------------------------------------
     # reachability and emptiness
 
-    def reachable_states(self) -> frozenset[str]:
+    def reachable_states(self) -> frozenset[int]:
         """The reached states, computed at most once (module docstring)."""
         if self._reached is None:
             self._reached, _ = self.reachable_states_detailed()
         return self._reached
 
-    def reachable_states_detailed(self) -> tuple[frozenset[str], int]:
+    def reachable_states_detailed(self) -> tuple[frozenset[int], int]:
         """Least fixpoint of bottom-up reachability plus the pass count.
 
         A state's height is the sweep pass that first reaches it: 0 for the
@@ -295,15 +309,15 @@ class TreeAutomaton:
         completes 2k - 1 pairs; when fewer of them are listed with every
         symbol covered, one leads to the sink.
         """
-        by_child: dict[str, list[PairKey]] = {}
+        by_child: dict[int, list[PairKey]] = {}
         for pair in self.transitions:
             for child in set(pair):
                 by_child.setdefault(child, []).append(pair)
         height = {self.initial: 0}
         queue = deque([self.initial])
-        settled: set[str] = set()
+        settled: set[int] = set()
 
-        def reach(target: str, at: int) -> None:
+        def reach(target: int, at: int) -> None:
             if target not in height:
                 height[target] = at
                 queue.append(target)
@@ -319,7 +333,7 @@ class TreeAutomaton:
                     continue
                 entries = self.transitions[pair]
                 for _, targets in entries:
-                    for target in targets:
+                    for target in _targets(targets):
                         reach(target, up)
                 if sink_pending and gp.covers_all([g for g, _ in entries]):
                     covered += 1
@@ -339,15 +353,14 @@ class TreeAutomaton:
         whole symbol space.  Deterministic automata only."""
         if not self.deterministic:
             raise AutomatonError("cannot materialize the sink of a nondeterministic automaton")
-        sink = self.sink if self.sink is not None else fresh_name("dead", self.states)
-        states = self.states | {sink}
-        dead = frozenset({sink})
+        n = len(self.states) + (self.sink is None)
+        sink = n - 1 if self.sink is None else self.sink
         transitions: dict[PairKey, tuple[Entry, ...]] = {}
-        for pair in itertools.product(sorted(states), repeat=2):
+        for pair in itertools.product(range(n), repeat=2):
             listed = self.transitions.get(pair, ())
             transitions[pair] = tuple(sorted([*listed, *(
-                (cube, dead) for cube in gp.uncovered([g for g, _ in listed]))]))
-        return TreeAutomaton._canonical(self.width, states, self.initial,
+                (cube, sink) for cube in gp.uncovered([g for g, _ in listed]))]))
+        return TreeAutomaton._canonical(self.width, n, self.initial,
                                         self.finals, transitions, True, sink)
 
     # ------------------------------------------------------------------
@@ -381,8 +394,7 @@ class TreeAutomaton:
                     and (row_a, row_b))
 
         def step(read) -> list[tuple[int, PairKey]]:
-            return [(m, (next(iter(t1)), next(iter(t2))))
-                    for g1, t1 in read[0] for g2, t2 in read[1]
+            return [(m, (t1, t2)) for g1, t1 in read[0] for g2, t2 in read[1]
                     if (m := gp.meet(g1, g2)) is not None]
 
         return _explored_automaton(
@@ -393,8 +405,8 @@ class TreeAutomaton:
         if not self.deterministic:
             raise AutomatonError("complement requires a deterministic automaton")
         total = self.with_materialized_sink()
-        return TreeAutomaton._canonical(total.width, total.states, total.initial,
-                                        total.states - total.finals,
+        return TreeAutomaton._canonical(total.width, len(total.states), total.initial,
+                                        frozenset(total.states) - total.finals,
                                         total.transitions, True)
 
     # ------------------------------------------------------------------
@@ -408,7 +420,7 @@ class TreeAutomaton:
         of subsets reads the set of rows its members list, so pairs that
         list none are skipped and each distinct set is stepped once.
         """
-        def rows(left: frozenset[str], right: frozenset[str]) -> frozenset:
+        def rows(left: frozenset[int], right: frozenset[int]) -> frozenset:
             return frozenset(row for p in left for q in right
                              if (row := self.transitions.get((p, q))))
 
@@ -417,11 +429,11 @@ class TreeAutomaton:
             columns = gp.constrained_positions(g for g, _ in collected)
             # Minterm cubes: concrete exactly at the constrained columns, so
             # every collected guard is the union of those it expands to.
-            minterms: dict[int, set[str]] = {}
+            minterms: dict[int, set[int]] = {}
             for g, ts in collected:
                 for cube in gp.expand(g, columns):
-                    minterms.setdefault(cube, set()).update(ts)
-            by_target: dict[frozenset[str], list[int]] = {}
+                    minterms.setdefault(cube, set()).update(_targets(ts))
+            by_target: dict[frozenset[int], list[int]] = {}
             for cube, targets in minterms.items():
                 if targets:
                     by_target.setdefault(frozenset(targets), []).append(cube)
@@ -480,7 +492,7 @@ class TreeAutomaton:
                         for g, ts in pair_entries)
             for pair, pair_entries in self.transitions.items()
         }
-        out = TreeAutomaton._canonical(width, self.states, self.initial,
+        out = TreeAutomaton._canonical(width, len(self.states), self.initial,
                                        self.finals, transitions,
                                        self.deterministic, self.sink)
         out._reached = self._reached  # the same states and pairs
@@ -499,45 +511,49 @@ class TreeAutomaton:
         of the result is reachable, so its language is empty exactly when it
         has no final state.
 
-        The implicit dead state (``sink``, or a fresh name) is an ordinary
-        state that every uncovered symbol goes to; a reached pair reaches it
-        when unlisted or when its disjoint guards, 2**(free columns) symbols
-        each, add up to fewer than 2**width.  Each listed pair of
-        reachable states has its symbol->target map built as a reduced
-        ordered decision diagram over bit positions whose nodes are shared
-        across pairs (as in MONA) and whose split nodes carry their
+        The implicit dead state (``sink``, or else state ``n``) is an
+        ordinary state that every uncovered symbol goes to; a reached pair
+        reaches it when unlisted or when its disjoint guards, 2**(free
+        columns) symbols each, add up to fewer than 2**width.  Each listed
+        pair of reachable states has its symbol->target map built as a
+        reduced ordered decision diagram over bit positions whose nodes are
+        shared across pairs (as in MONA) and whose split nodes carry their
         position; an unlisted pair's map is the dead leaf.  A diagram's
         structure depends on its guards alone, so each distinct guard list's
         shape, its leaves entry indices, is built once (``_shape``), and
-        each distinct entry list instantiates it by relabelling the leaves
-        with targets and reducing again.  Moore refinement likewise only
-        relabels the leaves by block and reduces again, and two states stay
-        together while their rows and columns of relabelled diagrams agree.
-        Rows and columns are kept sparse: they list (partner, label) only
-        where the label is not the dead leaf's.  The dead state is refined
-        even when unreachable, so its block is the dead class.  Refinement
-        starts from finals against non-finals and stops at the first
-        partition into singletons, which no round can split; when the first
-        partition already is one, no diagram is built.  The quotient
-        reads each block's row off its representative's listed pairs and
-        merges each distinct entry list once.
+        each row (entry tuple; pairs share one by identity) instantiates it
+        by relabelling the leaves with targets and reducing again.  Moore
+        refinement likewise only relabels the leaves by block and reduces
+        again, and two states stay together while their rows and columns of
+        relabelled diagrams agree.  Rows and columns are kept sparse: they
+        list (partner, label) only where the label is not the dead leaf's.
+        The dead state is refined even when unreachable, so its block is the
+        dead class.  Refinement starts from finals against non-finals and
+        stops at the first partition into singletons, which no round can
+        split; when the first partition already is one, no diagram is built.
+        Blocks, rows and columns are lists indexed by state, and block ``b``
+        is the quotient's state ``b``.  The quotient reads each block's row
+        off its representative's listed pairs and merges each row once.
         """
         if not self.deterministic:
             raise AutomatonError("minimize requires a deterministic automaton")
-        dead = self.sink if self.sink is not None else fresh_name("dead", self.states)
+        n = len(self.states)
+        dead = n if self.sink is None else self.sink
         reached = self.reachable_states()
         listed = [(pair, entries) for pair, entries in self.transitions.items()
                   if pair[0] in reached and pair[1] in reached]
-        # Whether the dead state is reached is counted once per entry list
-        # (see above).  It always takes part, after the reachable states when
+        # Whether the dead state is reached is counted once per row (see
+        # above).  It always takes part, after the reachable states when
         # unreached, so every state equivalent to it lands in its block; an
         # unreached one has no diagrams.
         dead_reached = dead in reached or len(listed) < len(reached) ** 2 or any(
             sum(1 << self.width - g.bit_count() for g, _ in entries) < 1 << self.width
-            for entries in {entries for _, entries in listed})
+            for entries in {id(entries): entries for _, entries in listed}.values())
         states = sorted(reached | {dead}) if dead_reached else [*sorted(reached), dead]
         kinds: dict[bool, int] = {}  # finals, non-finals: first come, first numbered
-        block = {s: kinds.setdefault(s in self.finals, len(kinds)) for s in states}
+        block = [0] * (n + 1)  # by state; only ``states`` are read
+        for s in states:
+            block[s] = kinds.setdefault(s in self.finals, len(kinds))
         count = len(kinds)
         # Diagram nodes are (target,) leaves or (pos, lo, hi) splits,
         # hash-consed to their ids in ``ids``, each listed after its children.
@@ -545,20 +561,20 @@ class TreeAutomaton:
         ids: dict[tuple, int] = {(dead,): dead_leaf}
         # A state's row and column: (partner, diagram) for each listed pair
         # of reached states, in partner order (``transitions`` is sorted).
-        rows: dict[str, list[tuple[str, int]]] = {s: [] for s in states}
-        cols: dict[str, list[tuple[str, int]]] = {s: [] for s in states}
-        # Pairs with equal entries have equal diagrams, and pairs with equal
-        # guards equal shapes: each is built once, none if no block can split.
-        diagrams: dict[tuple[Entry, ...], int] = {}
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+        # Pairs that share a row share its diagram, and pairs with equal
+        # guards a shape: each is built once, none if no block can split.
+        diagrams: dict[int, int] = {}  # by the row's id
         shapes: dict[tuple[int, ...], list[tuple]] = {}
         for (left, right), pair_entries in listed if count < len(states) else ():
-            diagram = diagrams.get(pair_entries)
+            diagram = diagrams.get(id(pair_entries))
             if diagram is None:
                 guards = tuple(g for g, _ in pair_entries)
                 if guards not in shapes:
                     shapes[guards] = _shape(guards, self.width)
                 # Shape leaf i becomes entry i's target, leaf -1 the dead leaf.
-                leaves = [ids.setdefault((next(iter(ts)),), len(ids)) for _, ts in pair_entries]
+                leaves = [ids.setdefault((t,), len(ids)) for _, t in pair_entries]
                 leaves.append(dead_leaf)
                 out: list[int] = []
                 for key in shapes[guards]:
@@ -567,7 +583,7 @@ class TreeAutomaton:
                     else:
                         lo, hi = out[key[1]], out[key[2]]
                         out.append(lo if lo == hi else ids.setdefault((key[0], lo, hi), len(ids)))
-                diagram = diagrams[pair_entries] = out[-1]
+                diagram = diagrams[id(pair_entries)] = out[-1]
             rows[left].append((right, diagram))
             cols[right].append((left, diagram))
 
@@ -588,52 +604,54 @@ class TreeAutomaton:
                 label.append(interned.setdefault(key, len(interned)))
 
             void = label[dead_leaf]
-            groups: dict[tuple, list[str]] = {}
+            groups: dict[tuple, list[int]] = {}
             for s in states:
                 signature = (block[s],
-                             tuple((t, lab) for t, n in rows[s] if (lab := label[n]) != void),
-                             tuple((t, lab) for t, n in cols[s] if (lab := label[n]) != void))
+                             tuple((t, lab) for t, d in rows[s] if (lab := label[d]) != void),
+                             tuple((t, lab) for t, d in cols[s] if (lab := label[d]) != void))
                 groups.setdefault(signature, []).append(s)
             if len(groups) == count:  # blocks only ever split
                 break
             count = len(groups)
-            block = {s: i for i, members in enumerate(groups.values()) for s in members}
+            for i, members in enumerate(groups.values()):
+                for s in members:
+                    block[s] = i
 
-        rep: dict[int, str] = {}
+        rep: dict[int, int] = {}
         for s in states:
             rep.setdefault(block[s], s)
-        # The dead class is the sink; transitions into it are stripped.
+        # The dead class is the sink; transitions into it are stripped.  An
+        # unreached dead state alone in its block is dropped; blocks are
+        # numbered in ``states`` order, so that block is the last.
         sink: int | None = block[dead]
-        if not dead_reached and list(block.values()).count(sink) == 1:
-            del rep[sink]
-            sink = None
+        if not dead_reached and [block[s] for s in states].count(sink) == 1:
+            count, sink = sink, None
 
-        name = {b: f"m{b}" for b in rep}
-        target = {b: frozenset({name[b]}) for b in rep}
-        # Blocks' rows are their representatives'; equal entries merge alike.
+        # Blocks' rows are their representatives'; a shared row merges once.
         quotient: dict[PairKey, tuple[Entry, ...]] = {}
-        merged_rows: dict[tuple[Entry, ...], tuple[Entry, ...]] = {}
+        merged_rows: dict[int, tuple[Entry, ...]] = {}  # by the row's id
         for (left, right), pair_entries in listed:
             bl, br = block[left], block[right]
             if sink in (bl, br) or rep[bl] != left or rep[br] != right:
                 continue
-            if pair_entries not in merged_rows:
+            row = merged_rows.get(id(pair_entries))
+            if row is None:
                 merged: dict[int, list[int]] = {}
-                for guard, targets in pair_entries:
-                    b = block[next(iter(targets))]
+                for guard, target in pair_entries:
+                    b = block[target]
                     if b != sink:
                         merged.setdefault(b, []).append(guard)
-                merged_rows[pair_entries] = tuple(sorted(
-                    (pattern, target[b]) for b, pats in merged.items()
+                row = merged_rows[id(pair_entries)] = tuple(sorted(
+                    (pattern, b) for b, pats in merged.items()
                     for pattern in (pats if len(pats) == 1 else gp.merge_patterns(pats))))
-            if merged_rows[pair_entries]:
-                quotient[name[bl], name[br]] = merged_rows[pair_entries]
+            if row:
+                quotient[bl, br] = row
 
         minimal = TreeAutomaton._canonical(
-            self.width, name.values(), name[block[self.initial]],
-            {name[block[s]] for s in states if s in self.finals},
-            dict(sorted(quotient.items())), True, None if sink is None else name[sink])
-        minimal._reached = minimal.states  # each block holds a reached state
+            self.width, count, block[self.initial],
+            {block[s] for s in states if s in self.finals},
+            dict(sorted(quotient.items())), True, sink)
+        minimal._reached = frozenset(minimal.states)  # each block holds a reached state
         return minimal
 
     # ------------------------------------------------------------------
@@ -652,7 +670,7 @@ class TreeAutomaton:
         state is its least.  Equal keys mean equal trees, so the heap never
         has to order two ``Node``s.
         """
-        best: dict[str, Tree] = {}
+        best: dict[int, Tree] = {}
         heap = [(tree_sort_key(None), self.initial, None)]
         while heap:
             _, state, tree = heapq.heappop(heap)
@@ -666,7 +684,7 @@ class TreeAutomaton:
                     for guard, targets in self.transitions.get((left, right), ()):
                         node = Node(gp.text(guard, self.width).replace("*", "0"),
                                     best[left], best[right])
-                        for target in targets:
+                        for target in _targets(targets):
                             if target not in best:
                                 heapq.heappush(heap, (tree_sort_key(node), target, node))
         return None
@@ -675,42 +693,37 @@ class TreeAutomaton:
     # canonical renaming and the text format
 
     def renumbered(self) -> "TreeAutomaton":
-        """Rename states q0..qN in a canonical discovery order, independent
-        of the current names (for reachable automata).  A pair reads its
-        entries, so only listed pairs are explored."""
+        """Renumber the states in a canonical discovery order, independent
+        of the current numbering (for reachable automata), without names.
+        A pair reads its entries, so only listed pairs are explored."""
         order, _ = _explore(
             self.initial, lambda left, right: self.transitions.get((left, right)),
-            lambda entries: [(g, t) for g, ts in entries for t in sorted(ts)])
-        for leftover in sorted(self.states - set(order)):
-            if leftover != self.sink:
-                order.append(leftover)
-        if self.sink is not None and self.sink not in order:
-            order.append(self.sink)
-        names = {s: f"q{i}" for i, s in enumerate(order)}
-        transitions = {
-            (names[l], names[r]): tuple((g, frozenset(map(names.get, ts)))
-                                        for g, ts in entries)
-            for (l, r), entries in self.transitions.items()
-        }
+            lambda entries: [(g, t) for g, ts in entries for t in sorted(_targets(ts))])
+        # then the states not found in their order, the sink last
+        order += sorted(set(self.states) - set(order), key=lambda s: (s == self.sink, s))
+        new = {s: i for i, s in enumerate(order)}
+        target = new.__getitem__ if self.deterministic else (
+            lambda ts: frozenset(map(new.__getitem__, ts)))
+        transitions = sorted(((new[left], new[right]), tuple((g, target(ts)) for g, ts in entries))
+                             for (left, right), entries in self.transitions.items())
         return TreeAutomaton._canonical(
-            self.width, names.values(), names[self.initial],
-            {names[f] for f in self.finals}, dict(sorted(transitions.items())),
-            self.deterministic, None if self.sink is None else names[self.sink])
+            self.width, len(order), new[self.initial], map(new.__getitem__, self.finals),
+            dict(transitions), self.deterministic,
+            None if self.sink is None else new[self.sink])
 
     def to_text(self) -> str:
-        def key(name: str) -> tuple[int, str]:
-            return (len(name), name)
-
+        """The text format, states by their names or else as ``q<i>``."""
+        names = self.names or [f"q{i}" for i in self.states]
         lines = [f"width {self.width}", f"states {len(self.states)}",
-                 f"initial {self.initial}"]
-        lines.append(("finals " + " ".join(sorted(self.finals, key=key))).rstrip())
+                 f"initial {names[self.initial]}"]
+        lines.append(" ".join(["finals", *(names[f] for f in sorted(self.finals))]))
         if self.sink is not None:
-            lines.append(f"sink {self.sink}")
-        for (left, right) in sorted(self.transitions, key=lambda p: (key(p[0]), key(p[1]))):
-            for guard, targets in self.transitions[(left, right)]:
-                for target in sorted(targets, key=key):
-                    lines.append(f"trans {left} {right} "
-                                 f"{gp.text(guard, self.width) or '-'} -> {target}")
+            lines.append(f"sink {names[self.sink]}")
+        for (left, right), entries in sorted(self.transitions.items()):
+            for guard, targets in entries:
+                for target in sorted(_targets(targets)):
+                    lines.append(f"trans {names[left]} {names[right]} "
+                                 f"{gp.text(guard, self.width) or '-'} -> {names[target]}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -770,6 +783,11 @@ class TreeAutomaton:
             sink = None
         return cls(width, mentioned, initial, finals, transitions,
                    deterministic=deterministic, sink=sink)
+
+
+def _targets(target) -> "tuple[int] | frozenset[int]":
+    """An entry's targets: its one int in deterministic mode, else its set."""
+    return (target,) if isinstance(target, int) else target
 
 
 def fresh_name(base: str, taken) -> str:
@@ -866,16 +884,14 @@ def _explore(root, rows, step):
 
 
 def _explored_automaton(width: int, root, rows, step, is_final) -> TreeAutomaton:
-    """The deterministic automaton ``_explore`` finds from ``root``, state
-    ``i`` named ``q<i>``; ``is_final`` decides on the state keys."""
+    """The deterministic automaton ``_explore`` finds from ``root``, its
+    states the discovery indices; ``is_final`` decides on the state keys.
+    Pairs that read alike share one entry tuple."""
     order, table = _explore(root, rows, step)
-    names = [f"q{i}" for i in range(len(order))]
-    targets = [frozenset({name}) for name in names]
     shared = {id(entries): entries for entries in table.values()}  # _explore: one list per read
-    built = {i: tuple((g, targets[k]) for g, k in sorted(entries)) for i, entries in shared.items()}
-    transitions = {(names[i], names[j]): built[id(entries)] for (i, j), entries in table.items()}
-    finals = {name for name, key in zip(names, order) if is_final(key)}
-    aut = TreeAutomaton._canonical(width, names, names[0], finals,
-                                   dict(sorted(transitions.items())), True)
-    aut._reached = aut.states  # each was found from the root
+    built = {i: tuple(sorted(entries)) for i, entries in shared.items()}
+    aut = TreeAutomaton._canonical(
+        width, len(order), 0, [i for i, key in enumerate(order) if is_final(key)],
+        {pair: built[id(entries)] for pair, entries in sorted(table.items())}, True)
+    aut._reached = frozenset(aut.states)  # each was found from the root
     return aut

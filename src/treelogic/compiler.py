@@ -40,7 +40,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import guards as gp
-from .automata import TreeAutomaton, fresh_name
+from .automata import TreeAutomaton
 from .formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Exists1, Exists2,
                        FalseF, Formula, Not, Or, TrueF, VarTable, _binder_depth,
                        _has_call, build_var_table, desugar, free_variables,
@@ -192,12 +192,12 @@ def zero_pad_closure(aut: TreeAutomaton) -> TreeAutomaton:
                  for pair, entries in aut.transitions.items()}
     zstar = TreeAutomaton(aut.width, aut.states, aut.initial, (), zero_only,
                           deterministic=False, validate=False).reachable_states()
-    zbar = fresh_name("z", aut.states)
+    zbar = len(aut.states)  # the next state number
 
     # A child in zstar may also be read as zbar, so its pair's entries are
     # copied to the pairs with zbar in its place; the constructor merges
     # guards that collide.
-    transitions: dict[tuple[str, str], list] = {(zbar, zbar): [(zero, zbar)]}
+    transitions: dict[tuple[int, int], list] = {(zbar, zbar): [(zero, zbar)]}
     for (left, right), entries in aut.transitions.items():
         lefts = [left, zbar] if left in zstar else [left]
         rights = [right, zbar] if right in zstar else [right]
@@ -207,7 +207,7 @@ def zero_pad_closure(aut: TreeAutomaton) -> TreeAutomaton:
     finals = set(aut.finals)
     if zstar & aut.finals:
         finals.add(zbar)
-    return TreeAutomaton(aut.width, aut.states | {zbar}, zbar, finals,
+    return TreeAutomaton(aut.width, range(zbar + 1), zbar, finals,
                          transitions, deterministic=False, validate=False)
 
 

@@ -28,8 +28,7 @@ from treelogic.formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Call,
 from treelogic import compiler
 from treelogic.compiler import CompileError
 from treelogic import guards as gp
-from treelogic.automata import (AutomatonError, PairKey, TreeAutomaton,
-                                fresh_name)
+from treelogic.automata import AutomatonError, PairKey, TreeAutomaton
 from treelogic.clp import (GoalAtom, Solver, SolveError, _clause_variables,
                            initial_store)
 from treelogic.trees import Node, addresses, format_tree
@@ -216,30 +215,36 @@ def language_sample(aut: TreeAutomaton, max_nodes: int) -> frozenset:
 # agree with (labels are assumed valid)
 
 
-def recursive_run(aut: TreeAutomaton, tree) -> str | None:
+def entry_targets(target) -> frozenset[int]:
+    """A transition entry's targets as a set: deterministic entries carry
+    one int, nondeterministic ones a frozenset."""
+    return frozenset({target}) if isinstance(target, int) else target
+
+
+def recursive_run(aut: TreeAutomaton, tree) -> int | None:
     if tree is None:
         return aut.initial
     left = recursive_run(aut, tree.left)
     right = recursive_run(aut, tree.right)
     if left is None or right is None:
         return aut.sink
-    for guard, targets in aut.transitions.get((left, right), ()):
+    for guard, target in aut.transitions.get((left, right), ()):
         if matches(gp.text(guard, aut.width), tree.label):
-            return next(iter(targets))
+            return target
     return aut.sink
 
 
-def recursive_run_set(aut: TreeAutomaton, tree) -> frozenset[str]:
+def recursive_run_set(aut: TreeAutomaton, tree) -> frozenset[int]:
     if tree is None:
         return frozenset({aut.initial})
     lefts = recursive_run_set(aut, tree.left)
     rights = recursive_run_set(aut, tree.right)
-    out: set[str] = set()
+    out: set[int] = set()
     for left in lefts:
         for right in rights:
             for guard, targets in aut.transitions.get((left, right), ()):
                 if matches(gp.text(guard, aut.width), tree.label):
-                    out.update(targets)
+                    out.update(entry_targets(targets))
     return frozenset(out)
 
 
@@ -257,13 +262,13 @@ def recursive_accepts(aut: TreeAutomaton, tree) -> bool:
 
 
 def ref_reachable_states_detailed(aut: TreeAutomaton, stop_on_final: bool = False
-                                  ) -> tuple[frozenset[str], int]:
+                                  ) -> tuple[frozenset[int], int]:
     reached = {aut.initial}
     passes = 0
     sink_pending = aut.sink is not None
-    coverage: dict[tuple[str, str], bool] = {}
+    coverage: dict[tuple[int, int], bool] = {}
 
-    def covered(pair: tuple[str, str]) -> bool:
+    def covered(pair: tuple[int, int]) -> bool:
         if pair not in coverage:
             pats = [gp.text(g, aut.width) for g, _ in aut.transitions.get(pair, ())]
             coverage[pair] = covers_all(pats, aut.width)
@@ -271,11 +276,11 @@ def ref_reachable_states_detailed(aut: TreeAutomaton, stop_on_final: bool = Fals
 
     while True:
         passes += 1
-        new: set[str] = set()
+        new: set[int] = set()
         for (left, right), pair_entries in aut.transitions.items():
             if left in reached and right in reached:
                 for _, targets in pair_entries:
-                    new.update(targets)
+                    new.update(entry_targets(targets))
         if sink_pending:
             for left in reached:
                 for right in reached:
@@ -311,14 +316,14 @@ def ref_product(aut: TreeAutomaton, other: TreeAutomaton,
         a = a.with_materialized_sink()
         b = b.with_materialized_sink()
 
-    def step(left: PairKey, right: PairKey) -> Iterator[tuple[str, PairKey]]:
+    def step(left: PairKey, right: PairKey) -> Iterator[tuple[int, PairKey]]:
         ea = a.transitions.get((left[0], right[0]), ())
         eb = b.transitions.get((left[1], right[1]), ())
         for g1, t1 in ea:
             for g2, t2 in eb:
                 m = gp.meet(g1, g2)
                 if m is not None:
-                    yield m, (next(iter(t1)), next(iter(t2)))
+                    yield m, (t1, t2)
 
     return ref_explored_automaton(
         aut.width, (a.initial, b.initial), step,
@@ -357,14 +362,11 @@ def ref_explore(root, step):
 
 
 def ref_explored_automaton(width: int, root, step, is_final) -> TreeAutomaton:
-    """The deterministic automaton ``ref_explore`` finds from ``root``, state
-    ``i`` named ``q<i>``; ``is_final`` decides on the state keys."""
+    """The deterministic automaton ``ref_explore`` finds from ``root``, its
+    states the discovery indices; ``is_final`` decides on the state keys."""
     order, table = ref_explore(root, step)
-    names = [f"q{i}" for i in range(len(order))]
-    transitions = {(names[i], names[j]): [(g, names[k]) for g, k in entries]
-                   for (i, j), entries in table.items()}
-    finals = {name for name, key in zip(names, order) if is_final(key)}
-    return TreeAutomaton(width, names, names[0], finals, transitions,
+    finals = {i for i, key in enumerate(order) if is_final(key)}
+    return TreeAutomaton(width, range(len(order)), 0, finals, table,
                          deterministic=True, validate=False)
 
 
@@ -382,23 +384,23 @@ def ref_determinize(aut: TreeAutomaton) -> TreeAutomaton:
     pair of subsets is tried: whether one has entries is found by
     collecting them, which is most of what its step costs.
     """
-    def step(left: frozenset[str], right: frozenset[str]
-             ) -> Iterator[tuple[int, frozenset[str]]]:
-        collected: list[tuple[str, frozenset[str]]] = []
+    def step(left: frozenset[int], right: frozenset[int]
+             ) -> Iterator[tuple[int, frozenset[int]]]:
+        collected: list[tuple[str, frozenset[int]]] = []
         for p in left:
             for q in right:
-                collected.extend((gp.text(g, aut.width), ts)
+                collected.extend((gp.text(g, aut.width), entry_targets(ts))
                                  for g, ts in aut.transitions.get((p, q), ()))
         if not collected:
             return
         positions = constrained_positions(g for g, _ in collected)
         # Minterm cubes: concrete exactly at the constrained positions, so
         # every collected guard is the union of those it expands to.
-        minterms: dict[str, set[str]] = {}
+        minterms: dict[str, set[int]] = {}
         for g, ts in collected:
             for cube in expand(g, [i for i in positions if g[i] == "*"]):
                 minterms.setdefault(cube, set()).update(ts)
-        by_target: dict[frozenset[str], list[str]] = {}
+        by_target: dict[frozenset[int], list[str]] = {}
         for cube, targets in minterms.items():
             if targets:
                 by_target.setdefault(frozenset(targets), []).append(cube)
@@ -420,7 +422,7 @@ def ref_minimize(aut: TreeAutomaton) -> TreeAutomaton:
     states, listed or not, and signatures over every state."""
     if not aut.deterministic:
         raise AutomatonError("minimize requires a deterministic automaton")
-    dead = aut.sink if aut.sink is not None else fresh_name("dead", aut.states)
+    dead = len(aut.states) if aut.sink is None else aut.sink
     # Diagram nodes are (target,) leaves or (pos, lo, hi) splits,
     # hash-consed, each listed after its children.
     nodes: list[tuple] = []
@@ -433,11 +435,11 @@ def ref_minimize(aut: TreeAutomaton) -> TreeAutomaton:
             nodes.append(key)
         return ids[key]
 
-    def step(left: str, right: str) -> Iterator[tuple[str, str]]:
-        entries = [(gp.text(g, aut.width), next(iter(ts)))
-                   for g, ts in aut.transitions.get((left, right), ())]
+    def step(left: int, right: int) -> Iterator[tuple[str, int]]:
+        entries = [(gp.text(g, aut.width), t)
+                   for g, t in aut.transitions.get((left, right), ())]
         memo: dict[tuple[int, tuple[int, ...]], int] = {}
-        leaves: set[str] = set()
+        leaves: set[int] = set()
 
         def build(pos: int, live: tuple[int, ...]) -> int:
             if pos == aut.width or not live:
@@ -466,7 +468,7 @@ def ref_minimize(aut: TreeAutomaton) -> TreeAutomaton:
 
     # Moore refinement; a pair's signature is its diagram with the
     # leaves relabelled by block and reduced again.
-    block: dict[str, int] = {s: (1 if s in aut.finals else 0) for s in states}
+    block: dict[int, int] = {s: (1 if s in aut.finals else 0) for s in states}
     while True:
         label: list[int] = []
         interned: dict[tuple, int] = {}
@@ -480,13 +482,13 @@ def ref_minimize(aut: TreeAutomaton) -> TreeAutomaton:
                 key = (key[0], label[key[1]], label[key[2]])
             label.append(interned.setdefault(key, len(interned)))
 
-        groups: dict[tuple, list[str]] = {}
+        groups: dict[tuple, list[int]] = {}
         for s in states:
             signature = (block[s],
                          tuple(label[diagram.get((s, t), dead_leaf)] for t in states),
                          tuple(label[diagram.get((t, s), dead_leaf)] for t in states))
             groups.setdefault(signature, []).append(s)
-        new_block: dict[str, int] = {}
+        new_block: dict[int, int] = {}
         for i, members in enumerate(groups.values()):
             for s in members:
                 new_block[s] = i
@@ -494,7 +496,7 @@ def ref_minimize(aut: TreeAutomaton) -> TreeAutomaton:
             break
         block = new_block
 
-    rep: dict[int, str] = {}
+    rep: dict[int, int] = {}
     for s in states:
         rep.setdefault(block[s], s)
     # The dead class is the sink; transitions into it are stripped.
@@ -503,31 +505,28 @@ def ref_minimize(aut: TreeAutomaton) -> TreeAutomaton:
         del rep[sink]
         sink = None
 
-    def bname(b: int) -> str:
-        return f"m{b}"
-
-    quotient: dict[PairKey, list[tuple[str, str]]] = {}
+    # Blocks are numbered in order of their first state, and a dropped
+    # dead block is the last, so the blocks left are 0..len(rep)-1.
+    quotient: dict[PairKey, list[tuple[str, int]]] = {}
     for bl in rep:
         for br in rep:
             if sink in (bl, br):
                 continue
-            merged: dict[str, list[str]] = {}
-            for guard, targets in aut.transitions.get((rep[bl], rep[br]), ()):
-                b = block[next(iter(targets))]
+            merged: dict[int, list[str]] = {}
+            for guard, target in aut.transitions.get((rep[bl], rep[br]), ()):
+                b = block[target]
                 if b != sink:
-                    merged.setdefault(bname(b), []).append(gp.text(guard, aut.width))
+                    merged.setdefault(b, []).append(gp.text(guard, aut.width))
             out = []
-            for target, pats in sorted(merged.items()):
+            for b, pats in sorted(merged.items()):
                 for pattern in merge_patterns(pats):
-                    out.append((pattern, target))
+                    out.append((pattern, b))
             if out:
-                quotient[(bname(bl), bname(br))] = out
+                quotient[(bl, br)] = out
 
-    return TreeAutomaton(aut.width, {bname(b) for b in rep},
-                         bname(block[aut.initial]),
-                         {bname(block[s]) for s in states if s in aut.finals},
-                         quotient, deterministic=True,
-                         sink=None if sink is None else bname(sink),
+    return TreeAutomaton(aut.width, range(len(rep)), block[aut.initial],
+                         {block[s] for s in states if s in aut.finals},
+                         quotient, deterministic=True, sink=sink,
                          validate=False)
 
 
@@ -537,7 +536,7 @@ def ref_minimize(aut: TreeAutomaton) -> TreeAutomaton:
 
 
 def ref_witness(aut: TreeAutomaton):
-    reps: dict[str, tuple[int, tuple[str, ...], str, object]] = {
+    reps: dict[int, tuple[int, tuple[str, ...], str, object]] = {
         aut.initial: (0, (), "-", None)
     }
     changed = True
@@ -551,7 +550,7 @@ def ref_witness(aut: TreeAutomaton):
             for guard, targets in aut.transitions[(left, right)]:
                 sym = least_symbol(gp.text(guard, aut.width))
                 cand = (1 + ls + rs, (sym,) + ll + rl, f"({lsh}{rsh})")
-                for target in sorted(targets):
+                for target in sorted(entry_targets(targets)):
                     cur = reps.get(target)
                     if cur is None or cand < cur[:3]:
                         reps[target] = cand + (Node(sym, lt, rt),)

@@ -14,7 +14,7 @@ from treelogic.trees import (Node, format_tree, node_count, parse_tree,
                              tree_sort_key, validate_tree)
 
 from conftest import FIXTURES, automaton_fields, fixture_text
-from oracle import (iter_trees, language_sample, random_deterministic,
+from oracle import (entry_targets, iter_trees, language_sample, random_deterministic,
                     random_label_deterministic, random_nondeterministic,
                     random_tree, recursive_accepts, recursive_run,
                     recursive_run_set, ref_determinize, ref_explore, ref_minimize,
@@ -54,10 +54,11 @@ def test_membership_width_mismatch(ac_com_automaton):
 
 
 def test_run_states(ac_com_automaton):
+    # run() gives a state number; the file's names are kept in ``names``
     aut = ac_com_automaton
-    assert aut.run(Node("10")) == "a3"
-    assert aut.run(Node("00", Node("01"), None)) == "a2"
-    assert aut.run(T_ACCEPT) == "a4"
+    assert aut.names[aut.run(Node("10"))] == "a3"
+    assert aut.names[aut.run(Node("00", Node("01"), None))] == "a2"
+    assert aut.names[aut.run(T_ACCEPT)] == "a4"
     assert aut.run(T_SIBLINGS) == aut.sink
 
 
@@ -133,7 +134,7 @@ def test_bad_label_above_a_dead_child_or_an_unlisted_pair_raises(monkeypatch):
     for sink in (None, "s"):
         aut = TreeAutomaton(1, {"q", "p", "s"}, "q", {"p"}, {("q", "q"): {"0": "p"}},
                             sink=sink)
-        nondet = TreeAutomaton(1, aut.states, "q", {"p"}, {("q", "q"): {"0": "p"}},
+        nondet = TreeAutomaton(1, {"q", "p", "s"}, "q", {"p"}, {("q", "q"): {"0": "p"}},
                                deterministic=False)
         for call in (aut.accepts, nondet.accepts):
             for child in ("1", "0"):
@@ -263,18 +264,31 @@ def test_shared_nondeterministic_run_sets_agree_across_threads(monkeypatch):
 # reachability and emptiness
 
 
+def _named(aut, states):
+    """The names of the given states of an automaton that has names."""
+    return {aut.names[s] for s in states}
+
+
+def _with_added_sink(aut):
+    """The deterministic ``aut`` with one more state, designated the sink."""
+    n = len(aut.states)
+    return TreeAutomaton(aut.width, range(n + 1), aut.initial, aut.finals,
+                         aut.transitions, sink=n)
+
+
 def test_reachable_on_reference(ac_com_automaton):
     reached = ac_com_automaton.reachable_states()
-    assert reached == frozenset({"a0", "a1", "a2", "a3", "a4",
-                                 ac_com_automaton.sink})
+    assert _named(ac_com_automaton, reached) == \
+        _named(ac_com_automaton, ac_com_automaton.states) == \
+        {"a0", "a1", "a2", "a3", "a4", ac_com_automaton.names[ac_com_automaton.sink]}
 
 
 def test_reachable_trivial_cases():
     single = TreeAutomaton(1, {"q"}, "q", set(), {})
-    assert single.reachable_states() == frozenset({"q"})
+    assert _named(single, single.reachable_states()) == {"q"}
     looped = TreeAutomaton(1, {"q", "r"}, "q", set(),
                            {("q", "q"): {"*": "q"}})
-    assert looped.reachable_states() == frozenset({"q"})
+    assert _named(looped, looped.reachable_states()) == {"q"}
 
 
 def test_reachable_pass_bound():
@@ -333,14 +347,16 @@ def test_stored_reached_states_match_a_fresh_fixpoint(monkeypatch):
     assert sum(aut._reached is not None for aut in made) > 1000
 
     def fresh(aut):
-        return TreeAutomaton._canonical(aut.width, aut.states, aut.initial, aut.finals,
-                                        aut.transitions, aut.deterministic, aut.sink)
+        return TreeAutomaton._canonical(aut.width, len(aut.states), aut.initial,
+                                        aut.finals, aut.transitions, aut.deterministic,
+                                        aut.sink)
 
     for aut in made:
         assert aut.reachable_states() == fresh(aut).reachable_states_detailed()[0], \
             aut.to_text()
     # One shared automaton with unreached states, its memo filled by threads.
-    shared = fresh(next(aut for aut in made if aut.reachable_states() < aut.states))
+    shared = fresh(next(aut for aut in made
+                        if aut.reachable_states() < frozenset(aut.states)))
     want = shared.reachable_states_detailed()[0]
     failures = []
 
@@ -730,8 +746,7 @@ def test_minimize_label_dependent_guards_randomized():
             assert again.renumbered().to_text() == text
             # The same automaton with a named implicit sink, and with that
             # sink made explicit on every uncovered symbol.
-            named = TreeAutomaton(width, aut.states | {"a"}, aut.initial,
-                                  aut.finals, aut.transitions, sink="a")
+            named = _with_added_sink(aut)
             explicit = named.with_materialized_sink()
             assert named.minimize().renumbered().to_text() == text
             assert explicit.minimize().renumbered().to_text() == text
@@ -791,9 +806,7 @@ def test_minimize_matches_dense_minimize(monkeypatch):
             if not variant.deterministic:
                 continue
             # an added absorbing sink, and a listed state designated the sink
-            named = TreeAutomaton(variant.width, variant.states | {"sink"},
-                                  variant.initial, variant.finals,
-                                  variant.transitions, sink="sink")
+            named = _with_added_sink(variant)
             renamed = TreeAutomaton(variant.width, variant.states, variant.initial,
                                     variant.finals - {max(variant.states)},
                                     variant.transitions, sink=max(variant.states),
@@ -1129,7 +1142,7 @@ def test_text_roundtrip(ac_com_automaton):
 def test_text_roundtrip_width_zero():
     aut = TreeAutomaton.all_trees(0).minimize()
     text = aut.to_text()
-    assert "trans m0 m0 - -> m0" in text
+    assert "trans q0 q0 - -> q0" in text
     assert TreeAutomaton.from_text(text).equivalent(aut)
 
 
@@ -1235,17 +1248,117 @@ def test_text_and_int_guards_build_equal_automata():
 
 
 def test_renumbered_is_canonical(ac_com_automaton):
-    one = ac_com_automaton.renumbered()
-    # renaming states should not change the canonical form
+    aut = ac_com_automaton
+    one = aut.renumbered()
+    # renaming states should not change the canonical form; these names
+    # number the states in the reverse order
+    name = [f"s{len(aut.states) - i}" for i in aut.states]
     shuffled = TreeAutomaton(
-        ac_com_automaton.width,
-        {f"s_{s}" for s in ac_com_automaton.states},
-        f"s_{ac_com_automaton.initial}",
-        {f"s_{s}" for s in ac_com_automaton.finals},
-        {(f"s_{l}", f"s_{r}"): [(g, {f"s_{t}" for t in ts}) for g, ts in entries]
-         for (l, r), entries in ac_com_automaton.transitions.items()},
-        sink=f"s_{ac_com_automaton.sink}")
+        aut.width, set(name), name[aut.initial], {name[s] for s in aut.finals},
+        {(name[l], name[r]): [(g, name[t]) for g, t in entries]
+         for (l, r), entries in aut.transitions.items()},
+        sink=name[aut.sink])
+    assert shuffled.transitions != aut.transitions
     assert shuffled.renumbered().to_text() == one.to_text()
+
+
+AWKWARD_NAMES = ("dead", "sink", "z", "q10", "q2", "m0", "0")
+
+
+def _renamed(aut, rng):
+    """``aut`` read back from its text with every state name replaced, by a
+    seeded bijection, with one of ``AWKWARD_NAMES``."""
+    names = aut.names or [f"q{i}" for i in aut.states]
+    new = dict(zip(names, rng.sample(AWKWARD_NAMES, len(names))))
+    lines = []
+    for line in aut.to_text().splitlines():
+        words = line.split()
+        if words[0] in ("initial", "finals", "sink"):
+            words[1:] = [new[w] for w in words[1:]]
+        elif words[0] == "trans":
+            words[1], words[2], words[5] = new[words[1]], new[words[2]], new[words[5]]
+        lines.append(" ".join(words))
+    return TreeAutomaton.from_text("\n".join(lines) + "\n")
+
+
+def _structure(aut, number):
+    """The automaton's fields but its names, its states renumbered by ``number``."""
+    return (aut.width, len(aut.states), number[aut.initial],
+            frozenset(number[f] for f in aut.finals),
+            None if aut.sink is None else number[aut.sink], aut.deterministic,
+            frozenset((number[l], number[r], g, number[t])
+                      for (l, r), entries in aut.transitions.items()
+                      for g, ts in entries for t in entry_targets(ts)))
+
+
+def _assert_same_canonical_form(one, two):
+    """``renumbered()`` prints both alike, except where it orders states by
+    their numbers, which a renaming changes: the states no listed entry
+    reaches come last in input order, and a nondeterministic entry's targets
+    are found in input order.  Those states may differ by a permutation."""
+    one, two = one.renumbered(), two.renumbered()
+    if one.to_text() == two.to_text():
+        return
+    found = {one.initial}
+    while grown := {t for (l, r), entries in one.transitions.items()
+                    if l in found and r in found
+                    for _, ts in entries for t in entry_targets(ts)} - found:
+        found |= grown
+    rest = [s for s in one.states
+            if not one.deterministic or s not in found and s != one.sink]
+    assert len(rest) > 1, (one.to_text(), two.to_text())
+    want = _structure(one, list(one.states))
+    for perm in itertools.permutations(rest):
+        number = list(two.states)
+        for s, t in zip(rest, perm):
+            number[s] = t
+        if _structure(two, number) == want:
+            return
+    raise AssertionError((one.to_text(), two.to_text()))
+
+
+def test_no_output_depends_on_state_names():
+    # 200 seeded random automata of every generator, each read back from its
+    # text with its states renamed onto awkward names, which number them in
+    # another order; every operation gives both the same canonical form,
+    # emptiness, witness and verdicts.
+    rng = random.Random(2053)
+    trips = 0
+    trees_by_width: dict[int, list] = {}
+    compared = 0
+    for aut in _random_automata(rng, 200, (0, 2), 4):
+        renamed = _renamed(aut, rng)
+        for one in (aut, renamed):
+            back = TreeAutomaton.from_text(one.to_text())
+            # The text carries every field unless an unlisted state becomes
+            # the sink or disjoint single-target entries read as deterministic.
+            if back.deterministic == one.deterministic and back.sink == one.sink:
+                trips += 1
+                assert automaton_fields(back) == automaton_fields(one)
+                assert back.names == one.names
+        if (renamed.deterministic, renamed.sink is None) != \
+                (aut.deterministic, aut.sink is None):
+            continue  # not the same automaton under other names
+        compared += 1
+        other = _GENERATORS[rng.randrange(3)](rng, aut.width, 3)
+        pos = rng.randrange(aut.width) if aut.width else None
+
+        def operations(a):
+            out = [a.renumbered(), a.determinize(), a.intersect(other),
+                   a.union(other), zero_pad_closure(a)]
+            if pos is not None:
+                out.append(a.project(pos))
+            if a.deterministic:
+                out += [a.minimize(), a.complement()]
+            return out
+
+        for one, two in zip(operations(aut), operations(renamed)):
+            _assert_same_canonical_form(one, two)
+            assert one.is_empty() == two.is_empty()
+            assert one.witness() == two.witness()
+            trees = trees_by_width.setdefault(one.width, list(iter_trees(4, one.width)))
+            assert [one.accepts(t) for t in trees] == [two.accepts(t) for t in trees]
+    assert trips > 350 and compared > 180
 
 
 # ----------------------------------------------------------------------
@@ -1269,14 +1382,15 @@ def _trusted(monkeypatch, build):
 
 
 def _assert_canonical(aut):
-    """The table is what the public constructor would make of it."""
+    """The table is what the public constructor would make of it, with
+    int targets in deterministic mode and frozensets of them otherwise."""
     table = aut.transitions
-    assert list(table.items()) == list(automata._normalize(table).items())
+    again = TreeAutomaton(aut.width, aut.states, aut.initial, aut.finals, table,
+                          aut.deterministic, aut.sink)
+    assert list(table.items()) == list(again.transitions.items())
     assert all(type(entries) is tuple for entries in table.values())
-    assert all(type(ts) is frozenset
+    assert all(type(ts) is (int if aut.deterministic else frozenset)
                for entries in table.values() for _, ts in entries)
-    if aut.deterministic:
-        aut._validate()
 
 
 def _run_operations(rng, aut):
@@ -1302,9 +1416,7 @@ def test_trusted_tables_are_canonical(monkeypatch):
     for aut in _random_automata(rng, 200, (0, 3), 4):
         cases.append(aut)
         if aut.deterministic:
-            cases.append(TreeAutomaton(aut.width, aut.states | {"sink"},
-                                       aut.initial, aut.finals,
-                                       aut.transitions, sink="sink"))
+            cases.append(_with_added_sink(aut))
     made = _trusted(monkeypatch, lambda: [_run_operations(rng, aut)
                                           for aut in cases])
     fixtures = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.mso"))]

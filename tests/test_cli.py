@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -367,3 +368,41 @@ def test_solve_trace_matches_golden_files(capsys, fixtures_dir, program, query,
                              "--all", "--trace")
     assert code == 0
     assert out + err == (fixtures_dir / golden).read_text(encoding="utf-8")
+
+
+# SHA-256 digests of outputs too large for golden files, recorded from the
+# CLI before states became dense ints: ``compile``, ``compile --no-minimize``
+# (186 KB) and the ``compile --stats`` stderr of the width-16 prec chain, and
+# ``compile`` and the ``--stats`` stderr of the alternation ladders L(1)-L(5).
+PINNED_DIGESTS = {
+    ("chain16", "compile"): "4bbc39626dea95c0ce9c16fa4fe283fda1d1f509b9d4766e4eb753398425c63e",
+    ("chain16", "no-minimize"): "99d940d95ec69de56b53b72a8ef3ec617f29349ff0dec7c500b7556557493bef",
+    ("chain16", "stats"): "cfe93ca66622f4e08247d62734c3d2b9aab42a5b5d2b9b648aaf16bba083504c",
+    ("L1", "compile"): "dadf50a028b83f0454bd5ca1cb4cb1aba75ee38bbf31f6fbd60ab385296e221d",
+    ("L1", "stats"): "6671753d1f55cde070af6a8bd6487dc0328585eb4005948f1ea93f2a20044243",
+    ("L2", "compile"): "5c6a6f16cf32f6a7de057e060ef796497d442d824a3d9e4f9411b95fb7695937",
+    ("L2", "stats"): "6af60a85c9298bc28403788283ff882b18290ecd1db94d17f252fc97dc670f0c",
+    ("L3", "compile"): "80127cd2015ca17cbd6763d52e2de9e56c2182351e40e41d38a1f4a75e1eb256",
+    ("L3", "stats"): "539afe471877c0d16cff102cd1626b50d3daecd42d7d9158ae4c6e9b746f59ae",
+    ("L4", "compile"): "4c919b59509d8d95ce818666133547473fff240a9cb9ebc7f3411b58743bda3a",
+    ("L4", "stats"): "d44e96d11993e32445a544dacf90559fe57402163b97db9c238c8a92aade9280",
+    ("L5", "compile"): "4c919b59509d8d95ce818666133547473fff240a9cb9ebc7f3411b58743bda3a",
+    ("L5", "stats"): "cce82252da2d5e03534bbd6ae3ac3cb11377b59f270a26df378310df133cab32",
+}
+
+
+def test_large_outputs_match_pinned_digests(capsys, tmp_path):
+    from test_automata import chain_text, ladder_text
+    formulas = {"chain16": chain_text(16, "v", "S"),
+                **{f"L{k}": ladder_text(k) for k in range(1, 6)}}
+    for name, formula in formulas.items():
+        path = tmp_path / f"{name}.mso"
+        path.write_text(formula + "\n")
+        outputs = {"compile": run_cli(capsys, "compile", str(path))[1],
+                   "stats": run_cli(capsys, "compile", "--stats", str(path))[2]}
+        if name == "chain16":
+            outputs["no-minimize"] = run_cli(capsys, "compile", "--no-minimize",
+                                             str(path))[1]
+        for kind, text in outputs.items():
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == PINNED_DIGESTS[name, kind], (name, kind)

@@ -486,7 +486,7 @@ def _check_against_fresh_steps(steps):
             assert automaton_fields(result.automaton) == automaton_fields(fresh)
 
 
-@pytest.mark.parametrize("bound, expected_hits", [(32, 49), (4, 30)])
+@pytest.mark.parametrize("bound, expected_hits", [(32, 51), (4, 32)])
 def test_store_memo_hits_equal_fresh_steps(lexicon, pipeline, monkeypatch,
                                            bound, expected_hits):
     # Every store step, found in the memo or not, is the product of the

@@ -405,9 +405,9 @@ def _memo_run(aut, tree, memo, store=True):
     right = _memo_run(aut, tree.right, memo)
     state = aut.sink
     if left is not None and right is not None:
-        for guard, targets in aut.transitions.get((left, right), ()):
+        for guard, target in aut.transitions.get((left, right), ()):
             if gp.matches(guard, gp.parse(tree.label, aut.width)):
-                state = next(iter(targets))
+                state = target
                 break
     if store:
         memo[key] = state
