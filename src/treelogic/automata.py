@@ -34,8 +34,9 @@ Conventions:
   after the product, subset construction, ``minimize`` or ``remap``.
 * An operation does the work it would repeat once, in memos that do not
   outlive the call: ``_explore`` steps each distinct read once, and
-  ``minimize`` builds a diagram shape once per guard list and a diagram
-  and a merged quotient row once per row.
+  ``minimize`` sums symbol counts and merges a quotient row once per row,
+  and builds diagrams, a shape once per guard list, only for the states
+  symbol counts leave in blocks of two or more.
 * Runs (``run``, ``run_set``, ``accepts``) share one fold over a
   breadth-first node list read in reverse, one memo lookup per node, so
   their depth is not bounded by the recursion limit.
@@ -511,29 +512,26 @@ class TreeAutomaton:
         of the result is reachable, so its language is empty exactly when it
         has no final state.
 
-        The implicit dead state (``sink``, or else state ``n``) is an
-        ordinary state that every uncovered symbol goes to; a reached pair
-        reaches it when unlisted or when its disjoint guards, 2**(free
-        columns) symbols each, add up to fewer than 2**width.  Each listed
-        pair of reachable states has its symbol->target map built as a
-        reduced ordered decision diagram over bit positions whose nodes are
-        shared across pairs (as in MONA) and whose split nodes carry their
-        position; an unlisted pair's map is the dead leaf.  A diagram's
-        structure depends on its guards alone, so each distinct guard list's
-        shape, its leaves entry indices, is built once (``_shape``), and
-        each row (entry tuple; pairs share one by identity) instantiates it
-        by relabelling the leaves with targets and reducing again.  Moore
-        refinement likewise only relabels the leaves by block and reduces
-        again, and two states stay together while their rows and columns of
-        relabelled diagrams agree.  Rows and columns are kept sparse: they
-        list (partner, label) only where the label is not the dead leaf's.
-        The dead state is refined even when unreachable, so its block is the
-        dead class.  Refinement starts from finals against non-finals and
-        stops at the first partition into singletons, which no round can
-        split; when the first partition already is one, no diagram is built.
-        Blocks, rows and columns are lists indexed by state, and block ``b``
-        is the quotient's state ``b``.  The quotient reads each block's row
-        off its representative's listed pairs and merges each row once.
+        The implicit dead state (``sink``, or else state ``n``) takes part
+        even when unreached, so its block is the dead class; a reached pair
+        reaches it when unlisted or when its guards, 2**(free columns)
+        symbols each, add up to fewer than 2**width.  Refinement starts from
+        finals against non-finals.  Each round signs the states of blocks of
+        two or more by their rows and columns: (partner, tag of the pair's
+        row) for each listed pair of reached states, where a row is an entry
+        tuple that pairs share by identity, and a tag that reads only the
+        dead class is left out.  It stops when no such block is left or a
+        round splits none.  Stage one tags a row with its symbol count per
+        block, summed from per-target sizes made once per row: a function
+        of the row's symbol->block map, so it never splits equivalent
+        states.  Stage two runs only if a block still holds two states, and
+        tags a row with that map itself: its reduced ordered decision
+        diagram over bit positions, nodes shared across rows (as in MONA),
+        leaves relabelled by block and reduced again.  Only the rows of
+        pairs that touch such a state get a diagram, and each distinct guard
+        list a shape (``_shape``), once.  Blocks are then renumbered by
+        first member in state order: block ``b`` is the quotient's state
+        ``b``, its row its first member's, each shared row merged once.
         """
         if not self.deterministic:
             raise AutomatonError("minimize requires a deterministic automaton")
@@ -542,39 +540,89 @@ class TreeAutomaton:
         reached = self.reachable_states()
         listed = [(pair, entries) for pair, entries in self.transitions.items()
                   if pair[0] in reached and pair[1] in reached]
-        # Whether the dead state is reached is counted once per row (see
-        # above).  It always takes part, after the reachable states when
+        # A state's row and column: (partner, row) for each listed pair of
+        # reached states, in partner order (``transitions`` is sorted).  Pairs
+        # share a row (entry tuple) by identity, and rows go by their ids.
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+        distinct: dict[int, tuple[Entry, ...]] = {}
+        for (left, right), pair_entries in listed:
+            distinct[id(pair_entries)] = pair_entries
+            rows[left].append((right, id(pair_entries)))
+            cols[right].append((left, id(pair_entries)))
+        # Each row's symbols per target, 2**(free columns) per guard.
+        sizes: dict[int, dict[int, int]] = {}
+        for r, entries in distinct.items():
+            size = sizes[r] = {}
+            for g, t in entries:
+                size[t] = size.get(t, 0) + (1 << self.width - g.bit_count())
+        # The dead state always takes part, after the reachable states when
         # unreached, so every state equivalent to it lands in its block; an
-        # unreached one has no diagrams.
+        # unreached one has no rows.
         dead_reached = dead in reached or len(listed) < len(reached) ** 2 or any(
-            sum(1 << self.width - g.bit_count() for g, _ in entries) < 1 << self.width
-            for entries in {id(entries): entries for _, entries in listed}.values())
+            sum(size.values()) < 1 << self.width for size in sizes.values())
         states = sorted(reached | {dead}) if dead_reached else [*sorted(reached), dead]
-        kinds: dict[bool, int] = {}  # finals, non-finals: first come, first numbered
         block = [0] * (n + 1)  # by state; only ``states`` are read
+        live: list[list[int]] = [[], []]  # members of blocks that may split
         for s in states:
-            block[s] = kinds.setdefault(s in self.finals, len(kinds))
-        count = len(kinds)
+            block[s] = int(s in self.finals)
+            live[block[s]].append(s)
+        count = 2
+
+        def refine(round_tags) -> None:
+            """Split blocks by signature (see above) until none holds two
+            states or a round splits none; ``round_tags()`` makes each
+            round's tags by row, falsy for the dead class alone.  Split
+            blocks take fresh numbers."""
+            nonlocal count, live
+            while live := [members for members in live if len(members) > 1]:
+                tag = round_tags()
+                groups: dict[tuple, list[int]] = {}
+                for members in live:
+                    for s in members:
+                        groups.setdefault((block[s],
+                                           tuple((t, x) for t, r in rows[s] if (x := tag[r])),
+                                           tuple((t, x) for t, r in cols[s] if (x := tag[r]))),
+                                          []).append(s)
+                if len(groups) == len(live):
+                    return
+                live = list(groups.values())
+                for number, members in enumerate(live, count):
+                    for s in members:
+                        block[s] = number
+                count += len(live)
+
+        def counts() -> dict[int, frozenset]:
+            # A row's symbol count per block, the dead block's left out: a
+            # function of its symbol->block map, so equals never split.
+            void = block[dead]
+            tags = {}
+            for r, size in sizes.items():
+                per: dict[int, int] = {}
+                for t, k in size.items():
+                    if (b := block[t]) != void:
+                        per[b] = per.get(b, 0) + k
+                tags[r] = frozenset(per.items())
+            return tags
+
+        refine(counts)
         # Diagram nodes are (target,) leaves or (pos, lo, hi) splits,
         # hash-consed to their ids in ``ids``, each listed after its children.
         dead_leaf = 0
         ids: dict[tuple, int] = {(dead,): dead_leaf}
-        # A state's row and column: (partner, diagram) for each listed pair
-        # of reached states, in partner order (``transitions`` is sorted).
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-        cols: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-        # Pairs that share a row share its diagram, and pairs with equal
-        # guards a shape: each is built once, none if no block can split.
-        diagrams: dict[int, int] = {}  # by the row's id
+        # A shape per distinct guard list and a diagram per row, each built
+        # once, and only for pairs that touch a state the counts left unsplit.
+        diagrams: dict[int, int] = {}  # by row
         shapes: dict[tuple[int, ...], list[tuple]] = {}
-        for (left, right), pair_entries in listed if count < len(states) else ():
-            diagram = diagrams.get(id(pair_entries))
-            if diagram is None:
-                guards = tuple(g for g, _ in pair_entries)
+        for s in itertools.chain.from_iterable(live):
+            for _, r in itertools.chain(rows[s], cols[s]):
+                if r in diagrams:
+                    continue
+                guards = tuple(g for g, _ in distinct[r])
                 if guards not in shapes:
                     shapes[guards] = _shape(guards, self.width)
                 # Shape leaf i becomes entry i's target, leaf -1 the dead leaf.
-                leaves = [ids.setdefault((t,), len(ids)) for _, t in pair_entries]
+                leaves = [ids.setdefault((t,), len(ids)) for _, t in distinct[r]]
                 leaves.append(dead_leaf)
                 out: list[int] = []
                 for key in shapes[guards]:
@@ -583,14 +631,11 @@ class TreeAutomaton:
                     else:
                         lo, hi = out[key[1]], out[key[2]]
                         out.append(lo if lo == hi else ids.setdefault((key[0], lo, hi), len(ids)))
-                diagram = diagrams[id(pair_entries)] = out[-1]
-            rows[left].append((right, diagram))
-            cols[right].append((left, diagram))
+                diagrams[r] = out[-1]
 
-        # Moore refinement; a pair's signature is its diagram with the
-        # leaves relabelled by block and reduced again.  A partition into
-        # singletons is final.
-        while count < len(states):
+        def relabelled() -> dict[int, int]:
+            # A row's diagram with the leaves relabelled by block and reduced
+            # again; the dead leaf comes first, so its label is 0.
             label: list[int] = []
             interned: dict[tuple, int] = {}
             for key in ids:
@@ -602,24 +647,18 @@ class TreeAutomaton:
                 else:
                     key = (key[0], label[key[1]], label[key[2]])
                 label.append(interned.setdefault(key, len(interned)))
+            return {r: label[d] for r, d in diagrams.items()}
 
-            void = label[dead_leaf]
-            groups: dict[tuple, list[int]] = {}
-            for s in states:
-                signature = (block[s],
-                             tuple((t, lab) for t, d in rows[s] if (lab := label[d]) != void),
-                             tuple((t, lab) for t, d in cols[s] if (lab := label[d]) != void))
-                groups.setdefault(signature, []).append(s)
-            if len(groups) == count:  # blocks only ever split
-                break
-            count = len(groups)
-            for i, members in enumerate(groups.values()):
-                for s in members:
-                    block[s] = i
-
-        rep: dict[int, int] = {}
+        refine(relabelled)
+        # Blocks are renumbered by first member in ``states`` order, so block
+        # ``b`` is the quotient's state ``b`` and its first member ``rep[b]``.
+        number: dict[int, int] = {}
+        rep: list[int] = []
         for s in states:
-            rep.setdefault(block[s], s)
+            b = block[s] = number.setdefault(block[s], len(number))
+            if b == len(rep):
+                rep.append(s)
+        count = len(rep)
         # The dead class is the sink; transitions into it are stripped.  An
         # unreached dead state alone in its block is dropped; blocks are
         # numbered in ``states`` order, so that block is the last.

@@ -530,6 +530,36 @@ def ref_minimize(aut: TreeAutomaton) -> TreeAutomaton:
                          validate=False)
 
 
+def ref_count_classes(aut: TreeAutomaton) -> list[list[int]]:
+    """The blocks ``minimize``'s first stage leaves: Moore refinement from
+    finals against non-finals over the reachable states and the dead state,
+    where a state's signature gives, for every partner in both positions,
+    the pair's symbol count per block, uncovered symbols to the dead one."""
+    dead = len(aut.states) if aut.sink is None else aut.sink
+    reached, _ = ref_reachable_states_detailed(aut)
+    states = sorted(reached | {dead})
+
+    def counts(left: int, right: int) -> tuple[tuple[int, int], ...]:
+        entries = aut.transitions.get((left, right), ()) if {left, right} <= reached else ()
+        tally = {block[dead]: 2 ** aut.width}
+        for guard, target in entries:
+            size = 2 ** gp.text(guard, aut.width).count("*")
+            tally[block[dead]] -= size
+            tally[block[target]] = tally.get(block[target], 0) + size
+        return tuple(sorted(tally.items()))
+
+    block = {s: int(s in aut.finals) for s in states}
+    while True:
+        groups: dict[tuple, list[int]] = {}
+        for s in states:
+            signature = (block[s], tuple(counts(s, t) for t in states),
+                         tuple(counts(t, s) for t in states))
+            groups.setdefault(signature, []).append(s)
+        if len(groups) == len(set(block.values())):
+            return list(groups.values())
+        block = {s: i for i, members in enumerate(groups.values()) for s in members}
+
+
 # ----------------------------------------------------------------------
 # witnesses: the sweep to a fixpoint over the whole transition table that
 # TreeAutomaton.witness must agree with, tree for tree

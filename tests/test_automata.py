@@ -17,8 +17,8 @@ from conftest import FIXTURES, automaton_fields, fixture_text
 from oracle import (entry_targets, iter_trees, language_sample, random_deterministic,
                     random_label_deterministic, random_nondeterministic,
                     random_tree, recursive_accepts, recursive_run,
-                    recursive_run_set, ref_determinize, ref_explore, ref_minimize,
-                    ref_product, ref_reachable_states_detailed, ref_witness)
+                    recursive_run_set, ref_count_classes, ref_determinize, ref_explore,
+                    ref_minimize, ref_product, ref_reachable_states_detailed, ref_witness)
 from test_acceptance import CONTRADICTIONS, ORACLE_SUITE, compiled
 
 sys.path.append(str(FIXTURES.parent.parent / "benchmarks"))
@@ -504,14 +504,17 @@ def test_width_16_chain_normalizes_only_its_atom_tables(monkeypatch):
 def test_width_16_chain_builds_each_shape_and_quotient_row_once(monkeypatch):
     # minimize builds at most one diagram shape per distinct guard list of
     # its reached pairs, and none when the reached states are one final
-    # state, where no block can split: 32 over the chain's minimizations,
-    # against 40 when every one built its shapes and 233 distinct entry
-    # lists in their inputs.  It merges each distinct entry list's quotient
-    # row once: 124 merge_patterns calls, against 333 when every pair of
-    # representatives merged its own row.
+    # state, where no block can split, or when symbol counts alone leave
+    # every block a singleton: 6 over the chain's minimizations, against 32
+    # when every minimization whose first partition had a block of two
+    # built its shapes and 233 distinct entry lists in their inputs.  It
+    # merges each distinct entry list's quotient row once: 124
+    # merge_patterns calls, against 333 when every pair of representatives
+    # merged its own row.
     wanted: list[set[tuple[int, ...]]] = []
     built: list[list[tuple[int, ...]]] = []
     one_final: list[bool] = []
+    counted_apart: list[bool] = []
     merges = 0
     minimize, shape, merge = TreeAutomaton.minimize, automata._shape, gp.merge_patterns
 
@@ -522,6 +525,7 @@ def test_width_16_chain_builds_each_shape_and_quotient_row_once(monkeypatch):
                        if left in reached and right in reached})
         built.append([])
         one_final.append(len(reached) == 1 and reached <= aut.finals)
+        counted_apart.append(all(len(members) == 1 for members in ref_count_classes(aut)))
         return minimize(aut)
 
     def shaped(guards, width):
@@ -538,11 +542,13 @@ def test_width_16_chain_builds_each_shape_and_quotient_row_once(monkeypatch):
     monkeypatch.setattr(gp, "merge_patterns", merged)
     compiled(chain_text(16, "v", "S"))
     assert any(one_final) and not all(one_final)
-    for want, got, alone in zip(wanted, built, one_final):
+    assert any(counted_apart) and not all(counted_apart)
+    for want, got, alone, apart in zip(wanted, built, one_final, counted_apart):
         assert set(got) <= want
         assert len(set(got)) == len(got)
         assert not (alone and got)
-    assert sum(map(len, built)) == 32
+        assert not (apart and got)
+    assert sum(map(len, built)) == 6
     assert merges <= 130
 
 
@@ -848,6 +854,87 @@ def test_minimize_matches_dense_minimize(monkeypatch):
     assert len(steps) > len(fixtures + chains)
     for aut in steps:
         _assert_minimize_matches_dense(aut)
+
+
+def test_minimize_splits_states_whose_symbol_counts_collide():
+    # p and q send one symbol each to a and to b, through opposite bits, so
+    # symbol counts per block cannot tell them apart and only the diagrams
+    # of the second stage can.  r and s send every symbol to a, through one
+    # guard and through two, and must merge.
+    aut = TreeAutomaton(1, {"i", "p", "q", "a", "b", "r", "s"}, "i", {"a"},
+                        {("i", "i"): {"0": "p", "1": "q"},
+                         ("p", "i"): {"0": "a", "1": "b"},
+                         ("q", "i"): {"1": "a", "0": "b"},
+                         ("b", "i"): {"*": "a"},
+                         ("a", "i"): {"0": "r", "1": "s"},
+                         ("r", "i"): {"*": "a"},
+                         ("s", "i"): {"0": "a", "1": "a"}})
+    names = aut.names + ("dead",)
+    classes = [sorted(names[s] for s in members) for members in ref_count_classes(aut)]
+    assert ["p", "q"] in classes and ["b", "r", "s"] in classes
+    _assert_minimize_matches_dense(aut)
+    minimal = aut.minimize()
+    to_a = Node("0", Node("0"), None)  # through p
+    assert minimal.accepts(to_a)
+    assert not minimal.accepts(Node("0", Node("1"), None))  # through q
+    assert minimal.run(Node("0", to_a, None)) == minimal.run(Node("1", to_a, None))  # r, s
+    assert len(minimal.states) == 6  # i, p, q, a, {b, r, s} and the dead class
+
+
+def _twinned(rng, width):
+    """A random deterministic automaton over 2k states in which state x + k
+    twins x: its pairs' rows are x's with one column's 0 and 1 swapped in
+    every guard, in either position, so the two always have equal symbol
+    counts per block.  Most rows split on that column first."""
+    k, column = rng.randint(1, 4), rng.randrange(width)
+
+    def cubes(pattern, free):
+        if not free or rng.random() < 0.5:
+            return [pattern]
+        j = rng.choice(free)
+        return [cube for bit in "01"
+                for cube in cubes(pattern[:j] + bit + pattern[j + 1:], [f for f in free if f != j])]
+
+    def flipped(guard):
+        return guard[:column] + {"0": "1", "1": "0", "*": "*"}[guard[column]] + guard[column + 1:]
+
+    star, others = "*" * width, [j for j in range(width) if j != column]
+    table = {}
+    for left, right in itertools.product(range(k), repeat=2):
+        if rng.random() < 0.3:
+            continue
+        halves = ([star[:column] + bit + star[column + 1:] for bit in "01"]
+                  if rng.random() < 0.8 else [star])
+        row = {cube: rng.randrange(2 * k) for half in halves for cube in cubes(half, others)
+               if rng.random() < 0.8}
+        flip = {flipped(g): t for g, t in row.items()}
+        table.update({(left, right): row, (left + k, right): flip,
+                      (left, right + k): flip, (left + k, right + k): row})
+    finals = {s for s in range(k) if rng.random() < 0.4}
+    return TreeAutomaton(width, range(2 * k), 0, finals | {f + k for f in finals}, table)
+
+
+def test_minimize_twins_with_colliding_counts_randomized():
+    # Twins stay together through the symbol counts; the diagrams then split
+    # those that differ.  515 cases leave a block of two after the counts,
+    # and in 208 of them the diagrams split a block.
+    rng = random.Random(2029)
+    second_stage = split = 0
+    for _ in range(150):
+        aut = _twinned(rng, rng.randint(1, 3))
+        for variant in (aut, aut.complement(), aut.with_materialized_sink(),
+                        _with_added_sink(aut)):
+            _assert_minimize_matches_dense(variant)
+            minimal = variant.minimize()
+            classes = ref_count_classes(variant)
+            if any(len(members) > 1 for members in classes):
+                second_stage += 1
+                # an unreached dead state alone in its block is dropped
+                split += len(minimal.states) + (minimal.sink is None) > len(classes)
+            canonical = minimal.renumbered()
+            assert automaton_fields(canonical.renumbered()) == automaton_fields(canonical)
+            assert automaton_fields(canonical.minimize()) == automaton_fields(canonical)
+    assert second_stage >= 400 and split >= 150
 
 
 def test_minimize_requires_deterministic():
