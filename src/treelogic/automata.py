@@ -37,9 +37,11 @@ Conventions:
   ``minimize`` sums symbol counts and merges a quotient row once per row,
   and builds diagrams, a shape once per guard list, only for the states
   symbol counts leave in blocks of two or more.
-* Runs (``run``, ``run_set``, ``accepts``) share one fold over a
-  breadth-first node list read in reverse, one memo lookup per node, so
-  their depth is not bounded by the recursion limit.
+* Runs (``run``, ``run_set``, ``accepts``) share one fold, one memo
+  lookup per node.  It values a tree's top ``_RECURSION_BUDGET`` levels
+  by recursion, which is cheaper per node than an explicit stack, and
+  each subtree below them over a breadth-first node list read in
+  reverse, so their depth is not bounded by the recursion limit.
 * States are ``0..n-1`` (``states`` is ``range(n)``), meaningless across
   automata (compare languages with ``equivalent``).  A deterministic
   entry's target is an int, a nondeterministic one's a frozenset of them.
@@ -83,6 +85,10 @@ from .trees import Node, Tree, tree_sort_key, validate_tree
 
 PairKey = tuple[int, int]
 Entry = tuple[int, "int | frozenset[int]"]
+
+# Runs value this many top levels of a tree by recursion and the subtrees
+# below them with an explicit stack (see ``TreeAutomaton._fold``).
+_RECURSION_BUDGET = 64
 
 
 class AutomatonError(ValueError):
@@ -210,7 +216,9 @@ class TreeAutomaton:
 
     def run(self, tree: Tree) -> int | None:
         """The number of the state reached on the tree (deterministic mode):
-        the sink, or None when the dead state is implicit."""
+        the sink, or None when the dead state is implicit.  Like ``run_set``
+        and ``accepts``, it recurses over the tree's top levels only and
+        values deeper subtrees with an explicit stack (see ``_fold``)."""
         if not self.deterministic:
             raise AutomatonError("run() requires a deterministic automaton")
         return self._fold(tree, self.initial, self._fill_state)
@@ -225,32 +233,19 @@ class TreeAutomaton:
         return bool(self._fold(tree, frozenset({self.initial}), self._fill_states) & self.finals)
 
     def _fold(self, tree: Tree, leaf, fill):
-        """The tree's bottom-up value, without recursion.  Nodes are listed
-        breadth-first, so read in reverse each comes after its children,
-        and the children's values are taken first in, first out: a node's
-        right child's value, then its left child's.  Each step is read from
-        the memo ``_steps[left][right][label]`` and computed by ``fill`` the
-        first time it is met.  ``run`` keys it by states (ints) and
-        ``run_set`` by state sets (frozensets), so the two never collide."""
+        """The tree's bottom-up value.  Each step is read from the memo
+        ``_steps[left][right][label]`` and computed by ``fill`` the first
+        time it is met; ``fill`` is handed the whole tree, so a bad label
+        is reported as the first in preorder.  ``run`` keys the memo by
+        states (ints) and ``run_set`` by state sets (frozensets), so the
+        two never collide.  The top ``_RECURSION_BUDGET`` levels are valued
+        by ``_fold_levels``' recursion, a Python call per node, which costs
+        less than the stack loop's list work; each subtree hanging below
+        them goes to ``_fold_stack``, so no depth of tree meets the
+        recursion limit."""
         if tree is None:
             return leaf
-        nodes = [tree]
-        for node in nodes:  # the list grows while it is read
-            if node.left is not None:
-                nodes.append(node.left)
-            if node.right is not None:
-                nodes.append(node.right)
-        steps = self._steps
-        values: list = []
-        push, take = values.append, iter(values).__next__
-        for node in reversed(nodes):
-            right = leaf if node.right is None else take()
-            left = leaf if node.left is None else take()
-            try:
-                push(steps[left][right][node.label])
-            except KeyError:
-                push(fill(left, right, node.label, tree))
-        return values[-1]
+        return _fold_levels(tree, _RECURSION_BUDGET, self._steps, leaf, fill, tree)
 
     def _fill_state(self, left, right, label: str, tree: Tree) -> int | None:
         self._check_label(label, tree)
@@ -707,34 +702,48 @@ class TreeAutomaton:
         Lightest-derivation search (Knuth 1977): a tree's key exceeds its
         subtrees' and grows with theirs, so the first tree popped for a
         state is its least.  Equal keys mean equal trees, so the heap never
-        has to order two ``Node``s.
+        has to order two ``Node``s.  Each reached state keeps its tree's key
+        beside the tree, and a candidate's key is built from its children's.
         """
-        best: dict[int, Tree] = {}
+        best: dict[int, tuple] = {}  # state: (its tree's key, its tree)
+        labels: dict[int, str] = {}  # guard: its label, made once
         heap = [(tree_sort_key(None), self.initial, None)]
         while heap:
-            _, state, tree = heapq.heappop(heap)
+            key, state, tree = heapq.heappop(heap)
             if state in best:
                 continue
             if state in self.finals:
                 return tree
-            best[state] = tree
+            best[state] = key, tree
             for other in best:
                 for left, right in {(state, other), (other, state)}:
+                    (count_l, labels_l, shape_l), tree_l = best[left]
+                    (count_r, labels_r, shape_r), tree_r = best[right]
                     for guard, targets in self.transitions.get((left, right), ()):
-                        node = Node(gp.text(guard, self.width).replace("*", "0"),
-                                    best[left], best[right])
-                        for target in _targets(targets):
-                            if target not in best:
-                                heapq.heappush(heap, (tree_sort_key(node), target, node))
+                        fresh = [t for t in _targets(targets) if t not in best]
+                        if not fresh:
+                            continue
+                        label = labels.get(guard)
+                        if label is None:
+                            label = labels[guard] = gp.text(guard, self.width).replace("*", "0")
+                        # tree_sort_key(node), from the children's keys
+                        key = (1 + count_l + count_r, (label,) + labels_l + labels_r,
+                               "(" + shape_l + shape_r + ")")
+                        node = Node(label, tree_l, tree_r)
+                        for target in fresh:
+                            heapq.heappush(heap, (key, target, node))
         return None
 
     # ------------------------------------------------------------------
     # canonical renaming and the text format
 
     def renumbered(self) -> "TreeAutomaton":
-        """Renumber the states in a canonical discovery order, independent
-        of the current numbering (for reachable automata), without names.
-        A pair reads its entries, so only listed pairs are explored."""
+        """Renumber the states in a discovery order, without names.  The
+        order is canonical, independent of the current numbering, only for
+        reachable deterministic automata: a nondeterministic entry's targets
+        are discovered, and the states no listed entry reaches appended, in
+        their current order.  A pair reads its entries, so only listed
+        pairs are explored."""
         order, _ = _explore(
             self.initial, lambda left, right: self.transitions.get((left, right)),
             lambda entries: [(g, t) for g, ts in entries for t in sorted(_targets(ts))])
@@ -837,6 +846,46 @@ def fresh_name(base: str, taken) -> str:
         n += 1
         name = f"{base}{n}"
     return name
+
+
+def _fold_levels(node: Node, budget: int, steps: dict, leaf, fill, tree: Node):
+    """``TreeAutomaton._fold``'s value of ``node``, a subtree of ``tree``,
+    by recursion over its top ``budget`` levels.  A module function, not a
+    closure: a closure that calls itself is a reference cycle, left to the
+    garbage collector on every run."""
+    if not budget:
+        return _fold_stack(node, steps, leaf, fill, tree)
+    budget -= 1
+    left = leaf if node.left is None else _fold_levels(node.left, budget, steps, leaf, fill, tree)
+    right = leaf if node.right is None else _fold_levels(node.right, budget, steps, leaf, fill, tree)
+    try:
+        return steps[left][right][node.label]
+    except KeyError:
+        return fill(left, right, node.label, tree)
+
+
+def _fold_stack(subtree: Node, steps: dict, leaf, fill, tree: Node):
+    """``TreeAutomaton._fold``'s value of ``subtree``, a subtree of
+    ``tree``, without recursion.  Nodes are listed breadth-first, so read
+    in reverse each comes after its children, and the children's values
+    are taken first in, first out: a node's right child's value, then its
+    left child's."""
+    nodes = [subtree]
+    for node in nodes:  # the list grows while it is read
+        if node.left is not None:
+            nodes.append(node.left)
+        if node.right is not None:
+            nodes.append(node.right)
+    values: list = []
+    push, take = values.append, iter(values).__next__
+    for node in reversed(nodes):
+        right = leaf if node.right is None else take()
+        left = leaf if node.left is None else take()
+        try:
+            push(steps[left][right][node.label])
+        except KeyError:
+            push(fill(left, right, node.label, tree))
+    return values[-1]
 
 
 def _overlap(entries, width: int) -> tuple[str, str] | None:

@@ -90,8 +90,13 @@ def test_runs_match_recursive_runs_randomized():
 
 
 def _chain(depth, label, bottom):
-    tree = Node(bottom)
-    for _ in range(depth - 1):
+    return _chain_of([label] * (depth - 1) + [bottom])
+
+
+def _chain_of(labels):
+    """A left chain with these labels, the root's first."""
+    tree = None
+    for label in reversed(labels):
         tree = Node(label, tree, None)
     return tree
 
@@ -105,6 +110,10 @@ def _chain(depth, label, bottom):
     # The run meets "1b" first (it is last breadth-first), but "0a" comes
     # first in preorder.
     (Node("00", Node("0a", Node("00")), Node("00", None, Node("00", None, Node("1b")))),
+     ValueError, "bad label '0a', expected 2 bits"),
+    # Across the depth line: the stack part meets "1b" first, below the
+    # line, but the whole tree is checked, so "0a", above it, is named.
+    (_chain_of(["01"] * 5 + ["0a"] + ["01"] * automata._RECURSION_BUDGET + ["1b"]),
      ValueError, "bad label '0a', expected 2 bits"),
 ])
 def test_run_errors_name_the_first_bad_label(ac_com_automaton, tree, error,
@@ -149,15 +158,30 @@ def test_bad_label_above_a_dead_child_or_an_unlisted_pair_raises(monkeypatch):
 
 
 def test_runs_finish_on_deep_chain():
+    # With the recursion limit just above the frames in use plus the depth
+    # budget, deep trees still finish: below the line runs do not recurse.
     sing = sing_automaton()
     closed = zero_pad_closure(sing)
     tree = _chain(10**5, "0", "1")
-    assert validate_tree(tree) == 1
-    assert sing.accepts(tree)
-    assert closed.accepts(tree)
-    assert closed.run_set(_chain(10**5, "0", "0")).isdisjoint(closed.finals)
-    with pytest.raises(ValueError, match="bad label '2'"):
-        sing.accepts(_chain(10**5, "0", "2"))
+    zigzag = Node("1")
+    for i in range(10**5 - 1):
+        zigzag = Node("0", zigzag, None) if i % 2 else Node("0", None, zigzag)
+    assert validate_tree(tree) == validate_tree(zigzag) == 1
+    frames, frame = 0, sys._getframe()
+    while frame is not None:
+        frames, frame = frames + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + automata._RECURSION_BUDGET + 20)
+    try:
+        for deep in (tree, zigzag):
+            assert sing.accepts(deep)
+            assert closed.accepts(deep)
+            assert sing.run_set(deep) == {sing.run(deep)} <= sing.finals
+        assert closed.run_set(_chain(10**5, "0", "0")).isdisjoint(closed.finals)
+        with pytest.raises(ValueError, match="bad label '2'"):
+            sing.accepts(_chain(10**5, "0", "2"))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _lopsided_trees(rng, width, depth=12):
@@ -178,7 +202,8 @@ def _lopsided_trees(rng, width, depth=12):
 
 def test_second_pass_reads_only_the_memo(ac_com_automaton, monkeypatch):
     # Every step of a second pass over the same trees is a memo hit, so no
-    # guard is read; both passes agree with the recursive runs.
+    # guard is read; both passes agree with the recursive runs, on whichever
+    # side of the depth line a node lies.
     rng = random.Random(71)
     matched = 0
     matches = gp.matches
@@ -188,23 +213,61 @@ def test_second_pass_reads_only_the_memo(ac_com_automaton, monkeypatch):
         matched += 1
         return matches(guard, symbol)
 
-    for aut in [*_run_cases(rng, 40), ac_com_automaton,
-                ac_com_automaton.project(1).cylindrify(1),
-                zero_pad_closure(sing_automaton(2, 1))]:
-        trees = _lopsided_trees(rng, aut.width) + [random_tree(rng, 60, aut.width)]
-        for second in (False, True):
-            monkeypatch.setattr(gp, "matches", counted)
-            matched = 0
-            sets = [aut.run_set(tree) for tree in trees]
-            states = [aut.run(tree) for tree in trees] if aut.deterministic else []
-            verdicts = [aut.accepts(tree) for tree in trees]
-            monkeypatch.undo()
-            if second:
-                assert matched == 0
-            assert sets == [recursive_run_set(aut, tree) for tree in trees]
+    for budget in (0, 1, 2, automata._RECURSION_BUDGET):
+        monkeypatch.setattr(automata, "_RECURSION_BUDGET", budget)
+        for aut in [*_run_cases(rng, 40), ac_com_automaton,
+                    ac_com_automaton.project(1).cylindrify(1),
+                    zero_pad_closure(sing_automaton(2, 1))]:
+            trees = _lopsided_trees(rng, aut.width) + [random_tree(rng, 60, aut.width)]
+            for second in (False, True):
+                with monkeypatch.context() as patch:
+                    patch.setattr(gp, "matches", counted)
+                    matched = 0
+                    sets = [aut.run_set(tree) for tree in trees]
+                    states = [aut.run(tree) for tree in trees] if aut.deterministic else []
+                    verdicts = [aut.accepts(tree) for tree in trees]
+                if second:
+                    assert matched == 0
+                assert sets == [recursive_run_set(aut, tree) for tree in trees]
+                if aut.deterministic:
+                    assert states == [recursive_run(aut, tree) for tree in trees]
+                assert verdicts == [recursive_accepts(aut, tree) for tree in trees]
+
+
+def _comb(rng, width, spine, tooth):
+    """A right spine of ``spine`` nodes, each with a left chain of
+    ``tooth`` nodes, random labels."""
+    def label():
+        return "".join(rng.choice("01") for _ in range(width))
+
+    tree = None
+    for _ in range(spine):
+        tooth_tree = None
+        for _ in range(tooth):
+            tooth_tree = Node(label(), tooth_tree, None)
+        tree = Node(label(), tooth_tree, tree)
+    return tree
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, automata._RECURSION_BUDGET])
+def test_runs_agree_across_the_depth_line(monkeypatch, budget):
+    # Lopsided trees of heights budget - 1 to budget + 2 end just above or
+    # just below the line, and the comb's teeth hang across and below it.
+    monkeypatch.setattr(automata, "_RECURSION_BUDGET", budget)
+    rng = random.Random(79)
+    auts = [*_run_cases(rng, 24), zero_pad_closure(sing_automaton(2, 1)),
+            TreeAutomaton.from_text(fixture_text("ac_com.aut"))]
+    kinds = {(aut.deterministic, aut.sink is None) for aut in auts}
+    assert kinds == {(True, True), (True, False), (False, True)}
+    for aut in auts:
+        trees = [tree for height in range(max(budget - 1, 1), budget + 3)
+                 for tree in _lopsided_trees(rng, aut.width, height)[:3]]
+        trees.append(_comb(rng, aut.width, budget + 3, 3))
+        for tree in trees:
+            assert aut.accepts(tree) == recursive_accepts(aut, tree)
+            assert aut.run_set(tree) == recursive_run_set(aut, tree)
             if aut.deterministic:
-                assert states == [recursive_run(aut, tree) for tree in trees]
-            assert verdicts == [recursive_accepts(aut, tree) for tree in trees]
+                assert aut.run(tree) == recursive_run(aut, tree)
 
 
 def _in_threads(work, count=8):
