@@ -53,9 +53,9 @@ Conventions:
   deterministic automata canonically.
 * The constructions build their tables in canonical form and hand them to
   ``_canonical``, which neither normalizes nor validates.  The public
-  constructor (so ``from_text``) does both.  ``project`` and the
-  compiler's closure go through it with ``range(n)`` states to normalize:
-  dropping a column or copying entries can make two guards collide.
+  constructor, called only by ``from_text`` and the compiler's relation
+  memo, does both.  ``project`` and the compiler's closure ``_normalize``
+  first: dropping a column or copying entries can make guards collide.
 
 Text format (one construct per line, ``#`` starts a comment)::
 
@@ -98,8 +98,8 @@ class AutomatonError(ValueError):
 def _normalize(transitions) -> dict[PairKey, tuple[Entry, ...]]:
     """Accepts {pair: {guard: target-or-targets}} or {pair: iterable of
     (guard, target-or-targets)}, the guards of a pair all text or all
-    ints; returns the canonical sorted form, guards as given.  Its one
-    caller is the public constructor (see the module docstring)."""
+    ints; returns the canonical sorted form, guards as given.  Its callers
+    are the public constructor, ``project`` and the compiler's closure."""
     norm: dict[tuple, dict[str | int, set]] = {}
     for pair, entries in transitions.items():
         items = entries.items() if isinstance(entries, dict) else entries
@@ -346,16 +346,20 @@ class TreeAutomaton:
 
     def with_materialized_sink(self) -> "TreeAutomaton":
         """Make the implicit dead state explicit: every state pair covers the
-        whole symbol space.  Deterministic automata only."""
+        whole symbol space, and pairs that list one row, or none, share one
+        total row.  Deterministic automata only."""
         if not self.deterministic:
             raise AutomatonError("cannot materialize the sink of a nondeterministic automaton")
         n = len(self.states) + (self.sink is None)
         sink = n - 1 if self.sink is None else self.sink
         transitions: dict[PairKey, tuple[Entry, ...]] = {}
+        total: dict[int, tuple[Entry, ...]] = {}  # by the listed row's identity
         for pair in itertools.product(range(n), repeat=2):
             listed = self.transitions.get(pair, ())
-            transitions[pair] = tuple(sorted([*listed, *(
-                (cube, sink) for cube in gp.uncovered([g for g, _ in listed]))]))
+            if (row := total.get(id(listed))) is None:
+                row = total[id(listed)] = tuple(sorted([*listed, *(
+                    (cube, sink) for cube in gp.uncovered([g for g, _ in listed]))]))
+            transitions[pair] = row
         return TreeAutomaton._canonical(self.width, n, self.initial,
                                         self.finals, transitions, True, sink)
 
@@ -451,9 +455,8 @@ class TreeAutomaton:
             pair: [(gp.drop_position(g, pos, self.width), ts) for g, ts in pair_entries]
             for pair, pair_entries in self.transitions.items()
         }
-        return TreeAutomaton(self.width - 1, self.states, self.initial,
-                             self.finals, transitions,
-                             deterministic=False, sink=None, validate=False)
+        return TreeAutomaton._canonical(self.width - 1, len(self.states), self.initial,
+                                        self.finals, _normalize(transitions), False)
 
     def cylindrify(self, pos: int) -> "TreeAutomaton":
         """Insert a don't-care bit position; inverse image of projection."""

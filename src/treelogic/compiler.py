@@ -8,14 +8,14 @@ automaton of every subformula is minimized by default, which doubles as the
 satisfiability test: the minimal automaton of an unsatisfiable formula has a
 single non-final initial state.
 
-Atoms and whole formulas (``compile_formula``), but no subformula in
-between, come from one cache on the ``CompilationContext``: each is built
-once per renaming of its free variables by rank, over just those
-variables, and remapped to where they are (``TreeAutomaton.remap``).  An
-atom or quantifier-free formula is then its compile over the whole table,
-field for field.  A quantified one is equivalent, but may print other cubes
-where the table has columns it does not mention: the zero-padding closure
-reads the all-zero symbol over the columns it is given.
+A relation's automaton is built once per process, and an atom remaps it.
+A whole formula (``compile_formula``) comes from the context's cache: it is
+built once per renaming of its free variables by rank, over just those
+variables, and remapped to where they are (``TreeAutomaton.remap``).  A
+quantifier-free formula is then its compile over the whole table, field for
+field.  A quantified one is equivalent, but may print other cubes where the
+table has columns it does not mention: the zero-padding closure reads the
+all-zero symbol over the columns it is given.
 
 First-order variables denote single nodes but are tracked as set bits; the
 compiler conjoins a singleton constraint for each bound first-order variable
@@ -36,11 +36,12 @@ then a minimization.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 from . import guards as gp
-from .automata import TreeAutomaton
+from .automata import TreeAutomaton, _normalize
 from .formulas import (ATOM_SORTS, FIRST, SECOND, And, Atom, Exists1, Exists2,
                        FalseF, Formula, Not, Or, TrueF, VarTable, _binder_depth,
                        _has_call, build_var_table, desugar, free_variables,
@@ -72,10 +73,10 @@ class CompilationContext:
     minimize_steps: bool = True
     max_width: int = 16
     stats: list[CompileStep] = field(default_factory=list)
-    # (builder, formula with its free variables renamed by rank) -> its
-    # automaton over just those variables; see ``_compact``
-    compiled: dict[tuple, TreeAutomaton] = field(default_factory=dict,
-                                                 init=False, repr=False)
+    # formula with its free variables renamed by rank -> its automaton over
+    # just those variables; see ``compile_formula``
+    compiled: dict[Formula, TreeAutomaton] = field(default_factory=dict,
+                                                   init=False, repr=False)
     _last_minimized: tuple | None = field(default=None, init=False, repr=False)
 
 
@@ -136,13 +137,9 @@ _TABLES["eq1"] = _TABLES["eqset"]
 
 def base_automaton(kind: str, positions, width: int) -> TreeAutomaton:
     """Minimal deterministic automaton of one atomic relation over bit
-    positions, all other bits don't-care.
-
-    The relation's table is built over its own argument bits, with its two
-    guard columns swapped when the first argument sits at the higher
-    position, minimized, and placed at the sorted positions with
-    ``TreeAutomaton.remap``.
-    """
+    positions, all other bits don't-care: the relation's automaton over its
+    distinct arguments' bits (``_relation``) placed at their sorted
+    positions with ``TreeAutomaton.remap``."""
     if kind not in ATOM_SORTS:
         raise CompileError(f"unknown relation {kind!r}")
     positions = tuple(positions)
@@ -151,22 +148,25 @@ def base_automaton(kind: str, positions, width: int) -> TreeAutomaton:
     for pos in positions:
         if not 0 <= pos < width:
             raise CompileError(f"position {pos} out of range for width {width}")
+    places = sorted(set(positions))
+    return _relation(kind, tuple(map(places.index, positions))).remap(places, width)
 
-    if len(positions) == 2 and positions[0] == positions[1]:
-        # Reflexive instances collapse: equality-style relations hold of
-        # every labeling, the irreflexive orders of none.
-        if kind in ("rdom", "eqset", "eq1", "sub", "in"):
-            aut = TreeAutomaton.all_trees(width)
-        else:
-            aut = TreeAutomaton.empty_language(width)
-        return aut.minimize()
+
+@functools.cache
+def _relation(kind: str, ranks: tuple[int, ...]) -> TreeAutomaton:
+    """The relation's minimal automaton with argument ``i`` at bit
+    ``ranks[i]``, built once per process: its table, guard columns swapped
+    for ranks (1, 0).  Reflexive instances collapse: equality-style
+    relations hold of every labeling, the irreflexive orders of none."""
+    if ranks == (0, 0):
+        return (TreeAutomaton.all_trees(1) if kind in ("rdom", "eqset", "eq1", "sub", "in")
+                else TreeAutomaton.empty_language(1)).minimize()
     states, final, transitions = _TABLES[kind]
-    if len(positions) == 2 and positions[0] > positions[1]:
+    if ranks == (1, 0):
         transitions = {pair: {g[::-1]: t for g, t in entries.items()}
                        for pair, entries in transitions.items()}
-    aut = TreeAutomaton(len(positions), {*states, "s"}, states[0], {final},
-                        transitions, sink="s")
-    return aut.minimize().remap(sorted(positions), width)
+    return TreeAutomaton(len(ranks), {*states, "s"}, states[0], {final},
+                         transitions, sink="s").minimize()
 
 
 # ----------------------------------------------------------------------
@@ -190,12 +190,12 @@ def zero_pad_closure(aut: TreeAutomaton) -> TreeAutomaton:
     # that match the all-zero symbol.
     zero_only = {pair: [(g, ts) for g, ts in entries if gp.matches(g, zero)]
                  for pair, entries in aut.transitions.items()}
-    zstar = TreeAutomaton(aut.width, aut.states, aut.initial, (), zero_only,
-                          deterministic=False, validate=False).reachable_states()
+    zstar = TreeAutomaton._canonical(aut.width, len(aut.states), aut.initial, (),
+                                     _normalize(zero_only), False).reachable_states()
     zbar = len(aut.states)  # the next state number
 
     # A child in zstar may also be read as zbar, so its pair's entries are
-    # copied to the pairs with zbar in its place; the constructor merges
+    # copied to the pairs with zbar in its place; ``_normalize`` merges
     # guards that collide.
     transitions: dict[tuple[int, int], list] = {(zbar, zbar): [(zero, zbar)]}
     for (left, right), entries in aut.transitions.items():
@@ -207,8 +207,8 @@ def zero_pad_closure(aut: TreeAutomaton) -> TreeAutomaton:
     finals = set(aut.finals)
     if zstar & aut.finals:
         finals.add(zbar)
-    return TreeAutomaton(aut.width, range(zbar + 1), zbar, finals,
-                         transitions, deterministic=False, validate=False)
+    return TreeAutomaton._canonical(aut.width, zbar + 1, zbar, finals,
+                                    _normalize(transitions), False)
 
 
 # ----------------------------------------------------------------------
@@ -228,55 +228,38 @@ def compile_formula(formula: Formula, ctx: CompilationContext | None = None
         raise CompileError("expand macros before compiling")
     if ctx is None:
         ctx = CompilationContext(build_var_table(formula))
-    for name, sort in free_variables(formula):
-        if not ctx.table.has(name):
+    table, free = ctx.table, free_variables(formula)
+    for name, sort in free:
+        if not table.has(name):
             raise CompileError(f"unbound variable {name!r}")
-        if ctx.table.sort_of(name) != sort:
+        if table.sort_of(name) != sort:
             raise CompileError(f"variable {name!r} used as {sort}-order but "
-                               f"declared {ctx.table.sort_of(name)}-order")
-    if ctx.table.width > ctx.max_width:
+                               f"declared {table.sort_of(name)}-order")
+    if table.width > ctx.max_width:
         raise WidthOverflowError(
-            f"table width {ctx.table.width} exceeds maximum {ctx.max_width}")
+            f"table width {table.width} exceeds maximum {ctx.max_width}")
     # Each quantifier adds a column.  Checked on the whole table, so that a
     # compile over fewer columns fails where one over all of them would.
-    if ctx.table.width + _binder_depth(formula) > ctx.max_width:
+    if table.width + _binder_depth(formula) > ctx.max_width:
         raise WidthOverflowError(
             f"width {ctx.max_width + 1} exceeds maximum {ctx.max_width}")
-    return _compact(ctx, _whole, formula, ctx.table)
-
-
-def _compact(ctx: CompilationContext, build, f: Formula, table: VarTable
-             ) -> TreeAutomaton:
-    """``build(f, ctx, compact)`` over the table ``compact`` of just ``f``'s
-    free variables in table order, remapped to their positions in ``table``.
-    It is built once per context for each ``build`` and each ``f`` with its
-    free variables renamed by rank (``v0``, ``V1``, ...)."""
-    free = sorted(free_variables(f), key=lambda entry: table.position(entry[0]))
-    rank = {name: f"{'v' if sort == FIRST else 'V'}{i}"
-            for i, (name, sort) in enumerate(free)}
-    key = (build, substitute(f, rank))
+    # Built once per context for each formula with its free variables
+    # renamed by rank (``v0``, ``V1``, ...), over just those variables in
+    # table order and with each free node's singleton constraint conjoined
+    # at the top, then remapped to their positions in the table.
+    ranked = sorted(free, key=lambda entry: table.position(entry[0]))
+    key = substitute(formula, {name: f"{'v' if sort == FIRST else 'V'}{i}"
+                               for i, (name, sort) in enumerate(ranked)})
     compiled = ctx.compiled.get(key)
     if compiled is None:
-        compiled = ctx.compiled[key] = build(f, ctx, VarTable(tuple(free)))
-    return compiled.remap([table.position(name) for name, _ in free],
-                          table.width)
-
-
-def _whole(f: Formula, ctx: CompilationContext, table: VarTable) -> TreeAutomaton:
-    """The formula's automaton over the table, with the singleton constraint
-    of each free first-order variable conjoined at the top."""
-    prepared = rename_bound_apart(desugar(f))
-    aut = _compile(prepared, ctx, table)
-    for name, sort in free_variables(f):
-        if sort == FIRST:
-            sing = _compact(ctx, _atom, Atom("sing", (name,)), table)
-            aut = _step(ctx, f"sing:{name}", aut.intersect(sing))
-    return aut
-
-
-def _atom(f: Atom, ctx: CompilationContext, table: VarTable) -> TreeAutomaton:
-    return base_automaton(f.kind, tuple(map(table.position, f.args)),
-                          table.width)
+        compact = VarTable(tuple(ranked))
+        compiled = _compile(rename_bound_apart(desugar(formula)), ctx, compact)
+        for name, sort in free:  # in first-occurrence order
+            if sort == FIRST:
+                sing = base_automaton("sing", (compact.position(name),), compact.width)
+                compiled = _step(ctx, f"sing:{name}", compiled.intersect(sing))
+        ctx.compiled[key] = compiled
+    return compiled.remap([table.position(name) for name, _ in ranked], table.width)
 
 
 def _fields(aut: TreeAutomaton) -> tuple:
@@ -312,7 +295,7 @@ def _compile(f: Formula, ctx: CompilationContext, table: VarTable) -> TreeAutoma
     if isinstance(f, FalseF):
         return _step(ctx, "false", TreeAutomaton.empty_language(width))
     if isinstance(f, Atom):
-        aut = _compact(ctx, _atom, f, table)
+        aut = base_automaton(f.kind, tuple(map(table.position, f.args)), width)
         return _record(ctx, f"atom:{f.kind}", len(aut.states), aut)
     if isinstance(f, And):
         left = _compile(f.left, ctx, table)
@@ -333,7 +316,7 @@ def _compile(f: Formula, ctx: CompilationContext, table: VarTable) -> TreeAutoma
         pos = inner_table.width - 1
         body = _compile(f.body, ctx, inner_table)
         if sort == FIRST:
-            sing = _compact(ctx, _atom, Atom("sing", (f.var,)), inner_table)
+            sing = base_automaton("sing", (pos,), inner_table.width)
             body = _step(ctx, f"sing:{f.var}", body.intersect(sing))
         closed = _record(ctx, "close", len(body.states),
                          zero_pad_closure(body.project(pos)))

@@ -750,6 +750,40 @@ def ref_compile(f: Formula, ctx: compiler.CompilationContext, table
 
 
 # ----------------------------------------------------------------------
+# named builds: ``project`` and ``compiler.zero_pad_closure`` as they were
+# when their tables went through the public constructor, whose
+# normalization their ``_normalize`` then ``_canonical`` must match field
+# for field
+
+
+def ref_named_project(aut: TreeAutomaton, pos: int) -> TreeAutomaton:
+    transitions = {
+        pair: [(gp.drop_position(g, pos, aut.width), ts) for g, ts in entries]
+        for pair, entries in aut.transitions.items()
+    }
+    return TreeAutomaton(aut.width - 1, aut.states, aut.initial, aut.finals,
+                         transitions, deterministic=False, validate=False)
+
+
+def ref_named_zero_pad_closure(aut: TreeAutomaton) -> TreeAutomaton:
+    zero = gp.LOW & ((1 << 2 * aut.width) - 1)
+    zero_only = {pair: [(g, ts) for g, ts in entries if gp.matches(g, zero)]
+                 for pair, entries in aut.transitions.items()}
+    zstar = TreeAutomaton(aut.width, aut.states, aut.initial, (), zero_only,
+                          deterministic=False, validate=False).reachable_states()
+    zbar = len(aut.states)
+    transitions: dict[PairKey, list] = {(zbar, zbar): [(zero, zbar)]}
+    for (left, right), entries in aut.transitions.items():
+        lefts = [left, zbar] if left in zstar else [left]
+        rights = [right, zbar] if right in zstar else [right]
+        for pair in itertools.product(lefts, rights):
+            transitions.setdefault(pair, []).extend(entries)
+    finals = set(aut.finals) | ({zbar} if zstar & aut.finals else set())
+    return TreeAutomaton(aut.width, range(zbar + 1), zbar, finals,
+                         transitions, deterministic=False, validate=False)
+
+
+# ----------------------------------------------------------------------
 # whole formulas: the compile over the whole table that compile_formula's
 # compile over the formula's own columns, remapped, must agree with, field
 # for field without quantifiers and in languages always

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from treelogic import AutomatonError, TreeAutomaton, automata
+from treelogic import AutomatonError, TreeAutomaton, automata, compiler
 from treelogic import guards as gp
 from treelogic.cli import main
 from treelogic.compiler import zero_pad_closure
@@ -18,7 +18,8 @@ from oracle import (entry_targets, iter_trees, language_sample, random_determini
                     random_label_deterministic, random_nondeterministic,
                     random_tree, recursive_accepts, recursive_run,
                     recursive_run_set, ref_count_classes, ref_determinize, ref_explore,
-                    ref_minimize, ref_product, ref_reachable_states_detailed, ref_witness)
+                    ref_minimize, ref_named_project, ref_named_zero_pad_closure,
+                    ref_product, ref_reachable_states_detailed, ref_witness)
 from test_acceptance import CONTRADICTIONS, ORACLE_SUITE, compiled
 
 sys.path.append(str(FIXTURES.parent.parent / "benchmarks"))
@@ -549,8 +550,9 @@ def test_width_16_chain_meets_few_guards(monkeypatch):
 
 def test_width_16_chain_normalizes_only_its_atom_tables(monkeypatch):
     # Constructions hand their tables over in canonical form; only the
-    # literal atom tables (in, prec, sing) go through _normalize, against
-    # 66 calls when every construction normalized its own table.
+    # literal atom tables (in, prec, sing) go through _normalize, and only
+    # on their first build in the process, against 66 calls when every
+    # construction normalized its own table.
     calls = 0
     normalize = automata._normalize
 
@@ -756,6 +758,30 @@ def test_ladder_5_computes_few_subset_steps(monkeypatch):
     monkeypatch.setattr(gp, "constrained_positions", counted)
     compiled(ladder_text(5))
     assert calls <= 120
+
+
+def test_project_and_closure_match_named_builds(monkeypatch):
+    # Both hand their normalized tables to the trusted constructor; the
+    # automata are those the public constructor made of the same tables.
+    inputs = _random_automata(random.Random(3107), 150, (1, 3), 5)
+    projected, closed = [], []
+    project, closure = TreeAutomaton.project, compiler.zero_pad_closure
+    monkeypatch.setattr(TreeAutomaton, "project", lambda self, pos:
+                        projected.append((self, pos)) or project(self, pos))
+    monkeypatch.setattr(compiler, "zero_pad_closure",
+                        lambda aut: closed.append(aut) or closure(aut))
+    for k in range(1, 6):
+        compiled(ladder_text(k))
+    monkeypatch.undo()
+    # one quantifier per block: 1 + 2 + 3 + 4 + 5
+    assert len(projected) == len(closed) == 15
+    cases = [(aut, pos) for aut in inputs for pos in range(aut.width)]
+    for aut, pos in cases + projected:
+        assert automaton_fields(aut.project(pos)) == \
+            automaton_fields(ref_named_project(aut, pos))
+    for aut in inputs + closed:
+        assert automaton_fields(zero_pad_closure(aut)) == \
+            automaton_fields(ref_named_zero_pad_closure(aut))
 
 
 # ----------------------------------------------------------------------
@@ -1276,6 +1302,27 @@ def test_deterministic_totality_exactly_one_transition():
                     hits = [t for g, t in entries
                             if gp.matches(g, gp.parse(symbol, 2))]
                     assert len(hits) == 1
+
+
+def test_materialized_sink_shares_rows():
+    # Pairs that read one listed row, by identity, share one total row, and
+    # so do the unlisted pairs; pairs that read different rows do not.
+    rng = random.Random(3011)
+    shared_somewhere = False
+    for _ in range(40):
+        aut = random_deterministic(rng, width=2, max_states=6).minimize()
+        total = aut.with_materialized_sink()
+        pairs = list(itertools.product(total.states, repeat=2))
+        listed = [id(aut.transitions.get(pair)) for pair in pairs]  # None if unlisted
+        rows = [id(total.transitions[pair]) for pair in pairs]
+        assert len(set(zip(listed, rows))) == len(set(listed)) == len(set(rows))
+        shared_somewhere |= len(set(rows)) < len(pairs)
+    assert shared_somewhere
+    row = ((gp.parse("0", 1), 1),)
+    aut = TreeAutomaton._canonical(1, 2, 0, {1}, {(0, 0): row, (0, 1): row}, True)
+    total = aut.with_materialized_sink()
+    assert total.transitions[0, 0] is total.transitions[0, 1]
+    assert len({id(r) for r in total.transitions.values()}) == 2
 
 
 # ----------------------------------------------------------------------

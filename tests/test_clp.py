@@ -5,7 +5,7 @@ import pytest
 from treelogic.clp import (Clause, GoalAtom, Program, ProgramError, Query,
                            Solver, SolveError, entails,
                            initial_store, load_program, parse_query, solve)
-from treelogic import clp, compiler
+from treelogic import clp
 from treelogic.cli import main
 from treelogic.compiler import CompilationContext, compile_formula
 from treelogic.formulas import (FormulaError, _binder_depth, free_variables,
@@ -411,17 +411,14 @@ def test_cached_constraints_equal_full_width_compiles(lexicon, pipeline):
     assert (compiles, hits) == (368, 159)
 
 
-def _whole_formulas(solver):
-    return [key for key in solver._context.compiled if key[0] is compiler._whole]
-
-
 def test_three_word_lexicon_query_hits_the_cache(lexicon):
     solver, applied, events = _applications(lexicon, parse_query(THREE_WORDS))
     cached = [detail["cached"] for kind, detail in events if kind == "constrain"]
     # the query's constraint is compiled first and has no event
     assert (len(applied), len(cached), solver.cache_hits) == (40, 39, 37)
     assert cached.count(True) == 37
-    assert len(_whole_formulas(solver)) == 3
+    # three whole formulas; the compile cache files no atom
+    assert len(solver._context.compiled) == 3
 
 
 def test_quantified_constraint_applied_twice_is_compiled_once(pipeline):
@@ -431,7 +428,7 @@ def test_quantified_constraint_applied_twice_is_compiled_once(pipeline):
     assert [d["cached"] for d in constrains] == [False, True]
     assert solver.cache_hits == 1
     # the query's ``true`` and classes_ok's quantified constraint
-    assert len(_whole_formulas(solver)) == 2
+    assert len(solver._context.compiled) == 2
     [_, first, second] = applied
     assert first[0] == second[0] and _binder_depth(first[0]) == 1
     assert automaton_fields(first[2]) == automaton_fields(second[2])

@@ -1,6 +1,8 @@
 import itertools
 import random
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -81,23 +83,56 @@ def test_reflexive_instances():
 
 
 def test_atom_table_matches_base_automaton():
-    # one context per width, so later position tuples hit shapes that
-    # earlier ones stored
+    # the compiler's atom step is base_automaton's result at the atom's
+    # table positions, and the compile cache files no atom
     for width in range(1, 6):
         ctx = CompilationContext(VarTable())
         table = VarTable(tuple((f"p{i}", FIRST) for i in range(width)))
         for kind, sorts in ATOM_SORTS.items():
             for positions in itertools.product(range(width), repeat=len(sorts)):
                 atom = Atom(kind, tuple(f"p{i}" for i in positions))
-                assert automaton_fields(compiler._compact(
-                    ctx, compiler._atom, atom, table)) == \
+                assert automaton_fields(compiler._compile(atom, ctx, table)) == \
                     automaton_fields(base_automaton(kind, positions, width)), \
                     (kind, positions, width)
-        # one entry per kind and pattern of ranks: sing, and each binary
-        # relation on one position and, from width 2 on, on two in both
-        # orders
-        assert len(ctx.compiled) == 1 + 8 * (1 if width == 1 else 3)
+                assert ctx.stats[-1].op == f"atom:{kind}"
+        assert ctx.compiled == {}
     assert "compiled" not in repr(ctx)
+    # one memo entry per kind and pattern of ranks: sing, and each binary
+    # relation on one position and on two in both orders
+    assert compiler._relation.cache_info().currsize == 1 + 8 * 3
+
+
+def test_atoms_in_a_second_context_are_not_minimized(monkeypatch):
+    calls = _count_minimize(monkeypatch)
+    table = VarTable(tuple((f"p{i}", FIRST) for i in range(3)))
+    atoms = [Atom(kind, tuple(f"p{i}" for i in positions))
+             for kind, sorts in ATOM_SORTS.items()
+             for positions in itertools.product(range(3), repeat=len(sorts))]
+    compiler._relation.cache_clear()
+    for atom in atoms:
+        compiler._compile(atom, CompilationContext(table), table)
+    # each kind and pattern of ranks is built and minimized once
+    assert len(calls) == 1 + 8 * 3
+    calls.clear()
+    ctx = CompilationContext(table)
+    for atom in atoms:
+        compiler._compile(atom, ctx, table)
+    assert calls == [] and len(ctx.stats) == len(atoms)
+
+
+def test_fresh_contexts_on_threads_compile_alike():
+    text = chain_text(8, "v", "S")
+    formula = expand_macros(*parse_formula(text))
+    compiler._relation.cache_clear()
+    start = threading.Barrier(8)  # so that the first builds race
+
+    def compile_fresh(_):
+        start.wait()
+        return compile_formula(formula).renumbered().to_text()
+
+    with ThreadPoolExecutor(8) as pool:
+        texts = list(pool.map(compile_fresh, range(8)))
+    assert texts == [compile_formula(formula).renumbered().to_text()] * 8
 
 
 def test_base_automaton_matches_full_width_reference():
@@ -108,11 +143,14 @@ def test_base_automaton_matches_full_width_reference():
                     automaton_fields(ref_base_automaton(kind, positions, width)), \
                     (kind, positions, width)
     # each relation's table is minimal as written: minimizing it keeps its
-    # states, plus the sink
+    # states, plus the sink.  Over its own bits, in order, the relation is
+    # the memoized object itself.
     for kind, (states, _, _) in compiler._TABLES.items():
         arity = len(ATOM_SORTS[kind])
-        assert len(base_automaton(kind, range(arity), arity).states) == \
-            len(states) + 1, kind
+        memoized = base_automaton(kind, range(arity), arity)
+        assert len(memoized.states) == len(states) + 1, kind
+        assert memoized is compiler._relation(kind, tuple(range(arity)))
+        assert base_automaton(kind, range(arity), arity) is memoized
 
 
 def test_atom_table_is_read_by_the_compiler(monkeypatch):
@@ -120,13 +158,18 @@ def test_atom_table_is_read_by_the_compiler(monkeypatch):
     real = compiler.base_automaton
     monkeypatch.setattr(compiler, "base_automaton",
                         lambda *args: built.append(args) or real(*args))
+    compiler._relation.cache_clear()
     aut, table, ctx = compiled("prec(x, y) & prec(y, z) & prec(z, x) & sub(X, X) "
                                "& in(x, X) & in(y, X)")
-    # each shape once at its compact width: prec, sub, in, the top-level
-    # singletons
-    assert sorted(built) == [("in", (0, 1), 2), ("prec", (0, 1), 2),
-                             ("prec", (1, 0), 2), ("sing", (0,), 1),
-                             ("sub", (0, 0), 1)]
+    # each atom, then each top-level singleton, at its table positions; x,
+    # y, z and X are columns 0-3
+    assert built == [("prec", (0, 1), 4), ("prec", (1, 2), 4),
+                     ("prec", (2, 0), 4), ("sub", (3, 3), 4),
+                     ("in", (0, 3), 4), ("in", (1, 3), 4),
+                     ("sing", (0,), 4), ("sing", (1,), 4), ("sing", (2,), 4)]
+    # the relation memo built each shape once: prec in both orders, sub on
+    # one position, in and sing
+    assert compiler._relation.cache_info().misses == 5
     assert aut.is_empty()
 
 
@@ -276,32 +319,38 @@ def _count_minimize(monkeypatch) -> list:
 
 @pytest.mark.parametrize("text, minimizations", [
     ("sub(X, Y)", 1), ("sub(X, X)", 1),
-    ("pdom(x, x)", 3),  # pdom, then x's singleton and its "sing:x" step
+    ("pdom(x, x)", 3),  # pdom and sing, then x's "sing:x" step
 ])
 def test_atom_is_minimized_once(monkeypatch, text, minimizations):
     # base_automaton's result is minimal, reflexive shortcuts included, so
-    # the compiler records it without minimizing it again.
+    # the compiler records it without minimizing it again, and the relation
+    # memo minimizes each shape once per process: after the first compile,
+    # a fresh context minimizes only what is not an atom (0, 0 and 1 times)
     minimize = TreeAutomaton.minimize
     calls = _count_minimize(monkeypatch)
     formula, _ = parse_formula(text)
-    table = build_var_table(formula)
+    compiler._relation.cache_clear()
+    compiled(text)
+    assert len(calls) == minimizations
+    shapes = compiler._relation.cache_info().misses
+    calls.clear()
+    _, table, ctx = compiled(text)
+    assert len(calls) == minimizations - shapes
     aut = base_automaton(formula.kind, [table.position(a) for a in formula.args],
                          table.width)
     assert minimize(aut).to_text() == aut.to_text()
-    calls.clear()
-    _, _, ctx = compiled(text)
-    assert len(calls) == minimizations
     assert ctx.stats[0].op == f"atom:{formula.kind}"
     assert ctx.stats[0].states_in == ctx.stats[0].states_out == len(aut.states)
 
 
-@pytest.mark.parametrize("text, minimizations", [
+@pytest.mark.parametrize("text, first, again", [
     # 19, 25 and 37 without reuse: on a chain, every top-level sing after
-    # the first rebuilds the product minimized just before it
-    (chain_text(12, "v", "S"), 14), (chain_text(16, "v", "S"), 18),
-    (fixture_text("local_c_command.mso"), 35),
+    # the first rebuilds the product minimized just before it.  The first
+    # compile also builds the relation memo's shapes.
+    (chain_text(12, "v", "S"), 14, 11), (chain_text(16, "v", "S"), 18, 15),
+    (fixture_text("local_c_command.mso"), 35, 28),
 ], ids=["chain12", "chain16", "local_c_command"])
-def test_repeated_minimization_is_reused(monkeypatch, text, minimizations):
+def test_repeated_minimization_is_reused(monkeypatch, text, first, again):
     minimize = TreeAutomaton.minimize
     calls = _count_minimize(monkeypatch)
     helper = compiler._minimize
@@ -313,11 +362,14 @@ def test_repeated_minimization_is_reused(monkeypatch, text, minimizations):
         return result
 
     monkeypatch.setattr(compiler, "_minimize", recorded)
+    compiler._relation.cache_clear()
+    counts = []
     for _ in range(2):  # a fresh context starts with nothing remembered
         calls.clear()
         compiled(text)
-        assert len(calls) == minimizations
-    assert len(returned) > minimizations
+        counts.append(len(calls))
+    assert counts == [first, again]
+    assert len(returned) > first
     for aut, result in returned:
         assert automaton_fields(result) == automaton_fields(minimize(aut))
 
