@@ -17,13 +17,13 @@ Conventions:
   sink is never final and absorbs from both child positions.  Where the
   dead state has to be a state and none is designated, it is state ``n``.
 * Automata are immutable after construction.  Every operation returns a
-  fresh automaton, so values can be shared freely across threads.  Two
+  fresh automaton, so values can be shared freely across threads.  Three
   memo fields change: ``_steps``, a nested memo ``_steps[left][right][label]``
   of the transition function that runs fill the first time they meet a
-  step, each level with one atomic ``setdefault`` or store, and
-  ``_reached``, the reached states, one store of a frozenset.  A memo entry
-  never changes once written, and two threads that fill the same one store
-  the same value, so sharing stays safe.
+  step, each level with one atomic ``setdefault`` or store; ``_reached``,
+  the reached states, and ``_renumbered``, whose result is its own, each
+  one store.  A memo entry never changes once written, and two threads
+  that fill the same one store equal values, so sharing stays safe.
 * Two bottom-up loops stay, because they answer different questions.
   ``_explore`` discovers new states: the constructions (product, subset
   construction) and ``renumbered`` compute each pair's entries on the fly,
@@ -115,7 +115,7 @@ def _normalize(transitions) -> dict[PairKey, tuple[Entry, ...]]:
 
 class TreeAutomaton:
     __slots__ = ("width", "states", "initial", "finals", "transitions",
-                 "deterministic", "sink", "names", "_steps", "_reached")
+                 "deterministic", "sink", "names", "_steps", "_reached", "_renumbered")
 
     def __init__(self, width, states, initial, finals, transitions,
                  deterministic=True, sink=None, validate=True):
@@ -149,7 +149,7 @@ class TreeAutomaton:
         return aut
 
     def _assign(self, width, states, initial, finals, transitions, deterministic, sink, names):
-        """Set all ten slots; the two memos start empty."""
+        """Set all eleven slots; the three memos start empty."""
         self.width = width
         self.states = states
         self.initial = initial
@@ -160,6 +160,7 @@ class TreeAutomaton:
         self.names = names
         self._steps: dict = {}  # _steps[left][right][label], see _fold
         self._reached: frozenset[int] | None = None  # see reachable_states
+        self._renumbered: TreeAutomaton | None = None  # see renumbered
 
     def _validate(self) -> None:
         if self.width < 0:
@@ -720,9 +721,11 @@ class TreeAutomaton:
             best[state] = key, tree
             for other in best:
                 for left, right in {(state, other), (other, state)}:
+                    if not (row := self.transitions.get((left, right))):
+                        continue
                     (count_l, labels_l, shape_l), tree_l = best[left]
                     (count_r, labels_r, shape_r), tree_r = best[right]
-                    for guard, targets in self.transitions.get((left, right), ()):
+                    for guard, targets in row:
                         fresh = [t for t in _targets(targets) if t not in best]
                         if not fresh:
                             continue
@@ -746,7 +749,9 @@ class TreeAutomaton:
         reachable deterministic automata: a nondeterministic entry's targets
         are discovered, and the states no listed entry reaches appended, in
         their current order.  A pair reads its entries, so only listed
-        pairs are explored."""
+        pairs are explored.  The result is kept, and is its own."""
+        if self._renumbered is not None:
+            return self._renumbered
         order, _ = _explore(
             self.initial, lambda left, right: self.transitions.get((left, right)),
             lambda entries: [(g, t) for g, ts in entries for t in sorted(_targets(ts))])
@@ -757,10 +762,14 @@ class TreeAutomaton:
             lambda ts: frozenset(map(new.__getitem__, ts)))
         transitions = sorted(((new[left], new[right]), tuple((g, target(ts)) for g, ts in entries))
                              for (left, right), entries in self.transitions.items())
-        return TreeAutomaton._canonical(
+        out = self._renumbered = TreeAutomaton._canonical(
             self.width, len(order), new[self.initial], map(new.__getitem__, self.finals),
             dict(transitions), self.deterministic,
             None if self.sink is None else new[self.sink])
+        out._renumbered = out
+        if self._reached is not None:  # the same states, renamed
+            out._reached = frozenset(map(new.__getitem__, self._reached))
+        return out
 
     def to_text(self) -> str:
         """The text format, states by their names or else as ``q<i>``."""

@@ -25,10 +25,10 @@ previous value.
 A clause's constraint is the same formula at every application up to the
 names of its variables, so a ``Solver`` (which serves one query) keeps one
 ``CompilationContext``, whose cache compiles each constraint once over its
-own columns and whose last minimization the store step shares (see
-``compiler``).  Only where a quantified constraint meets columns it does
-not mention can the store then print other, equivalent cubes than with
-compiles over the whole table; no fixture or benchmark query's store does.
+own columns (see ``compiler``).  Only where a quantified constraint meets
+columns it does not mention can the store then print other, equivalent
+cubes than with compiles over the whole table; no fixture or benchmark
+query's store does.
 Search re-applies clauses on many branches, so the solver also keeps its
 last ``STORE_STEPS`` store steps, keyed by both automata field for field;
 a step found there skips the product and the minimization.
@@ -45,7 +45,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .automata import TreeAutomaton
-from .compiler import CompilationContext, _fields, _minimize, compile_formula
+from .compiler import CompilationContext, _fields, compile_formula
 from .formulas import (FIRST, SECOND, Formula, FormulaError, TrueF, VarTable,
                        _Parser, build_var_table, free_variables,
                        parse_formula_fragment, sort_of_name, substitute, tokenize)
@@ -376,7 +376,7 @@ class Solver:
         self.store_hits += joint is not None
         if joint is None:
             automaton = store.automaton.remap(range(store.table.width), table.width)
-            joint = _minimize(ctx, automaton.intersect(compiled))
+            joint = automaton.intersect(compiled).minimize()
         self._steps[key] = joint  # the most recently used step goes last
         if len(self._steps) > STORE_STEPS:
             self._steps.popitem(last=False)

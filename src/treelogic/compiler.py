@@ -19,9 +19,9 @@ all-zero symbol over the columns it is given.
 
 First-order variables denote single nodes but are tracked as set bits; the
 compiler conjoins a singleton constraint for each bound first-order variable
-at its quantifier and for each free one at the top level.  A minimization
-whose input equals the previous one's reuses its result; the usual cause is
-a ``sing`` conjunct implied by a ``prec``, ``pdom``, ``idom`` or ``rdom``.
+at its quantifier and for each free one at the top level.  Where an order
+relation pins the variable to one node in every model (``_pinned``), the
+step renumbers the minimal automaton, which is what the product would give.
 
 Finite labeled trees stand in for labelings of the infinite binary tree, so
 a compiled language is kept closed under growing and pruning all-zero
@@ -77,7 +77,6 @@ class CompilationContext:
     # just those variables; see ``compile_formula``
     compiled: dict[Formula, TreeAutomaton] = field(default_factory=dict,
                                                    init=False, repr=False)
-    _last_minimized: tuple | None = field(default=None, init=False, repr=False)
 
 
 def stats_lines(stats: list[CompileStep]) -> list[str]:
@@ -93,8 +92,7 @@ def stats_lines(stats: list[CompileStep]) -> list[str]:
 # first: its states, the first of them initial, its one final state and
 # {(left, right): {guard: target}}.  Every symbol a pair does not list
 # goes to the sink ``s``.  The order relations read their arguments as
-# singleton markers; the compiler conjoins the singleton constraint
-# separately, so here a second occurrence of a marker falls into the sink.
+# single-node markers: a second one falls into the sink (see ``_pinned``).
 _PDOM = {
     ("n", "n"): {"00": "n", "01": "j"},
     ("j", "n"): {"00": "j", "10": "d"},
@@ -253,11 +251,11 @@ def compile_formula(formula: Formula, ctx: CompilationContext | None = None
     compiled = ctx.compiled.get(key)
     if compiled is None:
         compact = VarTable(tuple(ranked))
-        compiled = _compile(rename_bound_apart(desugar(formula)), ctx, compact)
+        lowered = rename_bound_apart(desugar(formula))
+        compiled, pinned = _compile(lowered, ctx, compact), _pinned(lowered)
         for name, sort in free:  # in first-occurrence order
             if sort == FIRST:
-                sing = base_automaton("sing", (compact.position(name),), compact.width)
-                compiled = _step(ctx, f"sing:{name}", compiled.intersect(sing))
+                compiled = _sing(ctx, compiled, name, compact.position(name), pinned)
         ctx.compiled[key] = compiled
     return compiled.remap([table.position(name) for name, _ in ranked], table.width)
 
@@ -268,18 +266,34 @@ def _fields(aut: TreeAutomaton) -> tuple:
             aut.finals, tuple(aut.transitions), tuple(aut.transitions.values()))
 
 
-def _minimize(ctx: CompilationContext, aut: TreeAutomaton) -> TreeAutomaton:
-    """``aut.minimize()``, or the last result through ``ctx`` if its input
-    was equal field for field (the context keeps just that one pair)."""
-    fields = _fields(aut)
-    if ctx._last_minimized is None or ctx._last_minimized[0] != fields:
-        ctx._last_minimized = (fields, aut.minimize())
-    return ctx._last_minimized[1]
+def _pinned(f: Formula) -> frozenset[str]:
+    """The node variables every model of the lowered formula ``f`` labels
+    exactly once: the two arguments of an order relation, gathered up."""
+    if isinstance(f, Atom) and f.kind in ("prec", "pdom", "idom", "rdom") \
+            and f.args[0] != f.args[1]:
+        return frozenset(f.args)
+    if isinstance(f, And):
+        return _pinned(f.left) | _pinned(f.right)
+    if isinstance(f, Or):
+        return _pinned(f.left) & _pinned(f.right)
+    if isinstance(f, (Exists1, Exists2)):
+        return _pinned(f.body) - {f.var}
+    return frozenset()
+
+
+def _sing(ctx: CompilationContext, aut: TreeAutomaton, name: str, pos: int,
+          pinned: frozenset[str]) -> TreeAutomaton:
+    """Conjoin ``sing`` of node variable ``name`` at bit ``pos``.  If ``name``
+    is pinned, each live state of the minimal ``aut`` has seen it once or not
+    yet and each guard fixes its bit: the product is ``aut`` renumbered."""
+    if ctx.minimize_steps and name in pinned and aut.sink is not None:
+        return _record(ctx, f"sing:{name}", max(len(aut.states) - 1, 1), aut.renumbered())
+    return _step(ctx, f"sing:{name}", aut.intersect(base_automaton("sing", (pos,), aut.width)))
 
 
 def _step(ctx: CompilationContext, op: str, aut: TreeAutomaton) -> TreeAutomaton:
     return _record(ctx, op, len(aut.states),
-                   _minimize(ctx, aut) if ctx.minimize_steps else aut)
+                   aut.minimize() if ctx.minimize_steps else aut)
 
 
 def _record(ctx: CompilationContext, op: str, states_in: int,
@@ -316,15 +330,12 @@ def _compile(f: Formula, ctx: CompilationContext, table: VarTable) -> TreeAutoma
         pos = inner_table.width - 1
         body = _compile(f.body, ctx, inner_table)
         if sort == FIRST:
-            sing = base_automaton("sing", (pos,), inner_table.width)
-            body = _step(ctx, f"sing:{f.var}", body.intersect(sing))
+            body = _sing(ctx, body, f.var, pos, _pinned(f.body))
         closed = _record(ctx, "close", len(body.states),
                          zero_pad_closure(body.project(pos)))
         result = closed.determinize()
-        if ctx.minimize_steps:
-            result = _minimize(ctx, result)
-        return _record(ctx, "exists1" if sort == FIRST else "exists2",
-                       len(closed.states), result)
+        return _record(ctx, "exists1" if sort == FIRST else "exists2", len(closed.states),
+                       result.minimize() if ctx.minimize_steps else result)
     raise CompileError(f"cannot compile {type(f).__name__} "
                        "(desugar connectives first)")
 

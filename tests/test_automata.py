@@ -513,7 +513,8 @@ def test_product_matches_all_pairs_product(monkeypatch):
         a, b = (rng.choice(makers)(rng, width) for _ in range(2))
         for accept in (operator.and_, operator.or_, operator.ne):
             _assert_product_matches_all_pairs(a, b, accept)
-    # every product the compiler builds for the fixtures and the chains
+    # every product the compiler builds for the fixtures, the chains and
+    # the alternation ladders (a chain's singleton steps build none)
     seen = []
     product = TreeAutomaton._product
 
@@ -523,7 +524,8 @@ def test_product_matches_all_pairs_product(monkeypatch):
 
     monkeypatch.setattr(TreeAutomaton, "_product", recorded)
     fixtures = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.mso"))]
-    for text in fixtures + [chain_text(width, "v", "S") for width in range(8, 17, 2)]:
+    for text in fixtures + [chain_text(width, "v", "S") for width in range(8, 17, 2)] \
+            + [ladder_text(k) for k in range(1, 6)]:
         compiled(text)
     monkeypatch.undo()
     assert len(seen) > 100
@@ -533,7 +535,7 @@ def test_product_matches_all_pairs_product(monkeypatch):
 
 def test_width_16_chain_meets_few_guards(monkeypatch):
     # The product meets only pairs both operands list, and the entries of
-    # two listed pairs once per product: 7,111 calls here, against 16,239
+    # two listed pairs once per product: 6,506 calls here, against 16,239
     # when every pair of product states was met.
     calls = 0
     meet = gp.meet
@@ -550,7 +552,7 @@ def test_width_16_chain_meets_few_guards(monkeypatch):
 
 def test_width_16_chain_normalizes_only_its_atom_tables(monkeypatch):
     # Constructions hand their tables over in canonical form; only the
-    # literal atom tables (in, prec, sing) go through _normalize, and only
+    # literal atom tables (in and prec) go through _normalize, and only
     # on their first build in the process, against 66 calls when every
     # construction normalized its own table.
     calls = 0
@@ -1021,7 +1023,8 @@ def test_minimize_twins_with_colliding_counts_randomized():
                 # an unreached dead state alone in its block is dropped
                 split += len(minimal.states) + (minimal.sink is None) > len(classes)
             canonical = minimal.renumbered()
-            assert automaton_fields(canonical.renumbered()) == automaton_fields(canonical)
+            assert automaton_fields(_unmemoized(canonical).renumbered()) == \
+                automaton_fields(canonical)
             assert automaton_fields(canonical.minimize()) == automaton_fields(canonical)
     assert second_stage >= 400 and split >= 150
 
@@ -1457,6 +1460,27 @@ def test_renumbered_is_canonical(ac_com_automaton):
         sink=name[aut.sink])
     assert shuffled.transitions != aut.transitions
     assert shuffled.renumbered().to_text() == one.to_text()
+
+
+def _unmemoized(aut):
+    """``aut``'s fields in a new automaton, its memos empty."""
+    return TreeAutomaton._canonical(aut.width, len(aut.states), aut.initial, aut.finals,
+                                    aut.transitions, aut.deterministic, aut.sink)
+
+
+def test_renumbered_is_idempotent_and_memoized():
+    # a second call, or one on the result, returns the result; renumbering
+    # a copy of the result without its memo changes no field; and the
+    # reached states, when known, come along renamed
+    rng = random.Random(6000)
+    for i, aut in enumerate(_random_automata(rng, 6000, (0, 3), 5)):
+        if i % 2:
+            aut.reachable_states()
+        one = aut.renumbered()
+        assert aut.renumbered() is one and one.renumbered() is one
+        assert automaton_fields(_unmemoized(one).renumbered()) == automaton_fields(one)
+        if i % 2:
+            assert one._reached == one.reachable_states_detailed()[0]
 
 
 AWKWARD_NAMES = ("dead", "sink", "z", "q10", "q2", "m0", "0")

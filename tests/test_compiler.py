@@ -19,6 +19,7 @@ from conftest import FIXTURES, automaton_fields, fixture_text
 from oracle import (evaluate, iter_trees, language_sample, random_formula,
                     ref_base_automaton, ref_compile, ref_compile_formula)
 from test_acceptance import ORACLE_SUITE
+from test_automata import ladder_text
 
 sys.path.append(str(FIXTURES.parent.parent / "benchmarks"))
 from workloads import chain_text  # noqa: E402
@@ -74,6 +75,18 @@ def test_base_positions_validated():
         base_automaton("prec", (0, 2), 2)
     with pytest.raises(CompileError):
         base_automaton("sing", (0, 1), 2)
+
+
+@pytest.mark.parametrize("kind", ["prec", "pdom", "idom", "rdom"])
+def test_order_relations_imply_singletons(kind):
+    # every labeling an order relation accepts marks each of its two
+    # arguments exactly once, in either argument order
+    for positions in ((0, 1), (1, 0)):
+        aut = base_automaton(kind, positions, 2)
+        assert not aut.is_empty()
+        for pos in positions:
+            others = base_automaton("sing", (pos,), 2).complement()
+            assert aut.intersect(others).is_empty(), (kind, positions, pos)
 
 
 def test_reflexive_instances():
@@ -161,16 +174,18 @@ def test_atom_table_is_read_by_the_compiler(monkeypatch):
     compiler._relation.cache_clear()
     aut, table, ctx = compiled("prec(x, y) & prec(y, z) & prec(z, x) & sub(X, X) "
                                "& in(x, X) & in(y, X)")
-    # each atom, then each top-level singleton, at its table positions; x,
-    # y, z and X are columns 0-3
+    # each atom at its table positions; x, y, z and X are columns 0-3.  The
+    # precs pin x, y and z, so no top-level singleton is built: the formula
+    # is empty, its initial state the sink
     assert built == [("prec", (0, 1), 4), ("prec", (1, 2), 4),
                      ("prec", (2, 0), 4), ("sub", (3, 3), 4),
-                     ("in", (0, 3), 4), ("in", (1, 3), 4),
-                     ("sing", (0,), 4), ("sing", (1,), 4), ("sing", (2,), 4)]
+                     ("in", (0, 3), 4), ("in", (1, 3), 4)]
+    assert [(s.op, s.states_in, s.states_out) for s in ctx.stats[-3:]] == \
+        [("sing:x", 1, 1), ("sing:y", 1, 1), ("sing:z", 1, 1)]
     # the relation memo built each shape once: prec in both orders, sub on
-    # one position, in and sing
-    assert compiler._relation.cache_info().misses == 5
-    assert aut.is_empty()
+    # one position, and in
+    assert compiler._relation.cache_info().misses == 4
+    assert aut.is_empty() and aut.initial == aut.sink
 
 
 def test_base_against_oracle_on_small_trees():
@@ -344,24 +359,24 @@ def test_atom_is_minimized_once(monkeypatch, text, minimizations):
 
 
 @pytest.mark.parametrize("text, first, again", [
-    # 19, 25 and 37 without reuse: on a chain, every top-level sing after
-    # the first rebuilds the product minimized just before it.  The first
-    # compile also builds the relation memo's shapes.
-    (chain_text(12, "v", "S"), 14, 11), (chain_text(16, "v", "S"), 18, 15),
-    (fixture_text("local_c_command.mso"), 35, 28),
+    # 19, 25 and 37 with a product and minimization for every singleton:
+    # on a chain, the precs pin every node variable, so no top-level sing
+    # builds one.  The first compile also builds the relation memo's shapes.
+    (chain_text(12, "v", "S"), 12, 10), (chain_text(16, "v", "S"), 16, 14),
+    (fixture_text("local_c_command.mso"), 33, 26),
 ], ids=["chain12", "chain16", "local_c_command"])
 def test_repeated_minimization_is_reused(monkeypatch, text, first, again):
     minimize = TreeAutomaton.minimize
     calls = _count_minimize(monkeypatch)
-    helper = compiler._minimize
+    sing = compiler._sing
     returned = []
 
-    def recorded(ctx, aut):
-        result = helper(ctx, aut)
-        returned.append((aut, result))
+    def recorded(ctx, aut, name, pos, pinned):
+        result = sing(ctx, aut, name, pos, pinned)
+        returned.append((aut, pos, result))
         return result
 
-    monkeypatch.setattr(compiler, "_minimize", recorded)
+    monkeypatch.setattr(compiler, "_sing", recorded)
     compiler._relation.cache_clear()
     counts = []
     for _ in range(2):  # a fresh context starts with nothing remembered
@@ -369,9 +384,44 @@ def test_repeated_minimization_is_reused(monkeypatch, text, first, again):
         compiled(text)
         counts.append(len(calls))
     assert counts == [first, again]
-    assert len(returned) > first
-    for aut, result in returned:
-        assert automaton_fields(result) == automaton_fields(minimize(aut))
+    assert len(returned) >= 12
+    for aut, pos, result in returned:
+        product = aut.intersect(base_automaton("sing", (pos,), aut.width))
+        assert automaton_fields(result) == automaton_fields(minimize(product))
+
+
+def test_pinned_singleton_step_matches_the_product(monkeypatch):
+    # a singleton step that skips the product gives the automaton and the
+    # statistics that the product and its minimization give
+    sing = compiler._sing
+    pinned_steps = []
+
+    def compared(ctx, aut, name, pos, pinned):
+        result = sing(ctx, aut, name, pos, pinned)
+        if name in pinned:
+            full = CompilationContext(ctx.table)
+            expected = sing(full, aut, name, pos, frozenset())
+            assert automaton_fields(result) == automaton_fields(expected), name
+            step, full_step = ctx.stats[-1], full.stats[-1]
+            assert (step.op, step.states_in, step.states_out) == \
+                (full_step.op, full_step.states_in, full_step.states_out), name
+            pinned_steps.append(name)
+        return result
+
+    monkeypatch.setattr(compiler, "_sing", compared)
+    iff = "in(x, S0)"
+    for i in range(1, 9):
+        iff = f"in(x, S{i % 3}) <-> ({iff})"
+    texts = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.mso"))]
+    texts += [chain_text(width, "v", "S") for width in range(8, 17)]
+    texts += [ladder_text(k) for k in range(1, 7)] + [iff]
+    for text in texts:
+        compiled(text)
+    rng = random.Random(300)
+    for _ in range(300):
+        formula = random_formula(rng, 3)
+        compile_formula(formula, CompilationContext(build_var_table(formula)))
+    assert len(pinned_steps) > 150
 
 
 def _guard_variant(field: str | None) -> TreeAutomaton:
@@ -388,24 +438,19 @@ def _guard_variant(field: str | None) -> TreeAutomaton:
 
 
 @pytest.mark.parametrize("field", ["finals", "initial", "sink", "states"])
-def test_minimization_reuse_compares_every_field(monkeypatch, field):
-    minimize = TreeAutomaton.minimize
-    calls = _count_minimize(monkeypatch)
-    ctx = CompilationContext(VarTable())
+def test_minimization_reuse_compares_every_field(field):
+    # the solver reuses a store step's product and minimization when both
+    # automata are equal by ``_fields``, which tells apart automata that
+    # differ in one field alone
     base, variant = _guard_variant(None), _guard_variant(field)
     assert variant.transitions == base.transitions
-    first = compiler._minimize(ctx, base)
-    assert compiler._minimize(ctx, _guard_variant(None)) is first
-    assert len(calls) == 1
-    result = compiler._minimize(ctx, variant)
-    assert calls == [base, variant]
-    assert automaton_fields(result) == automaton_fields(minimize(variant))
+    assert compiler._fields(_guard_variant(None)) == compiler._fields(base)
+    assert compiler._fields(variant) != compiler._fields(base)
     nondet = TreeAutomaton(1, base.states, base.initial, base.finals,
                            base.transitions, deterministic=False,
                            sink=base.sink)
-    compiler._minimize(ctx, base)
     with pytest.raises(AutomatonError):
-        compiler._minimize(ctx, nondet)
+        nondet.minimize()
 
 
 def test_closure_accepts_nondeterministic_input():
