@@ -37,11 +37,12 @@ Conventions:
   ``minimize`` sums symbol counts and merges a quotient row once per row,
   and builds diagrams, a shape once per guard list, only for the states
   symbol counts leave in blocks of two or more.
-* Runs (``run``, ``run_set``, ``accepts``) share one fold, one memo
-  lookup per node.  It values a tree's top ``_RECURSION_BUDGET`` levels
-  by recursion, which is cheaper per node than an explicit stack, and
-  each subtree below them over a breadth-first node list read in
-  reverse, so their depth is not bounded by the recursion limit.
+* Runs (``run``, ``run_set``, ``accepts``) have two walks.  ``_lookup``
+  only reads the memo, one recursive call per node, so warm runs pay
+  nothing else; a miss, a bad label, the empty tree or a tree deeper than
+  the recursion limit goes to ``_fold``, which fills the memo from the
+  root, names the first bad label and, with an explicit stack below its
+  top ``_RECURSION_BUDGET`` levels, takes trees of any depth.
 * States are ``0..n-1`` (``states`` is ``range(n)``), meaningless across
   automata (compare languages with ``equivalent``).  A deterministic
   entry's target is an int, a nondeterministic one's a frozenset of them.
@@ -86,9 +87,10 @@ from .trees import Node, Tree, tree_sort_key, validate_tree
 PairKey = tuple[int, int]
 Entry = tuple[int, "int | frozenset[int]"]
 
-# Runs value this many top levels of a tree by recursion and the subtrees
-# below them with an explicit stack (see ``TreeAutomaton._fold``).
+# The filling walk values this many top levels of a tree by recursion and
+# the subtrees below them with an explicit stack (see ``TreeAutomaton._fold``).
 _RECURSION_BUDGET = 64
+_MISSES = (KeyError, RecursionError, AttributeError)  # see _lookup
 
 
 class AutomatonError(ValueError):
@@ -217,33 +219,37 @@ class TreeAutomaton:
 
     def run(self, tree: Tree) -> int | None:
         """The number of the state reached on the tree (deterministic mode):
-        the sink, or None when the dead state is implicit.  Like ``run_set``
-        and ``accepts``, it recurses over the tree's top levels only and
-        values deeper subtrees with an explicit stack (see ``_fold``)."""
+        the sink, or None when the dead state is implicit.  Runs recurse in
+        ``_lookup`` and go to ``_fold`` on a miss or at the recursion limit."""
         if not self.deterministic:
             raise AutomatonError("run() requires a deterministic automaton")
-        return self._fold(tree, self.initial, self._fill_state)
+        try:
+            return _lookup(tree, self._steps, self.initial)
+        except _MISSES:
+            return self._fold(tree, self.initial, self._fill_state)
 
     def run_set(self, tree: Tree) -> frozenset[int]:
         """All states reachable on the tree (nondeterministic reading)."""
-        return self._fold(tree, frozenset({self.initial}), self._fill_states)
+        try:
+            return _lookup(tree, self._steps, frozenset({self.initial}))
+        except _MISSES:
+            return self._fold(tree, frozenset({self.initial}), self._fill_states)
 
     def accepts(self, tree: Tree) -> bool:
-        if self.deterministic:
+        if not self.deterministic:
+            return bool(self.run_set(tree) & self.finals)
+        try:
+            return _lookup(tree, self._steps, self.initial) in self.finals
+        except _MISSES:
             return self._fold(tree, self.initial, self._fill_state) in self.finals
-        return bool(self._fold(tree, frozenset({self.initial}), self._fill_states) & self.finals)
 
     def _fold(self, tree: Tree, leaf, fill):
-        """The tree's bottom-up value.  Each step is read from the memo
-        ``_steps[left][right][label]`` and computed by ``fill`` the first
-        time it is met; ``fill`` is handed the whole tree, so a bad label
-        is reported as the first in preorder.  ``run`` keys the memo by
-        states (ints) and ``run_set`` by state sets (frozensets), so the
-        two never collide.  The top ``_RECURSION_BUDGET`` levels are valued
-        by ``_fold_levels``' recursion, a Python call per node, which costs
-        less than the stack loop's list work; each subtree hanging below
-        them goes to ``_fold_stack``, so no depth of tree meets the
-        recursion limit."""
+        """The tree's value when ``_lookup`` misses, filling the memo from the
+        root: ``fill`` computes a step the first time it is met and is handed
+        the whole tree, so a bad label is named as the first in preorder.
+        ``run`` keys the memo by states and ``run_set`` by state sets, so the
+        two never collide.  The top ``_RECURSION_BUDGET`` levels recurse
+        (``_fold_levels``); each subtree below them goes to ``_fold_stack``."""
         if tree is None:
             return leaf
         return _fold_levels(tree, _RECURSION_BUDGET, self._steps, leaf, fill, tree)
@@ -858,6 +864,15 @@ def fresh_name(base: str, taken) -> str:
         n += 1
         name = f"{base}{n}"
     return name
+
+
+def _lookup(node: Node, steps: dict, leaf):
+    """The value of ``node`` from the memo ``steps[left][right][label]``
+    alone.  A step not in it (a bad label never is), a tree deeper than the
+    recursion limit or the empty tree raises one of ``_MISSES``."""
+    left = leaf if node.left is None else _lookup(node.left, steps, leaf)
+    right = leaf if node.right is None else _lookup(node.right, steps, leaf)
+    return steps[left][right][node.label]
 
 
 def _fold_levels(node: Node, budget: int, steps: dict, leaf, fill, tree: Node):

@@ -14,6 +14,7 @@ from treelogic.trees import (Node, format_tree, node_count, parse_tree,
                              tree_sort_key, validate_tree)
 
 from conftest import FIXTURES, automaton_fields, fixture_text
+from oracle import matches as oracle_matches
 from oracle import (entry_targets, iter_trees, language_sample, random_deterministic,
                     random_label_deterministic, random_nondeterministic,
                     random_tree, recursive_accepts, recursive_run,
@@ -269,6 +270,152 @@ def test_runs_agree_across_the_depth_line(monkeypatch, budget):
             assert aut.run_set(tree) == recursive_run_set(aut, tree)
             if aut.deterministic:
                 assert aut.run(tree) == recursive_run(aut, tree)
+
+
+def _memo_steps(aut):
+    """Every (left, right, label) step in the run memo, with its value."""
+    return {(left, right, label): value for left, rows in aut._steps.items()
+            for right, labels in rows.items() for label, value in labels.items()}
+
+
+def _runs(aut, trees):
+    """Each run of every tree: states (deterministic only), state sets and
+    verdicts."""
+    return ([aut.run(tree) for tree in trees] if aut.deterministic else None,
+            [aut.run_set(tree) for tree in trees], [aut.accepts(tree) for tree in trees])
+
+
+def _recursive_runs(aut, trees):
+    return ([recursive_run(aut, tree) for tree in trees] if aut.deterministic else None,
+            [recursive_run_set(aut, tree) for tree in trees],
+            [recursive_accepts(aut, tree) for tree in trees])
+
+
+def test_warm_runs_read_only_the_memo(monkeypatch):
+    # After one pass, a second pass over the same trees never reaches the
+    # filling walk or a fill: ``_lookup`` reads every step from the memo.
+    rng = random.Random(83)
+    auts = [*_run_cases(rng, 24), zero_pad_closure(sing_automaton(2, 1)),
+            TreeAutomaton.from_text(fixture_text("ac_com.aut"))]
+    kinds = {(aut.deterministic, aut.sink is None) for aut in auts}
+    assert kinds == {(True, True), (True, False), (False, True)}
+    cases = [(aut, _lopsided_trees(rng, aut.width, 150)
+              + [random_tree(rng, 200, aut.width), _comb(rng, aut.width, 80, 5)])
+             for aut in auts]
+    first = [_runs(aut, trees) for aut, trees in cases]
+
+    def refuse(*args):
+        raise AssertionError("a warm run reached the filling walk")
+
+    with monkeypatch.context() as patch:
+        for name in ("_fold_levels", "_fold_stack"):
+            patch.setattr(automata, name, refuse)
+        for name in ("_fill_state", "_fill_states"):
+            patch.setattr(TreeAutomaton, name, refuse)
+        assert [_runs(aut, trees) for aut, trees in cases] == first
+    assert first == [_recursive_runs(aut, trees) for aut, trees in cases]
+
+
+def test_a_miss_at_the_root_fills_that_step_alone():
+    # The memo holds every step of both subtrees but not the root's, the
+    # last node ``_lookup`` reaches: the filling walk from the root gives
+    # the recursive run's answer and adds that one step.
+    rng = random.Random(89)
+    auts = [TreeAutomaton.from_text(fixture_text("ac_com.aut")),
+            zero_pad_closure(sing_automaton(2, 1)), *_run_cases(rng, 12)]
+    tested = 0
+    for aut in auts:
+        labels = ["".join(bits) for bits in itertools.product("01", repeat=aut.width)]
+        calls = [(aut.run_set, recursive_run_set, aut.run_set)]
+        if aut.deterministic:
+            calls += [(aut.run, recursive_run, aut.run), (aut.accepts, recursive_accepts, aut.run)]
+        for call, reference, key in calls:
+            for _ in range(4):
+                aut._steps.clear()
+                left, right = (random_tree(rng, rng.randint(1, 8), aut.width) for _ in range(2))
+                call(left), call(right)
+                before = _memo_steps(aut)
+                missing = [label for label in labels
+                           if (key(left), key(right), label) not in before]
+                if not missing:
+                    continue
+                tree = Node(rng.choice(missing), left, right)
+                assert call(tree) == reference(aut, tree)
+                step = (key(left), key(right), tree.label)
+                assert _memo_steps(aut) == {**before, step: key(tree)}
+                tested += 1
+    assert tested >= 40
+
+
+def _path_runs(aut, tree):
+    """``_recursive_runs(aut, [tree])`` of a tree whose nodes have one child
+    at most, bottom-up without recursion."""
+    path = []
+    while tree is not None:
+        path.append(tree)
+        tree = tree.left if tree.left is not None else tree.right
+    leaf = states = frozenset({aut.initial})
+    for node in reversed(path):
+        lefts = states if node.left is not None else leaf
+        rights = states if node.right is not None else leaf
+        states = frozenset(
+            t for left in lefts for right in rights
+            for guard, targets in aut.transitions.get((left, right), ())
+            if oracle_matches(gp.text(guard, aut.width), node.label)
+            for t in entry_targets(targets))
+    return ([next(iter(states), aut.sink)] if aut.deterministic else None,
+            [states], [bool(states & aut.finals)])
+
+
+def test_warm_runs_fall_back_on_trees_past_the_recursion_limit():
+    # On a warm memo, ``_lookup`` meets the recursion limit on a 10^5-deep
+    # chain and zig-zag; the filling walk takes over and answers as the
+    # reference does, a bottom-up walk along the path.
+    rng = random.Random(97)
+
+    def label():
+        return "".join(rng.choice("01") for _ in range(2))
+
+    chain, zigzag = _chain(10**5, "10", "01"), Node(label())
+    for i in range(10**5 - 1):
+        zigzag = Node(label(), zigzag, None) if i % 2 else Node(label(), None, zigzag)
+    ac_com = TreeAutomaton.from_text(fixture_text("ac_com.aut"))
+    auts = [ac_com, ac_com.project(1).cylindrify(1), zero_pad_closure(sing_automaton(2, 1)),
+            random_deterministic(rng, 2)]
+    for aut in auts:
+        for short in _lopsided_trees(rng, 2, 30)[:3]:
+            assert _path_runs(aut, short) == _recursive_runs(aut, [short])
+        for tree in (chain, zigzag):
+            want = _path_runs(aut, tree)
+            assert _runs(aut, [tree]) == want
+            with pytest.raises(RecursionError):
+                automata._lookup(tree, aut._steps, frozenset({aut.initial}))
+            assert _runs(aut, [tree]) == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda label: Node(label, Node("10"), Node("01")),
+    lambda label: Node("00", Node("10", None, Node(label)), Node("01")),
+    lambda label: _chain(50, "01", label),
+    lambda label: _chain_of(["01"] * 5 + [label] + ["01"] * 70 + [label]),
+])
+@pytest.mark.parametrize("bad", ["0a", "1", "011"])
+def test_bad_label_on_a_warm_memo_reads_as_on_a_cold_one(make, bad):
+    # The memo is warm with the tree's steps but for the bad label's, which
+    # is never memoized: the run names the same label as a cold one does.
+    def fresh():
+        aut = TreeAutomaton.from_text(fixture_text("ac_com.aut"))
+        return [aut, aut.project(1).cylindrify(1)]
+
+    for cold, warm in zip(fresh(), fresh()):
+        _runs(warm, [make("00")])
+        calls = ["run_set", "accepts"] + (["run"] if warm.deterministic else [])
+        for call in calls:
+            with pytest.raises(ValueError) as want:
+                getattr(cold, call)(make(bad))
+            with pytest.raises(ValueError) as got:
+                getattr(warm, call)(make(bad))
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 def _in_threads(work, count=8):
