@@ -37,12 +37,12 @@ Conventions:
   ``minimize`` sums symbol counts and merges a quotient row once per row,
   and builds diagrams, a shape once per guard list, only for the states
   symbol counts leave in blocks of two or more.
-* Runs (``run``, ``run_set``, ``accepts``) have two walks.  ``_lookup``
-  only reads the memo, one recursive call per node, so warm runs pay
-  nothing else; a miss, a bad label, the empty tree or a tree deeper than
-  the recursion limit goes to ``_fold``, which fills the memo from the
-  root, names the first bad label and, with an explicit stack below its
-  top ``_RECURSION_BUDGET`` levels, takes trees of any depth.
+* Runs (``run``, ``run_set``, ``accepts``) have one read walk and one
+  filling walk.  ``_lookup`` only reads the memo, one recursive call per
+  node, so warm runs pay nothing else; a miss, a bad label, the empty
+  tree or a tree deeper than the recursion limit goes to ``_fold``, which
+  fills the memo from the root with an explicit stack, names the first
+  bad label and takes trees of any depth.
 * States are ``0..n-1`` (``states`` is ``range(n)``), meaningless across
   automata (compare languages with ``equivalent``).  A deterministic
   entry's target is an int, a nondeterministic one's a frozenset of them.
@@ -87,9 +87,6 @@ from .trees import Node, Tree, tree_sort_key, validate_tree
 PairKey = tuple[int, int]
 Entry = tuple[int, "int | frozenset[int]"]
 
-# The filling walk values this many top levels of a tree by recursion and
-# the subtrees below them with an explicit stack (see ``TreeAutomaton._fold``).
-_RECURSION_BUDGET = 64
 _MISSES = (KeyError, RecursionError, AttributeError)  # see _lookup
 
 
@@ -120,13 +117,12 @@ class TreeAutomaton:
                  "deterministic", "sink", "names", "_steps", "_reached", "_renumbered")
 
     def __init__(self, width, states, initial, finals, transitions,
-                 deterministic=True, sink=None, validate=True):
+                 deterministic=True, sink=None):
         """Validates with the given state names, then numbers the states in
         ``to_text``'s order and keeps the names; ``range(n)`` has none."""
         self._assign(int(width), frozenset(states), initial, frozenset(finals),
                      _normalize(transitions), bool(deterministic), sink, None)
-        if validate:
-            self._validate()
+        self._validate()
         names = None if isinstance(states, range) else tuple(
             sorted(self.states, key=lambda s: (len(str(s)), str(s))))
         number = {s: i for i, s in enumerate(names or states)}.__getitem__
@@ -219,21 +215,24 @@ class TreeAutomaton:
 
     def run(self, tree: Tree) -> int | None:
         """The number of the state reached on the tree (deterministic mode):
-        the sink, or None when the dead state is implicit.  Runs recurse in
-        ``_lookup`` and go to ``_fold`` on a miss or at the recursion limit."""
+        the sink, or None when the dead state is implicit.  ``_lookup`` reads
+        the memo; on a miss ``_fold`` fills it, called after the ``except``
+        block so that its errors carry no miss as their context."""
         if not self.deterministic:
             raise AutomatonError("run() requires a deterministic automaton")
         try:
             return _lookup(tree, self._steps, self.initial)
         except _MISSES:
-            return self._fold(tree, self.initial, self._fill_state)
+            pass
+        return self._fold(tree, self.initial, self._fill_state)
 
     def run_set(self, tree: Tree) -> frozenset[int]:
         """All states reachable on the tree (nondeterministic reading)."""
         try:
             return _lookup(tree, self._steps, frozenset({self.initial}))
         except _MISSES:
-            return self._fold(tree, frozenset({self.initial}), self._fill_states)
+            pass
+        return self._fold(tree, frozenset({self.initial}), self._fill_states)
 
     def accepts(self, tree: Tree) -> bool:
         if not self.deterministic:
@@ -241,18 +240,37 @@ class TreeAutomaton:
         try:
             return _lookup(tree, self._steps, self.initial) in self.finals
         except _MISSES:
-            return self._fold(tree, self.initial, self._fill_state) in self.finals
+            pass
+        return self._fold(tree, self.initial, self._fill_state) in self.finals
 
     def _fold(self, tree: Tree, leaf, fill):
-        """The tree's value when ``_lookup`` misses, filling the memo from the
-        root: ``fill`` computes a step the first time it is met and is handed
-        the whole tree, so a bad label is named as the first in preorder.
-        ``run`` keys the memo by states and ``run_set`` by state sets, so the
-        two never collide.  The top ``_RECURSION_BUDGET`` levels recurse
-        (``_fold_levels``); each subtree below them goes to ``_fold_stack``."""
+        """The tree's value when ``_lookup`` misses, filling the memo without
+        recursion: ``fill`` computes a step the first time it is met and is
+        handed the whole tree, so a bad label is named as the first in
+        preorder.  ``run`` keys the memo by states and ``run_set`` by state
+        sets, so the two never collide.  Nodes are listed breadth-first, so
+        read in reverse each comes after its children, and the children's
+        values are taken first in, first out: a node's right child's value,
+        then its left child's."""
         if tree is None:
             return leaf
-        return _fold_levels(tree, _RECURSION_BUDGET, self._steps, leaf, fill, tree)
+        steps = self._steps
+        nodes = [tree]
+        for node in nodes:  # the list grows while it is read
+            if node.left is not None:
+                nodes.append(node.left)
+            if node.right is not None:
+                nodes.append(node.right)
+        values: list = []
+        push, take = values.append, iter(values).__next__
+        for node in reversed(nodes):
+            right = leaf if node.right is None else take()
+            left = leaf if node.left is None else take()
+            try:
+                push(steps[left][right][node.label])
+            except KeyError:
+                push(fill(left, right, node.label, tree))
+        return values[-1]
 
     def _fill_state(self, left, right, label: str, tree: Tree) -> int | None:
         self._check_label(label, tree)
@@ -873,46 +891,6 @@ def _lookup(node: Node, steps: dict, leaf):
     left = leaf if node.left is None else _lookup(node.left, steps, leaf)
     right = leaf if node.right is None else _lookup(node.right, steps, leaf)
     return steps[left][right][node.label]
-
-
-def _fold_levels(node: Node, budget: int, steps: dict, leaf, fill, tree: Node):
-    """``TreeAutomaton._fold``'s value of ``node``, a subtree of ``tree``,
-    by recursion over its top ``budget`` levels.  A module function, not a
-    closure: a closure that calls itself is a reference cycle, left to the
-    garbage collector on every run."""
-    if not budget:
-        return _fold_stack(node, steps, leaf, fill, tree)
-    budget -= 1
-    left = leaf if node.left is None else _fold_levels(node.left, budget, steps, leaf, fill, tree)
-    right = leaf if node.right is None else _fold_levels(node.right, budget, steps, leaf, fill, tree)
-    try:
-        return steps[left][right][node.label]
-    except KeyError:
-        return fill(left, right, node.label, tree)
-
-
-def _fold_stack(subtree: Node, steps: dict, leaf, fill, tree: Node):
-    """``TreeAutomaton._fold``'s value of ``subtree``, a subtree of
-    ``tree``, without recursion.  Nodes are listed breadth-first, so read
-    in reverse each comes after its children, and the children's values
-    are taken first in, first out: a node's right child's value, then its
-    left child's."""
-    nodes = [subtree]
-    for node in nodes:  # the list grows while it is read
-        if node.left is not None:
-            nodes.append(node.left)
-        if node.right is not None:
-            nodes.append(node.right)
-    values: list = []
-    push, take = values.append, iter(values).__next__
-    for node in reversed(nodes):
-        right = leaf if node.right is None else take()
-        left = leaf if node.left is None else take()
-        try:
-            push(steps[left][right][node.label])
-        except KeyError:
-            push(fill(left, right, node.label, tree))
-    return values[-1]
 
 
 def _overlap(entries, width: int) -> tuple[str, str] | None:

@@ -367,7 +367,7 @@ def ref_explored_automaton(width: int, root, step, is_final) -> TreeAutomaton:
     order, table = ref_explore(root, step)
     finals = {i for i, key in enumerate(order) if is_final(key)}
     return TreeAutomaton(width, range(len(order)), 0, finals, table,
-                         deterministic=True, validate=False)
+                         deterministic=True)
 
 
 # ----------------------------------------------------------------------
@@ -526,8 +526,7 @@ def ref_minimize(aut: TreeAutomaton) -> TreeAutomaton:
 
     return TreeAutomaton(aut.width, range(len(rep)), block[aut.initial],
                          {block[s] for s in states if s in aut.finals},
-                         quotient, deterministic=True, sink=sink,
-                         validate=False)
+                         quotient, deterministic=True, sink=sink)
 
 
 def ref_count_classes(aut: TreeAutomaton) -> list[list[int]]:
@@ -762,7 +761,7 @@ def ref_named_project(aut: TreeAutomaton, pos: int) -> TreeAutomaton:
         for pair, entries in aut.transitions.items()
     }
     return TreeAutomaton(aut.width - 1, aut.states, aut.initial, aut.finals,
-                         transitions, deterministic=False, validate=False)
+                         transitions, deterministic=False)
 
 
 def ref_named_zero_pad_closure(aut: TreeAutomaton) -> TreeAutomaton:
@@ -770,7 +769,7 @@ def ref_named_zero_pad_closure(aut: TreeAutomaton) -> TreeAutomaton:
     zero_only = {pair: [(g, ts) for g, ts in entries if gp.matches(g, zero)]
                  for pair, entries in aut.transitions.items()}
     zstar = TreeAutomaton(aut.width, aut.states, aut.initial, (), zero_only,
-                          deterministic=False, validate=False).reachable_states()
+                          deterministic=False).reachable_states()
     zbar = len(aut.states)
     transitions: dict[PairKey, list] = {(zbar, zbar): [(zero, zbar)]}
     for (left, right), entries in aut.transitions.items():
@@ -780,7 +779,7 @@ def ref_named_zero_pad_closure(aut: TreeAutomaton) -> TreeAutomaton:
             transitions.setdefault(pair, []).extend(entries)
     finals = set(aut.finals) | ({zbar} if zstar & aut.finals else set())
     return TreeAutomaton(aut.width, range(zbar + 1), zbar, finals,
-                         transitions, deterministic=False, validate=False)
+                         transitions, deterministic=False)
 
 
 # ----------------------------------------------------------------------

@@ -113,9 +113,9 @@ def _chain_of(labels):
     # first in preorder.
     (Node("00", Node("0a", Node("00")), Node("00", None, Node("00", None, Node("1b")))),
      ValueError, "bad label '0a', expected 2 bits"),
-    # Across the depth line: the stack part meets "1b" first, below the
-    # line, but the whole tree is checked, so "0a", above it, is named.
-    (_chain_of(["01"] * 5 + ["0a"] + ["01"] * automata._RECURSION_BUDGET + ["1b"]),
+    # Down a chain: the run meets "1b" first, at the bottom, but the whole
+    # tree is checked, so "0a", 64 levels above it, is named.
+    (_chain_of(["01"] * 5 + ["0a"] + ["01"] * 64 + ["1b"]),
      ValueError, "bad label '0a', expected 2 bits"),
 ])
 def test_run_errors_name_the_first_bad_label(ac_com_automaton, tree, error,
@@ -159,9 +159,10 @@ def test_bad_label_above_a_dead_child_or_an_unlisted_pair_raises(monkeypatch):
                 assert str(raised.value) == "bad label 'x', expected 1 bits"
 
 
-def test_runs_finish_on_deep_chain():
-    # With the recursion limit just above the frames in use plus the depth
-    # budget, deep trees still finish: below the line runs do not recurse.
+def test_runs_finish_on_deep_chain(monkeypatch):
+    # With the recursion limit just above the frames in use, deep trees
+    # still finish, and every fill is called from a filling walk that runs
+    # straight below a run method: the walk never recurses.
     sing = sing_automaton()
     closed = zero_pad_closure(sing)
     tree = _chain(10**5, "0", "1")
@@ -172,8 +173,20 @@ def test_runs_finish_on_deep_chain():
     frames, frame = 0, sys._getframe()
     while frame is not None:
         frames, frame = frames + 1, frame.f_back
+    walks = set()
+    for name in ("_fill_state", "_fill_states"):
+        def fill(self, *args, fill=getattr(TreeAutomaton, name)):
+            frame, depth = sys._getframe(1), 0
+            walks.add(frame.f_code.co_name)
+            while frame is not None:
+                depth, frame = depth + 1, frame.f_back
+            # this test, then accepts, run or run_set (and run_set below a
+            # nondeterministic accepts), then the walk
+            assert depth - frames in (2, 3)
+            return fill(self, *args)
+        monkeypatch.setattr(TreeAutomaton, name, fill)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(frames + automata._RECURSION_BUDGET + 20)
+    sys.setrecursionlimit(frames + 20)
     try:
         for deep in (tree, zigzag):
             assert sing.accepts(deep)
@@ -184,6 +197,24 @@ def test_runs_finish_on_deep_chain():
             sing.accepts(_chain(10**5, "0", "2"))
     finally:
         sys.setrecursionlimit(limit)
+    assert walks == {"_fold"}
+
+
+def test_run_errors_on_deep_trees_chain_no_recursion_error():
+    # ``_lookup`` meets the recursion limit on a 10^5-deep chain; the
+    # filling walk's bad-label error must not carry that RecursionError
+    # (and its frames) in its context chain.
+    sing = sing_automaton()
+    tree = _chain(10**5, "0", "2")
+    for aut in (sing, zero_pad_closure(sing)):
+        calls = [aut.run_set, aut.accepts] + ([aut.run] if aut.deterministic else [])
+        for call in calls:
+            with pytest.raises(ValueError, match="bad label '2'") as raised:
+                call(tree)
+            chain, error = [], raised.value
+            while error is not None:
+                chain, error = chain + [type(error)], error.__context__
+            assert RecursionError not in chain
 
 
 def _lopsided_trees(rng, width, depth=12):
@@ -204,8 +235,7 @@ def _lopsided_trees(rng, width, depth=12):
 
 def test_second_pass_reads_only_the_memo(ac_com_automaton, monkeypatch):
     # Every step of a second pass over the same trees is a memo hit, so no
-    # guard is read; both passes agree with the recursive runs, on whichever
-    # side of the depth line a node lies.
+    # guard is read; both passes agree with the recursive runs.
     rng = random.Random(71)
     matched = 0
     matches = gp.matches
@@ -215,8 +245,7 @@ def test_second_pass_reads_only_the_memo(ac_com_automaton, monkeypatch):
         matched += 1
         return matches(guard, symbol)
 
-    for budget in (0, 1, 2, automata._RECURSION_BUDGET):
-        monkeypatch.setattr(automata, "_RECURSION_BUDGET", budget)
+    for _ in range(4):  # four rounds of random automata and trees
         for aut in [*_run_cases(rng, 40), ac_com_automaton,
                     ac_com_automaton.project(1).cylindrify(1),
                     zero_pad_closure(sing_automaton(2, 1))]:
@@ -251,20 +280,19 @@ def _comb(rng, width, spine, tooth):
     return tree
 
 
-@pytest.mark.parametrize("budget", [0, 1, 2, automata._RECURSION_BUDGET])
-def test_runs_agree_across_the_depth_line(monkeypatch, budget):
-    # Lopsided trees of heights budget - 1 to budget + 2 end just above or
-    # just below the line, and the comb's teeth hang across and below it.
-    monkeypatch.setattr(automata, "_RECURSION_BUDGET", budget)
+@pytest.mark.parametrize("height", [0, 1, 2, 64])
+def test_runs_agree_across_the_depth_line(height):
+    # Lopsided trees of heights height - 1 to height + 2, and a comb of
+    # height + 3 teeth, agree with the recursive runs.
     rng = random.Random(79)
     auts = [*_run_cases(rng, 24), zero_pad_closure(sing_automaton(2, 1)),
             TreeAutomaton.from_text(fixture_text("ac_com.aut"))]
     kinds = {(aut.deterministic, aut.sink is None) for aut in auts}
     assert kinds == {(True, True), (True, False), (False, True)}
     for aut in auts:
-        trees = [tree for height in range(max(budget - 1, 1), budget + 3)
-                 for tree in _lopsided_trees(rng, aut.width, height)[:3]]
-        trees.append(_comb(rng, aut.width, budget + 3, 3))
+        trees = [tree for h in range(max(height - 1, 1), height + 3)
+                 for tree in _lopsided_trees(rng, aut.width, h)[:3]]
+        trees.append(_comb(rng, aut.width, height + 3, 3))
         for tree in trees:
             assert aut.accepts(tree) == recursive_accepts(aut, tree)
             assert aut.run_set(tree) == recursive_run_set(aut, tree)
@@ -308,9 +336,7 @@ def test_warm_runs_read_only_the_memo(monkeypatch):
         raise AssertionError("a warm run reached the filling walk")
 
     with monkeypatch.context() as patch:
-        for name in ("_fold_levels", "_fold_stack"):
-            patch.setattr(automata, name, refuse)
-        for name in ("_fill_state", "_fill_states"):
+        for name in ("_fold", "_fill_state", "_fill_states"):
             patch.setattr(TreeAutomaton, name, refuse)
         assert [_runs(aut, trees) for aut, trees in cases] == first
     assert first == [_recursive_runs(aut, trees) for aut, trees in cases]
@@ -534,9 +560,9 @@ def test_reachable_matches_sink_pending_scan_randomized():
     rng = random.Random(2024)
     for _ in range(40):
         aut = random_deterministic(rng, width=rng.randint(0, 2), max_states=50)
-        named = TreeAutomaton(aut.width, aut.states, aut.initial, aut.finals,
-                              aut.transitions, sink=rng.choice(sorted(aut.states)),
-                              validate=False)
+        named = TreeAutomaton._canonical(aut.width, len(aut.states), aut.initial,
+                                         aut.finals, aut.transitions, True,
+                                         rng.choice(sorted(aut.states)))
         for variant in (aut, named, aut.minimize(), aut.with_materialized_sink()):
             _assert_reachable_matches_scan(variant)
     # every generator, and the complement and subset construction too
@@ -1051,10 +1077,10 @@ def test_minimize_matches_dense_minimize(monkeypatch):
                 continue
             # an added absorbing sink, and a listed state designated the sink
             named = _with_added_sink(variant)
-            renamed = TreeAutomaton(variant.width, variant.states, variant.initial,
-                                    variant.finals - {max(variant.states)},
-                                    variant.transitions, sink=max(variant.states),
-                                    validate=False)
+            renamed = TreeAutomaton._canonical(variant.width, len(variant.states),
+                                               variant.initial,
+                                               variant.finals - {max(variant.states)},
+                                               variant.transitions, True, max(variant.states))
             cases += [variant, named, renamed]
     assert len(cases) >= 300
     # unreachable states, and a state literally named after the fresh sink
@@ -1586,12 +1612,11 @@ def test_text_and_int_guards_build_equal_automata():
     for aut in _random_automata(rng, 100, (0, 3), 4):
         as_text = {pair: [(gp.text(g, aut.width), ts) for g, ts in entries]
                    for pair, entries in aut.transitions.items()}
-        for validate in (True, False):
-            built = [TreeAutomaton(aut.width, aut.states, aut.initial, aut.finals,
-                                   table, aut.deterministic, aut.sink, validate)
-                     for table in (as_text, aut.transitions)]
-            assert automaton_fields(built[0]) == automaton_fields(built[1]) == \
-                automaton_fields(aut)
+        built = [TreeAutomaton(aut.width, aut.states, aut.initial, aut.finals,
+                               table, aut.deterministic, aut.sink)
+                 for table in (as_text, aut.transitions)]
+        assert automaton_fields(built[0]) == automaton_fields(built[1]) == \
+            automaton_fields(aut)
 
 
 def test_renumbered_is_canonical(ac_com_automaton):
